@@ -10,7 +10,7 @@ polynomials and the lambda-map; and named verification suites behind a CLI.
 __version__ = "0.1.0"
 
 from .partitions import Partition, Permutation, complement, conjugate
-from .polynomials import Poly, PolyZQ
+from .polynomials import Poly
 from .scalars import Rational
 from .symfunc import SymFrac, SymFunc, perp, schur
 from .matrices import RingMatrix
@@ -22,7 +22,6 @@ __all__ = [
     "conjugate",
     "complement",
     "Poly",
-    "PolyZQ",
     "Rational",
     "SymFunc",
     "SymFrac",

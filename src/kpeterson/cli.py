@@ -24,6 +24,11 @@ from .quantum import (
 from .scalars import Rational
 from .suites import SUITE_NAMES, run_suite
 
+# Largest total degree `kpet phi` accepts.  The parser expands powers eagerly
+# and Phi_n numerators grow fast with the degree, so unbounded input would
+# mean an unbounded run.
+MAX_PHI_DEGREE = 64
+
 
 class ExprError(ValueError):
     def __init__(self, message: str, pos: int):
@@ -71,7 +76,10 @@ def _tokenize(text: str):
 
 class _Parser:
     """Grammar: expr := term (('+'|'-') term)*; term := factor ('*' factor)*;
-    factor := ('-')* atom ('^' int)?; atom := name | int ('/' int)? | '(' expr ')'."""
+    factor := ('-')* atom ('^' int)?; atom := name | int ('/' int)? | '(' expr ')'.
+
+    Every product and power is checked against MAX_PHI_DEGREE before it is
+    expanded, so no input builds a polynomial above that total degree."""
 
     def __init__(self, text: str, variables):
         self.tokens = _tokenize(text)
@@ -110,8 +118,10 @@ class _Parser:
     def term(self) -> Poly:
         value = self.factor()
         while self.peek()[0] == "*":
-            self.next()
-            value = value * self.factor()
+            pos = self.next()[2]
+            rhs = self.factor()
+            self.check_degree(value.total_degree() + rhs.total_degree(), pos)
+            value = value * rhs
         return value
 
     def factor(self) -> Poly:
@@ -123,8 +133,16 @@ class _Parser:
         if self.peek()[0] == "^":
             self.next()
             tok = self.expect("int")
+            # a constant base counts as degree 1, so its exponent is bounded too
+            self.check_degree(max(value.total_degree(), 1) * tok[1], tok[2])
             value = value ** tok[1]
         return value * sign if sign < 0 else value
+
+    def check_degree(self, degree: int, pos: int):
+        if degree > MAX_PHI_DEGREE:
+            raise ExprError(
+                f"total degree {degree} is above the limit {MAX_PHI_DEGREE}", pos
+            )
 
     def atom(self) -> Poly:
         tok = self.next()
@@ -246,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int, default=1)
     _add_io_flags(p)
 
     return parser
@@ -255,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _perm(args) -> Permutation:
     w = Permutation.from_text(args.w)
     if args.n and args.n != w.n:
-        raise SystemExit(f"--n {args.n} does not match the permutation length {w.n}")
+        raise ValueError(f"--n {args.n} does not match the permutation length {w.n}")
     return w
 
 
@@ -332,9 +349,7 @@ def _dispatch(args) -> int:
         _emit(args, payload, json.dumps(payload))
         return report.exit_code
     elif cmd == "verify":
-        report = run_suite(
-            args.suite, n=args.n, trials=args.trials, seed=args.seed, jobs=args.jobs
-        )
+        report = run_suite(args.suite, n=args.n, trials=args.trials, seed=args.seed)
         _emit(args, report.to_json(), report.summary())
         return report.exit_code
     return 0

@@ -93,11 +93,6 @@ class RingMatrix:
             raise ValueError("non-square minor selection")
         return self.submatrix(row_idx, col_idx).det()
 
-    def delete_rc(self, i: int, j: int):
-        rows = [r for r in range(1, self.nrows + 1) if r != i]
-        cols = [c for c in range(1, self.ncols + 1) if c != j]
-        return self.submatrix(rows, cols)
-
     # -- determinants -----------------------------------------------------
 
     def det(self, method: str = "auto"):
@@ -173,12 +168,23 @@ class RingMatrix:
     def inverse(self):
         """Inverse over the rationals (Gauss-Jordan)."""
         n = self.nrows
+        return RingMatrix(
+            self._gauss_jordan([[int(i == j) for j in range(n)] for i in range(n)])
+        )
+
+    def solve(self, rhs):
+        """Solve self * x = rhs for a rational vector; raises if singular."""
+        return [row[0] for row in self._gauss_jordan([[b] for b in rhs])]
+
+    def _gauss_jordan(self, rhs_rows):
+        """Reduce the augmented matrix [self | rhs_rows] to [I | X] over the
+        rationals and return the rows of X."""
+        n = self.nrows
         if n != self.ncols:
-            raise ValueError("inverse of a non-square matrix")
+            raise ValueError("Gauss-Jordan elimination needs a square matrix")
         aug = [
-            [rat(x) for x in row]
-            + [Rational(1) if i == j else Rational(0) for j in range(n)]
-            for i, row in enumerate(self.rows)
+            [rat(x) for x in row] + [rat(b) for b in extra]
+            for row, extra in zip(self.rows, rhs_rows)
         ]
         for col in range(n):
             pivot = next((r for r in range(col, n) if aug[r][col]), None)
@@ -191,24 +197,7 @@ class RingMatrix:
                 if r != col and aug[r][col]:
                     factor = aug[r][col]
                     aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-        return RingMatrix([row[n:] for row in aug])
-
-    def solve(self, rhs):
-        """Solve self * x = rhs for a rational vector; raises if singular."""
-        n = self.nrows
-        aug = [[rat(x) for x in row] + [rat(b)] for row, b in zip(self.rows, rhs)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if aug[r][col]), None)
-            if pivot is None:
-                raise ZeroDivisionError("singular system")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv_p = Rational(1) / aug[col][col]
-            aug[col] = [x * inv_p for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    factor = aug[r][col]
-                    aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-        return [aug[i][n] for i in range(n)]
+        return [row[n:] for row in aug]
 
 
 def _dot(row, col):

@@ -23,7 +23,7 @@ from math import comb
 from .grothendieck import dual_groth
 from .matrices import RingMatrix
 from .partitions import Partition, partitions_in_rectangle
-from .polynomials import Poly
+from .polynomials import Poly, _mono_mul, terms_add, terms_mul
 from .scalars import Rational
 from .symfunc import SymFrac, SymFunc, from_p_dict, p_perp, perp, schur, to_p_dict
 
@@ -177,35 +177,14 @@ def kappa(d: int, f: SymFunc) -> SymFunc:
     """The ring endomorphism with kappa_d(p_i) as above; an involution."""
     total: dict = {}
     for exps, coeff in to_p_dict(f).items():
-        term = {(): Rational(1)}
+        term = {(): coeff}
         for i, e in enumerate(exps, start=1):
             if e:
                 image = kappa_p(d, i)
                 for _ in range(e):
-                    term = _pdict_mul(term, image)
-        for key, value in term.items():
-            s = total.get(key, 0) + coeff * value
-            if s:
-                total[key] = s
-            else:
-                total.pop(key, None)
+                    term = terms_mul(term, image, _mono_mul)
+        total = terms_add(total, term)
     return from_p_dict(total)
-
-
-def _pdict_mul(d1, d2):
-    acc: dict = {}
-    for e1, c1 in d1.items():
-        for e2, c2 in d2.items():
-            if len(e1) >= len(e2):
-                e = tuple(a + b for a, b in zip(e1, e2)) + e1[len(e2):]
-            else:
-                e = tuple(a + b for a, b in zip(e1, e2)) + e2[len(e1):]
-            s = acc.get(e, 0) + c1 * c2
-            if s:
-                acc[e] = s
-            else:
-                del acc[e]
-    return acc
 
 
 # -- localized fractions and the Phi_n homomorphism ----------------------------------
@@ -420,26 +399,16 @@ class PhiContext:
             raise ValueError(f"Phi_{self.n} has no image for variable {name!r}")
 
     def image_power(self, name: str, e: int) -> LocFrac:
-        key = (name, e)
-        if key not in self._image_powers:
-            if e == 1:
-                self._image_powers[key] = self.image(name)
-            else:
-                self._image_powers[key] = self.image_power(name, e - 1) * self.image(
-                    name
-                )
-        return self._image_powers[key]
+        powers = self._image_powers.setdefault(name, [self.one, self.image(name)])
+        while len(powers) <= e:
+            powers.append(powers[-1] * powers[1])
+        return powers[e]
 
     def factor_power(self, idx: int, e: int) -> Poly:
-        key = (idx, e)
-        if key not in self._power_cache:
-            if e == 0:
-                self._power_cache[key] = Poly.const(self.hvars, 1)
-            else:
-                self._power_cache[key] = (
-                    self.factor_power(idx, e - 1) * self.factors[idx]
-                )
-        return self._power_cache[key]
+        powers = self._power_cache.setdefault(idx, [Poly.const(self.hvars, 1)])
+        while len(powers) <= e:
+            powers.append(powers[-1] * self.factors[idx])
+        return powers[e]
 
     def factor_product(self, exps: tuple) -> Poly:
         exps = tuple(exps)

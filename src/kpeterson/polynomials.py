@@ -1,5 +1,12 @@
 """Sparse multivariate polynomials over exact rationals.
 
+This module holds the one sparse term-dict kernel of the package: add,
+scale, multiply and exact division over ``{exponent tuple: Rational}`` maps
+with non-zero coefficients.  ``Poly``, ``SymFunc`` and the power-sum dicts of
+the symmetric-function layer all call it.  Multiplication takes the exponent
+combiner as an argument: ``_add_exps`` for the fixed-width tuples of a Poly,
+``_mono_mul`` for the trimmed tuples of the h- and p-bases.
+
 A Poly has a fixed, ordered variable tuple and a term map from exponent
 vectors to non-zero Rational coefficients.  This one type backs the z/Q and
 x/Q polynomial rings, the zeta-polynomials of the Toda layer, and (through
@@ -9,13 +16,99 @@ the Peterson map.
 
 from __future__ import annotations
 
+import heapq
+
 from .scalars import Rational, rat, rational_from_text, rational_to_text
 
-__all__ = ["Poly", "PolyZQ"]
+__all__ = ["Poly"]
+
+
+# -- the sparse term kernel ---------------------------------------------------
 
 
 def _add_exps(e1, e2):
+    """Product of two monomials with exponent tuples of one fixed width."""
     return tuple(a + b for a, b in zip(e1, e2))
+
+
+def _mono_mul(e1, e2):
+    """Product of two monomials with trailing-zero-trimmed exponent tuples."""
+    if len(e1) < len(e2):
+        e1, e2 = e2, e1
+    return tuple(a + b for a, b in zip(e1, e2)) + e1[len(e2):]
+
+
+def terms_add(t1, t2):
+    out = dict(t1)
+    for e, c in t2.items():
+        s = out.get(e, 0) + c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def terms_scale(t, c):
+    return {e: v * c for e, v in t.items()} if c else {}
+
+
+def terms_mul(t1, t2, combine=_add_exps):
+    """Product of two term maps; `combine` multiplies two exponent tuples."""
+    # iterate over the smaller factor for speed
+    if len(t1) > len(t2):
+        t1, t2 = t2, t1
+    acc = {}
+    for e1, c1 in t1.items():
+        for e2, c2 in t2.items():
+            e = combine(e1, e2)
+            s = acc.get(e, 0) + c1 * c2
+            if s:
+                acc[e] = s
+            else:
+                del acc[e]
+    return acc
+
+
+def terms_exact_div(t, divisor):
+    """Quotient of two fixed-width term maps, or None if inexact.
+
+    Single-divisor reduction in graded-lex order (leading terms tracked
+    through a lazy max-heap): succeeds iff divisor divides t exactly in the
+    polynomial ring.
+    """
+    if not divisor:
+        raise ZeroDivisionError("polynomial division by zero")
+    dlt_exps, dlt_coeff = max(
+        divisor.items(), key=lambda item: (sum(item[0]), item[0])
+    )
+    quotient = {}
+    rem = dict(t)
+    heap = [(-sum(e), tuple(-x for x in e), e) for e in rem]
+    heapq.heapify(heap)
+    while heap:
+        exps = heapq.heappop(heap)[2]
+        coeff = rem.get(exps)
+        if not coeff:
+            continue  # stale heap entry
+        q_exps = tuple(a - b for a, b in zip(exps, dlt_exps))
+        if any(e < 0 for e in q_exps):
+            return None
+        q_coeff = coeff / dlt_coeff
+        quotient[q_exps] = q_coeff
+        for e, c in divisor.items():
+            target = _add_exps(e, q_exps)
+            old = rem.get(target)
+            s = (old or 0) - q_coeff * c
+            if s:
+                rem[target] = s
+                if old is None and target != exps:
+                    heapq.heappush(
+                        heap, (-sum(target), tuple(-x for x in target), target)
+                    )
+            else:
+                rem.pop(target, None)
+    return quotient
 
 
 class Poly:
@@ -108,14 +201,7 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        return Poly(self.vars, terms)
+        return Poly(self.vars, terms_add(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -126,32 +212,18 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return Poly(self.vars, terms_add(self.terms, (-other).terms))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Rational)):
-            other = rat(other)
-            if not other:
-                return Poly.zero(self.vars)
-            return Poly(self.vars, {e: c * other for e, c in self.terms.items()})
+            return Poly(self.vars, terms_scale(self.terms, rat(other)))
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        # iterate over the smaller factor for speed
-        small, big = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
-        acc = {}
-        for e1, c1 in small.terms.items():
-            for e2, c2 in big.terms.items():
-                e = _add_exps(e1, e2)
-                s = acc.get(e, 0) + c1 * c2
-                if s:
-                    acc[e] = s
-                else:
-                    del acc[e]
-        return Poly(self.vars, acc)
+        return Poly(self.vars, terms_mul(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -170,51 +242,10 @@ class Poly:
         return result
 
     def exact_div(self, divisor: "Poly"):
-        """Exact polynomial division; returns the quotient or None.
-
-        Single-divisor reduction in graded-lex order (leading terms tracked
-        through a lazy max-heap): succeeds iff divisor divides self exactly
-        in the polynomial ring.
-        """
-        import heapq
-
+        """Exact polynomial division; returns the quotient or None."""
         divisor = self._coerce(divisor)
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero():
-            return Poly.zero(self.vars)
-        dlt_exps, dlt_coeff = max(
-            divisor.terms.items(), key=lambda t: (sum(t[0]), t[0])
-        )
-        quotient = {}
-        rem = dict(self.terms)
-        heap = [
-            (-sum(e), tuple(-x for x in e), e) for e in rem
-        ]
-        heapq.heapify(heap)
-        while heap:
-            exps = heapq.heappop(heap)[2]
-            coeff = rem.get(exps)
-            if not coeff:
-                continue  # stale heap entry
-            q_exps = tuple(a - b for a, b in zip(exps, dlt_exps))
-            if any(e < 0 for e in q_exps):
-                return None
-            q_coeff = coeff / dlt_coeff
-            quotient[q_exps] = q_coeff
-            for e, c in divisor.terms.items():
-                target = _add_exps(e, q_exps)
-                old = rem.get(target)
-                s = (old or 0) - q_coeff * c
-                if s:
-                    rem[target] = s
-                    if old is None and target != exps:
-                        heapq.heappush(
-                            heap, (-sum(target), tuple(-x for x in target), target)
-                        )
-                else:
-                    rem.pop(target, None)
-        return Poly(self.vars, quotient)
+        quotient = terms_exact_div(self.terms, divisor.terms)
+        return None if quotient is None else Poly(self.vars, quotient)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Rational)):
@@ -282,20 +313,6 @@ class Poly:
             total += term
         return total
 
-    def substitute(self, images: dict, one):
-        """Ring-homomorphism image; images maps every used variable to an
-        element of the target ring, `one` is that ring's unit."""
-        total = None
-        for e, c in self.sorted_terms():
-            term = one * c
-            for v, exp in zip(self.vars, e):
-                if exp:
-                    term = term * images[v] ** exp
-            total = term if total is None else total + term
-        if total is None:
-            return one * Rational(0)
-        return total
-
     def coeff_list(self, name: str):
         """Coefficients [c0, c1, ...] of a univariate polynomial."""
         if [v for v in self.vars if self.degree_in(v) > 0 and v != name]:
@@ -355,10 +372,6 @@ def _merge_vars(v1, v2):
         if v not in merged:
             merged.append(v)
     return tuple(merged)
-
-
-# Alias used in signatures: polynomials in z_i / x_i / Q_i (and zeta).
-PolyZQ = Poly
 
 
 def zq_vars(n: int):

@@ -24,7 +24,7 @@ from .partitions import Partition, conjugate
 from .peterson import LocFrac, phi_context, tau_sigma
 from .polynomials import Poly, xq_vars, zq_vars
 from .scalars import Rational
-from .symfunc import SymFrac, SymFunc
+from .symfunc import SymFunc
 
 __all__ = [
     "groth_poly",
@@ -372,10 +372,6 @@ def k_conjugate(mu: Partition, k: int) -> Partition:
     return core_to_bounded(conjugate(core), k)
 
 
-def k_conjugate_bounded(mu: KBoundedPartition) -> KBoundedPartition:
-    return KBoundedPartition(k_conjugate(mu.partition, mu.k), mu.k)
-
-
 # -- images under the Peterson map -------------------------------------------------------
 
 
@@ -427,11 +423,6 @@ def g_tilde(w) -> SymFunc:
             f"phi(G^Q_{w.to_text()}) * tau(Des) has residual denominator"
         )
     return image.symfunc()
-
-
-def phi_quantum_groth(w) -> SymFrac:
-    """phi(G^Q_w) as an explicit fraction of symmetric functions."""
-    return phi_groth_image(w).to_symfrac()
 
 
 def phi_s_q_image(lam: Partition, d: int, n: int) -> LocFrac:

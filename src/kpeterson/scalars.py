@@ -32,8 +32,8 @@ def rat(value):
 def rational_from_text(text: str):
     """Parse ``"p/q"`` or ``"p"`` into a Rational.
 
-    >>> rational_from_text("-3/6")
-    mpq(-1,2)
+    >>> rational_to_text(rational_from_text("-3/6"))
+    '-1/2'
     """
     body = text.strip()
     if "/" in body:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from math import comb
@@ -576,17 +575,11 @@ _BUILDERS = {
 }
 
 
-def run_suite(name: str, n=None, trials=None, seed=None, jobs: int = 1) -> SuiteReport:
-    """Execute a named suite; the report's case order is the build order
-    regardless of the number of worker threads."""
+def run_suite(name: str, n=None, trials=None, seed=None) -> SuiteReport:
+    """Execute a named suite; the report's case order is the build order."""
     if name not in _BUILDERS:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     seed = DEFAULT_SEED if seed is None else seed
     rng = random.Random(seed)
     cases = _BUILDERS[name](n, trials, rng)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_case, cases))
-    else:
-        results = [_run_case(c) for c in cases]
-    return SuiteReport(name, results, seed)
+    return SuiteReport(name, [_run_case(c) for c in cases], seed)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 
 from .matrices import RingMatrix
-from .polynomials import Poly
+from .polynomials import Poly, _mono_mul, terms_add, terms_mul, terms_scale
 from .scalars import Rational, rat, rational_from_text, rational_to_text
 
 __all__ = ["SymFunc", "SymFrac", "schur", "to_p_dict", "from_p_dict", "perp"]
@@ -33,14 +33,13 @@ def _mono_degree(exps):
     return sum((i + 1) * e for i, e in enumerate(exps))
 
 
-def _mono_mul(e1, e2):
-    if len(e1) < len(e2):
-        e1, e2 = e2, e1
-    return tuple(a + b for a, b in zip(e1, e2)) + e1[len(e2):]
-
-
 def _mono_key(exps):
     return (_mono_degree(exps), exps)
+
+
+def _sorted_terms(terms):
+    """Items of a term map in descending graded-lex order."""
+    return sorted(terms.items(), key=lambda t: _mono_key(t[0]), reverse=True)
 
 
 class SymFunc:
@@ -117,7 +116,7 @@ class SymFunc:
         return all(len(e) <= n - 1 for e in self.terms)
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: _mono_key(t[0]), reverse=True)
+        return _sorted_terms(self.terms)
 
     def __eq__(self, other):
         if isinstance(other, (int, Rational)):
@@ -142,14 +141,7 @@ class SymFunc:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        return SymFunc(terms)
+        return SymFunc(terms_add(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -167,24 +159,11 @@ class SymFunc:
 
     def __mul__(self, other):
         if isinstance(other, (int, Rational)):
-            other = rat(other)
-            if not other:
-                return SymFunc.zero()
-            return SymFunc({e: c * other for e, c in self.terms.items()})
+            return SymFunc(terms_scale(self.terms, rat(other)))
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        small, big = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
-        acc = {}
-        for e1, c1 in small.terms.items():
-            for e2, c2 in big.terms.items():
-                e = _mono_mul(e1, e2)
-                s = acc.get(e, 0) + c1 * c2
-                if s:
-                    acc[e] = s
-                else:
-                    del acc[e]
-        return SymFunc(acc)
+        return SymFunc(terms_mul(self.terms, other.terms, _mono_mul))
 
     __rmul__ = __mul__
 
@@ -197,34 +176,15 @@ class SymFunc:
         return result
 
     def exact_div(self, divisor: "SymFunc"):
-        """Exact division in the h-polynomial ring, or None if inexact."""
+        """Exact division in the h-polynomial ring, or None if inexact.
+
+        Done in h_1..h_w with w the widest monomial of either operand: a
+        division there is exact iff it is exact in Lambda.
+        """
         divisor = self._coerce(divisor)
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by the zero symmetric function")
-        dlt_exps, dlt_coeff = max(divisor.terms.items(), key=lambda t: _mono_key(t[0]))
-        width = max(
-            [len(e) for e in self.terms] + [len(e) for e in divisor.terms] + [0]
-        )
-        dlt = dlt_exps + (0,) * (width - len(dlt_exps))
-        rem = {e + (0,) * (width - len(e)): c for e, c in self.terms.items()}
-        quotient = {}
-        while rem:
-            exps, coeff = max(rem.items(), key=_mono_key_padded)
-            q_exps = tuple(a - b for a, b in zip(exps, dlt))
-            if any(e < 0 for e in q_exps):
-                return None
-            q_coeff = coeff / dlt_coeff
-            quotient[_trim(q_exps)] = q_coeff
-            for e, c in divisor.terms.items():
-                target = tuple(
-                    a + b for a, b in zip(e + (0,) * (width - len(e)), q_exps)
-                )
-                s = rem.get(target, 0) - q_coeff * c
-                if s:
-                    rem[target] = s
-                else:
-                    rem.pop(target, None)
-        return SymFunc(quotient)
+        width = max(map(len, (*self.terms, *divisor.terms)), default=0)
+        q = self.to_poly(width + 1).exact_div(divisor.to_poly(width + 1))
+        return None if q is None else SymFunc.from_poly(q)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Rational)):
@@ -312,11 +272,6 @@ class SymFunc:
         return out
 
 
-def _mono_key_padded(item):
-    exps = item[0]
-    return (_mono_degree(exps), exps)
-
-
 _H_EXPANSIONS: dict = {}
 
 
@@ -340,6 +295,7 @@ def _h_expansion(i: int, num_vars: int) -> Poly:
 def schur(lam) -> SymFunc:
     """Jacobi-Trudi determinant det(h_{lambda_i + j - i}).
 
+    >>> from kpeterson.partitions import Partition
     >>> schur(Partition([1, 1])).to_str()
     'h1^2 - h2'
     """
@@ -361,34 +317,6 @@ _H_IN_P: list = [ {(): Rational(1)} ]
 _P_IN_H: list = [ SymFunc.one() ]
 
 
-def _pdict_scale(d, c):
-    return {e: v * c for e, v in d.items()} if c else {}
-
-
-def _pdict_add(d1, d2):
-    out = dict(d1)
-    for e, c in d2.items():
-        s = out.get(e, 0) + c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
-
-
-def _pdict_mul(d1, d2):
-    acc = {}
-    for e1, c1 in d1.items():
-        for e2, c2 in d2.items():
-            e = _mono_mul(e1, e2)
-            s = acc.get(e, 0) + c1 * c2
-            if s:
-                acc[e] = s
-            else:
-                del acc[e]
-    return acc
-
-
 def _p_gen(i: int):
     return {(0,) * (i - 1) + (1,): Rational(1)}
 
@@ -398,8 +326,8 @@ def _ensure_newton(m: int):
         k = len(_H_IN_P)
         acc: dict = {}
         for i in range(1, k + 1):
-            acc = _pdict_add(acc, _pdict_mul(_p_gen(i), _H_IN_P[k - i]))
-        _H_IN_P.append(_pdict_scale(acc, Rational(1, k)))
+            acc = terms_add(acc, terms_mul(_p_gen(i), _H_IN_P[k - i], _mono_mul))
+        _H_IN_P.append(terms_scale(acc, Rational(1, k)))
     while len(_P_IN_H) <= m:
         k = len(_P_IN_H)
         total = SymFunc.h(k) * k
@@ -417,15 +345,15 @@ def to_p_dict(f: SymFunc) -> dict:
             if exp:
                 _ensure_newton(i)
                 for _ in range(exp):
-                    term = _pdict_mul(term, _H_IN_P[i])
-        out = _pdict_add(out, term)
+                    term = terms_mul(term, _H_IN_P[i], _mono_mul)
+        out = terms_add(out, term)
     return out
 
 
 def from_p_dict(d: dict) -> SymFunc:
     """Inverse of to_p_dict."""
     total = SymFunc.zero()
-    for e, c in sorted(d.items(), key=_mono_key_padded, reverse=True):
+    for e, c in _sorted_terms(d):
         term = SymFunc.const(c)
         for i, exp in enumerate(e, start=1):
             if exp:
@@ -467,7 +395,7 @@ def perp(f: SymFunc, g: SymFunc) -> SymFunc:
     """The skew operator f-perp applied to g (Hall-pairing adjoint of
     multiplication by f)."""
     total = SymFunc.zero()
-    for e, c in sorted(to_p_dict(f).items(), key=_mono_key_padded, reverse=True):
+    for e, c in _sorted_terms(to_p_dict(f)):
         image = g
         for i, exp in enumerate(e, start=1):
             for _ in range(exp):

@@ -78,10 +78,6 @@ class TodaPoint:
         if prod != 1:
             raise ValueError("z_1...z_n must equal 1")
 
-    def in_open_part(self) -> bool:
-        """True on Z-degree-zero locus: all Q_i non-zero."""
-        return all(self.Q)
-
     def to_json(self):
         return {
             "n": self.n,

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from kpeterson.cli import main, parse_phi_expr
+from kpeterson.cli import MAX_PHI_DEGREE, main, parse_phi_expr
 from kpeterson.partitions import Partition
 from kpeterson.polynomials import Poly
 from kpeterson.scalars import Rational
@@ -86,6 +86,12 @@ class TestExprParser:
         code, _, err = run_cli(capsys, "phi", "--n", "2", "--poly", "z3")
         assert code == 2
 
+    def test_degree_above_limit_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "phi", "--n", "3", "--poly", "x1^100000")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"above the limit {MAX_PHI_DEGREE}" in err
+
 
 class TestVerify:
     def test_suite_runs_green(self, capsys):
@@ -121,15 +127,6 @@ class TestVerify:
         )
         assert code1 == code2 == 0
         assert strip(json.loads(out1)) == strip(json.loads(out2))
-
-    def test_jobs_flag_keeps_order(self, capsys):
-        code1, out1, _ = run_cli(
-            capsys, "verify", "lambda-tables", "--n", "4", "--jobs", "4"
-        )
-        code2, out2, _ = run_cli(capsys, "verify", "lambda-tables", "--n", "4")
-        ids1 = [c["id"] for c in json.loads(out1)["cases"]]
-        ids2 = [c["id"] for c in json.loads(out2)["cases"]]
-        assert code1 == code2 == 0 and ids1 == ids2
 
     def test_conjecture_tier_never_fails_process(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "conjecture7-4", "--n", "5")
@@ -169,5 +166,6 @@ class TestVerify:
         assert code == 0 and "h" in out
 
     def test_mismatched_n_flag(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["groth", "21", "--n", "3"])
+        code, out, err = run_cli(capsys, "groth", "21", "--n", "3")
+        assert code == 2 and out == ""
+        assert err.startswith("error: --n 3 does not match")
