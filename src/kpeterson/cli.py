@@ -29,6 +29,10 @@ from .suites import SUITE_NAMES, run_suite
 # mean an unbounded run.
 MAX_PHI_DEGREE = 64
 
+# Largest n `kpet phi` accepts: the Phi_8 context builds in seconds, while
+# n = 9 takes tens of seconds before the first image and grows from there.
+MAX_PHI_N = 8
+
 
 class ExprError(ValueError):
     def __init__(self, message: str, pos: int):
@@ -321,6 +325,8 @@ def _dispatch(args) -> int:
         value = d_det(DSpec(theta, avec, args.n))
         _emit(args, value.to_json(), value.to_str())
     elif cmd == "phi":
+        if args.n > MAX_PHI_N:
+            raise ValueError(f"--n {args.n} is above the limit {MAX_PHI_N}")
         poly = parse_phi_expr(args.poly, args.n)
         frac = phi_context(args.n).apply(poly)
         _emit(args, frac.to_json(), f"({frac.num.to_str()}) / ({frac.den.to_str()})")

@@ -8,7 +8,9 @@ denominators of the substitution homomorphism
 
 with x_i = 1 - z_i.  Images are carried as localized fractions: a numerator
 polynomial in h_1..h_{n-1} and a denominator kept in factored form as a
-monomial in {tau_i, sigma_i}, reduced eagerly by exact division.  The
+monomial in {tau_i, sigma_i}.  Their arithmetic never divides;
+PhiContext.reduce, the only place that tries exact division, brings each
+finished image to lowest terms once.  The
 D-determinant family (truncated-series minors), its recursions, the kappa_d
 involution, and the skew-operator identities complete the toolkit.
 """
@@ -191,15 +193,22 @@ def kappa(d: int, f: SymFunc) -> SymFunc:
 
 
 class LocFrac:
-    """num / prod(factors^den) with eager exact-division reduction."""
+    """num / prod(factors^den): a Poly numerator over a denominator kept as
+    exponents of the tau/sigma factors.
+
+    +, -, * and ** never divide, so a result need not be in lowest terms;
+    PhiContext.reduce brings a value there, and is_polynomial and symfunc
+    read the representation as it stands.  The keyword ``reduce`` only
+    accepts False (kept for callers that still pass it).
+    """
 
     __slots__ = ("ctx", "num", "den")
 
-    def __init__(self, ctx, num: Poly, den: tuple, reduce: bool = True):
+    def __init__(self, ctx, num: Poly, den: tuple, *, reduce: bool = False):
+        if reduce:
+            raise TypeError("LocFrac does not reduce; call PhiContext.reduce")
         if num.is_zero():
             den = (0,) * len(den)
-        elif reduce:
-            num, den = ctx._reduce(num, den)
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -208,11 +217,10 @@ class LocFrac:
         raise AttributeError("LocFrac is immutable")
 
     def __mul__(self, other):
-        ctx = self.ctx
         if isinstance(other, (int, Rational)):
-            return LocFrac(ctx, self.num * other, self.den, reduce=False)
+            return LocFrac(self.ctx, self.num * other, self.den)
         return LocFrac(
-            ctx,
+            self.ctx,
             self.num * other.num,
             tuple(a + b for a, b in zip(self.den, other.den)),
         )
@@ -227,7 +235,7 @@ class LocFrac:
         return result
 
     def __neg__(self):
-        return LocFrac(self.ctx, -self.num, self.den, reduce=False)
+        return LocFrac(self.ctx, -self.num, self.den)
 
     def __add__(self, other):
         ctx = self.ctx
@@ -310,8 +318,8 @@ class PhiContext:
         self._power_cache: dict = {}
         self._product_cache: dict = {}
         k = len(self.factors)
-        self.one = LocFrac(self, Poly.const(self.hvars, 1), (0,) * k, reduce=False)
-        self.zero = LocFrac(self, Poly.zero(self.hvars), (0,) * k, reduce=False)
+        self.one = LocFrac(self, Poly.const(self.hvars, 1), (0,) * k)
+        self.zero = LocFrac(self, Poly.zero(self.hvars), (0,) * k)
         self._images = self._build_images()
         self._image_powers: dict = {}
         self._zq_contrib = self._build_contrib()
@@ -334,12 +342,10 @@ class PhiContext:
         return f.to_poly(self.n)
 
     def const(self, value) -> LocFrac:
-        return LocFrac(
-            self, Poly.const(self.hvars, value), self._den_unit(), reduce=False
-        )
+        return LocFrac(self, Poly.const(self.hvars, value), self._den_unit())
 
     def from_symfunc(self, f: SymFunc) -> LocFrac:
-        return LocFrac(self, self._sym(f), self._den_unit(), reduce=False)
+        return LocFrac(self, self._sym(f), self._den_unit())
 
     def _build_images(self) -> dict:
         n, table = self.n, self.table
@@ -349,10 +355,10 @@ class PhiContext:
             den = self._den(
                 taus=[i - 1] if i - 1 >= 1 else [], sigmas=[i] if i <= n - 1 else []
             )
-            images[f"z{i}"] = LocFrac(self, num, den)
+            images[f"z{i}"] = self.reduce(LocFrac(self, num, den))
         for i in range(1, n):
             num = self._sym(table.tau[i - 1] * table.tau[i + 1])
-            images[f"Q{i}"] = LocFrac(self, num, self._den(taus=[i, i]))
+            images[f"Q{i}"] = self.reduce(LocFrac(self, num, self._den(taus=[i, i])))
         for i in range(1, n + 1):
             images[f"x{i}"] = self.one - images[f"z{i}"]
         return images
@@ -420,41 +426,44 @@ class PhiContext:
             self._product_cache[exps] = result
         return self._product_cache[exps]
 
-    def _reduce(self, num: Poly, den: tuple):
-        den = list(den)
-        for idx in range(len(den)):
+    def reduce(self, frac: LocFrac) -> LocFrac:
+        """frac in lowest terms: each factor of the denominator is divided out
+        of the numerator while it divides.  For n <= 8 the factors are
+        irreducible and pairwise non-associate, so the result does not depend
+        on how frac was computed."""
+        num, den = frac.num, list(frac.den)
+        for idx, factor in enumerate(self.factors):
             while den[idx] > 0:
-                q = num.exact_div(self.factors[idx])
+                q = num.exact_div(factor)
                 if q is None:
                     break
                 num = q
                 den[idx] -= 1
-        return num, tuple(den)
+        return LocFrac(self, num, tuple(den))
 
     def apply_frac(self, p: Poly, reduce_result: bool = True) -> LocFrac:
-        """Image of a polynomial in z_i / x_i / Q_i under Phi_n."""
+        """Image of a polynomial in z_i / x_i / Q_i under Phi_n, in lowest
+        terms unless reduce_result is false."""
         used = [v for v in p.vars if p.degree_in(v) > 0]
         for v in used:
             if v not in self._images:
                 raise ValueError(f"variable {v!r} not in the domain of Phi_{self.n}")
         if all(v[0] in "zQ" for v in used):
-            return self._apply_monomial(p, reduce_result)
-        total = self.zero
-        for exps, coeff in p.sorted_terms():
-            term = None
-            for v, e in zip(p.vars, exps):
-                if not e:
-                    continue
-                factor = self.image_power(v, e)
-                term = factor if term is None else term * factor
-            term = self.const(coeff) if term is None else term * coeff
-            total = total + term
-        if reduce_result and not total.num.is_zero():
-            num, den = self._reduce(total.num, total.den)
-            total = LocFrac(self, num, den, reduce=False)
-        return total
+            total = self._apply_monomial(p)
+        else:
+            total = self.zero
+            for exps, coeff in p.sorted_terms():
+                term = None
+                for v, e in zip(p.vars, exps):
+                    if not e:
+                        continue
+                    factor = self.image_power(v, e)
+                    term = factor if term is None else term * factor
+                term = self.const(coeff) if term is None else term * coeff
+                total = total + term
+        return self.reduce(total) if reduce_result else total
 
-    def _apply_monomial(self, p: Poly, reduce_result: bool) -> LocFrac:
+    def _apply_monomial(self, p: Poly) -> LocFrac:
         """Fast path: every z^a Q^b monomial maps to a monomial in the
         tau/sigma factors, so the image is assembled over one common
         factored denominator with no division at all."""
@@ -488,7 +497,7 @@ class PhiContext:
                 for _ in range(e):
                     term = term * self.factors[idx]
             num = num + term
-        return LocFrac(self, num, common, reduce=reduce_result)
+        return LocFrac(self, num, common)
 
     def apply(self, p: Poly) -> SymFrac:
         return self.apply_frac(p).to_symfrac()

@@ -11,12 +11,14 @@ A Poly has a fixed, ordered variable tuple and a term map from exponent
 vectors to non-zero Rational coefficients.  This one type backs the z/Q and
 x/Q polynomial rings, the zeta-polynomials of the Toda layer, and (through
 the h1..h_{n-1} variable set) the symmetric-function workhorse arithmetic of
-the Peterson map.
+the Peterson map.  ``f_subset_sum`` builds the Toda invariants F^(m)_i in
+either the z/Q or the x/Q ring.
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import combinations
 
 from .scalars import Rational, rat, rational_from_text, rational_to_text
 
@@ -384,3 +386,21 @@ def xq_vars(n: int):
     return tuple(f"x{i}" for i in range(1, n + 1)) + tuple(
         f"Q{i}" for i in range(1, n)
     )
+
+
+def f_subset_sum(n: int, m: int, i: int, variables, z) -> Poly:
+    """F^(m)_i over `variables`: the sum over i-subsets I of {1..m} of
+    prod_{j in I} z(j) prod_{j in I, j+1 not in I} (1 - Q_j), with Q_n = 0,
+    where z(j) is the polynomial that stands for z_j."""
+    if not (1 <= m <= n and 0 <= i):
+        raise ValueError("need 1 <= m <= n and i >= 0")
+    total = Poly.zero(variables)
+    for subset in combinations(range(1, m + 1), i):
+        chosen = set(subset)
+        term = Poly.const(variables, 1)
+        for j in subset:
+            term = term * z(j)
+            if j + 1 not in chosen and j != n:
+                term = term * (1 - Poly.variable(variables, f"Q{j}"))
+        total = total + term
+    return total

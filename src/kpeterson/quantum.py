@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 
 from .matrices import RingMatrix
 from .partitions import Partition, conjugate
 from .peterson import LocFrac, phi_context, tau_sigma
-from .polynomials import Poly, xq_vars, zq_vars
+from .polynomials import Poly, f_subset_sum, xq_vars, zq_vars
 from .scalars import Rational
 from .symfunc import SymFunc
 
@@ -91,42 +91,19 @@ def groth_poly(w) -> Poly:
 
 @lru_cache(maxsize=None)
 def fq_poly(n: int, m: int, i: int) -> Poly:
-    """F^(m)_i over x1..xn, Q1..Q_{n-1}: sum over i-subsets I of {1..m} of
-    prod_{j in I} (1-x_j) prod_{j in I, j+1 not in I} (1-Q_j), Q_n = 0."""
-    if not (1 <= m <= n and 0 <= i):
-        raise ValueError("need 1 <= m <= n and i >= 0")
+    """F^(m)_i over x1..xn, Q1..Q_{n-1}, with z_j = 1 - x_j."""
     variables = xq_vars(n)
-    total = Poly.zero(variables)
-    if i > m:
-        return total
-    for subset in combinations(range(1, m + 1), i):
-        chosen = set(subset)
-        term = Poly.const(variables, 1)
-        for j in subset:
-            term = term * (1 - Poly.variable(variables, f"x{j}"))
-            if j + 1 not in chosen and j != n:
-                term = term * (1 - Poly.variable(variables, f"Q{j}"))
-        total = total + term
-    return total
+    return f_subset_sum(
+        n, m, i, variables, lambda j: 1 - Poly.variable(variables, f"x{j}")
+    )
 
 
 @lru_cache(maxsize=None)
 def fq_poly_z(n: int, m: int, i: int) -> Poly:
-    """F^(m)_i written in the z/Q variables (z_j = 1 - x_j); this form is a
-    sum of plain monomials, which the Peterson map evaluates fastest."""
+    """F^(m)_i written in the z/Q variables; this form is a sum of plain
+    monomials, which the Peterson map evaluates fastest."""
     variables = zq_vars(n)
-    total = Poly.zero(variables)
-    if i > m:
-        return total
-    for subset in combinations(range(1, m + 1), i):
-        chosen = set(subset)
-        term = Poly.const(variables, 1)
-        for j in subset:
-            term = term * Poly.variable(variables, f"z{j}")
-            if j + 1 not in chosen and j != n:
-                term = term * (1 - Poly.variable(variables, f"Q{j}"))
-        total = total + term
-    return total
+    return f_subset_sum(n, m, i, variables, lambda j: Poly.variable(variables, f"z{j}"))
 
 
 def _elem_one_minus_x(n: int, j: int):
@@ -393,7 +370,7 @@ def _phi_f_monomial(n: int, exps: tuple) -> LocFrac:
 
 @lru_cache(maxsize=None)
 def phi_groth_image(w) -> LocFrac:
-    """phi(G^Q_w) computed through the f-monomial expansion of G_w."""
+    """phi(G^Q_w) computed through the f-monomial expansion of G_w, reduced."""
     n = w.n
     coords = quantize_context(n).expand(groth_poly(w))
     ctx = phi_context(n)
@@ -401,7 +378,7 @@ def phi_groth_image(w) -> LocFrac:
     for coeff, exps in zip(coords, quantize_context(n).basis):
         if coeff:
             total = total + _phi_f_monomial(n, exps) * coeff
-    return total
+    return ctx.reduce(total)
 
 
 @lru_cache(maxsize=None)
@@ -418,6 +395,7 @@ def g_tilde(w) -> SymFunc:
     image = phi_groth_image(w)
     for i in sorted(w.descents):
         image = image * ctx.from_symfunc(table.tau[i])
+    image = ctx.reduce(image)
     if not image.is_polynomial():
         raise NonPolynomialImageError(
             f"phi(G^Q_{w.to_text()}) * tau(Des) has residual denominator"

@@ -1,25 +1,15 @@
 """Exact rational scalars.
 
 Everything in this package computes over the rationals, exactly.  The scalar
-type is gmpy2's ``mpq`` when available (a C implementation, much faster for
-the large symbolic sweeps), with ``fractions.Fraction`` as a drop-in
-fallback.  Both keep the denominator positive and the fraction reduced after
-every operation.
+type is the standard library's ``fractions.Fraction``, which keeps the
+denominator positive and the fraction reduced after every operation.
 """
 
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpq as Rational
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as Rational
+from fractions import Fraction as Rational
 
-__all__ = ["Rational", "QQ", "rat", "rational_from_text", "rational_to_text"]
-
-
-def QQ(numerator=0, denominator=1):
-    """Build a Rational; denominator must be non-zero."""
-    return Rational(numerator, denominator)
+__all__ = ["Rational", "rat", "rational_from_text", "rational_to_text"]
 
 
 def rat(value):

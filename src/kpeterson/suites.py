@@ -62,22 +62,6 @@ from .toda import (
 
 DEFAULT_SEED = 20240801
 
-SUITE_NAMES = (
-    "example-1-2",
-    "remarkable-identity",
-    "theorem-1-5",
-    "example-7-3",
-    "lambda-tables",
-    "prop-5-1",
-    "d-recursions",
-    "lattice-identity",
-    "prop-6-chain",
-    "toda-roundtrip",
-    "conjecture2",
-    "conjecture7-4",
-    "buch-cor-5-7",
-)
-
 
 @dataclass
 class SuiteCase:
@@ -573,6 +557,7 @@ _BUILDERS = {
     "conjecture7-4": _suite_conjecture_7_4,
     "buch-cor-5-7": _suite_buch_cor_5_7,
 }
+SUITE_NAMES = tuple(_BUILDERS)
 
 
 def run_suite(name: str, n=None, trials=None, seed=None) -> SuiteReport:

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 
 from .matrices import RingMatrix
-from .polynomials import Poly, zq_vars
+from .polynomials import Poly, f_subset_sum, zq_vars
 from .scalars import Rational, rat, rational_from_text, rational_to_text
 from .symfunc import SymFunc
 
@@ -201,21 +200,11 @@ class TruncSeriesPhi:
 
 @lru_cache(maxsize=None)
 def f_invariant(n: int, i: int) -> Poly:
-    """F_i(z, Q) = sum over i-subsets I of prod_{j in I} z_j
-    prod_{j in I, j+1 not in I} (1 - Q_j), with Q_n = 0."""
+    """The spectral invariant F_i(z, Q) = F^(n)_i (see f_subset_sum)."""
     if not 1 <= i <= n:
         raise ValueError("need 1 <= i <= n")
     variables = zq_vars(n)
-    total = Poly.zero(variables)
-    for subset in combinations(range(1, n + 1), i):
-        chosen = set(subset)
-        term = Poly.const(variables, 1)
-        for j in subset:
-            term = term * Poly.variable(variables, f"z{j}")
-            if j + 1 not in chosen and j != n:
-                term = term * (1 - Poly.variable(variables, f"Q{j}"))
-        total = total + term
-    return total
+    return f_subset_sum(n, n, i, variables, lambda j: Poly.variable(variables, f"z{j}"))
 
 
 def gamma_of_point(pt: TodaPoint) -> SpectralParams:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from kpeterson.cli import MAX_PHI_DEGREE, main, parse_phi_expr
+from kpeterson.cli import MAX_PHI_DEGREE, MAX_PHI_N, main, parse_phi_expr
 from kpeterson.partitions import Partition
 from kpeterson.polynomials import Poly
 from kpeterson.scalars import Rational
@@ -91,6 +91,12 @@ class TestExprParser:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "Traceback" not in err
         assert f"above the limit {MAX_PHI_DEGREE}" in err
+
+    def test_n_above_limit_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "phi", "--n", str(MAX_PHI_N + 1), "--poly", "z1")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert f"above the limit {MAX_PHI_N}" in err
 
 
 class TestVerify:

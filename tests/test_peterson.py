@@ -7,6 +7,7 @@ from kpeterson.grothendieck import dual_groth
 from kpeterson.partitions import Partition, partitions_in_rectangle
 from kpeterson.peterson import (
     DSpec,
+    LocFrac,
     d_base_check,
     d_det,
     d_plain,
@@ -229,6 +230,42 @@ class TestPhi:
         poly = Poly.variable(("zeta",), "zeta")
         with pytest.raises(ValueError):
             phi_apply(poly, 3)
+
+
+class TestReduction:
+    def test_arithmetic_never_divides(self, monkeypatch):
+        ctx = phi_context(3)
+        z1, z2, z3 = (ctx.image(f"z{i}") for i in (1, 2, 3))
+
+        def refuse(self, divisor):
+            raise AssertionError("LocFrac arithmetic called exact_div")
+
+        monkeypatch.setattr(Poly, "exact_div", refuse)
+        prod = z1 * z2 * z3
+        for value in (prod, z1 + z2, z1 - z2, z1 - 1, 1 + z1, z1 * 2, -z1, z1**3):
+            assert isinstance(value, LocFrac)
+        monkeypatch.undo()
+        assert any(prod.den)
+        assert ctx.reduce(prod).den == ctx.one.den and ctx.reduce(prod) == 1
+        with pytest.raises(TypeError):
+            LocFrac(ctx, prod.num, prod.den, reduce=True)
+
+    def test_factors_irreducible_and_not_associate(self):
+        # reducing once gives the same lowest terms as reducing every step
+        # only because the tau/sigma factors are distinct primes of Q[h]
+        from sympy import QQ, symbols
+        from sympy import Poly as SympyPoly
+
+        for n in range(2, 7):
+            ctx = phi_context(n)
+            monics = []
+            for name, f in zip(ctx.factor_names, ctx.factors):
+                terms = {e: QQ(int(c.numerator), int(c.denominator)) for e, c in f.terms.items()}
+                sp = SympyPoly.from_dict(terms, *symbols(ctx.hvars), domain=QQ)
+                _, factors = sp.factor_list()
+                assert len(factors) == 1 and factors[0][1] == 1, (n, name)
+                monics.append(sp.monic())
+            assert len(set(monics)) == len(monics), n
 
 
 class TestPerpD:

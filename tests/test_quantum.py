@@ -25,6 +25,7 @@ from kpeterson.quantum import (
     groth_poly,
     k_conjugate,
     lambda_map,
+    phi_f_image,
     phi_groth_image,
     pi_op,
     quantize,
@@ -287,6 +288,15 @@ class TestGrassmannianConjugates:
 
 
 class TestGTilde:
+    def test_images_in_lowest_terms(self):
+        for n in (3, 4):
+            ctx = phi_context(n)
+            images = [phi_f_image(n, m, i) for m in range(1, n + 1) for i in range(m + 1)]
+            images += [phi_groth_image(w) for w in all_permutations(n)]
+            for image in images:
+                for factor, e in zip(ctx.factors, image.den):
+                    assert e == 0 or image.num.exact_div(factor) is None
+
     def test_identity(self):
         assert g_tilde(Permutation.identity(3)) == SymFunc.one()
 
