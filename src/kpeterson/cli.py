@@ -24,10 +24,15 @@ from .quantum import (
 from .scalars import Rational
 from .suites import SUITE_NAMES, run_suite
 
-# Largest total degree `kpet phi` accepts.  The parser expands powers eagerly
-# and Phi_n numerators grow fast with the degree, so unbounded input would
-# mean an unbounded run.
-MAX_PHI_DEGREE = 64
+# Largest degree * (n-1)^2 `kpet phi` accepts.  The parser expands powers
+# eagerly and Phi_n numerators grow fast with both the degree and n, so one
+# degree bound for every n would still admit runs of minutes at n = 5.
+MAX_PHI_WEIGHT = 288
+
+
+def max_phi_degree(n: int) -> int:
+    """Largest total degree `kpet phi --n n` accepts."""
+    return MAX_PHI_WEIGHT // max((n - 1) ** 2, 1)
 
 # Largest n `kpet phi` accepts: the Phi_8 context builds in seconds, while
 # n = 9 takes tens of seconds before the first image and grows from there.
@@ -82,13 +87,14 @@ class _Parser:
     """Grammar: expr := term (('+'|'-') term)*; term := factor ('*' factor)*;
     factor := ('-')* atom ('^' int)?; atom := name | int ('/' int)? | '(' expr ')'.
 
-    Every product and power is checked against MAX_PHI_DEGREE before it is
+    Every product and power is checked against max_degree before it is
     expanded, so no input builds a polynomial above that total degree."""
 
-    def __init__(self, text: str, variables):
+    def __init__(self, text: str, variables, max_degree: int):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.vars = variables
+        self.max_degree = max_degree
 
     def peek(self):
         return self.tokens[self.pos]
@@ -143,9 +149,9 @@ class _Parser:
         return value * sign if sign < 0 else value
 
     def check_degree(self, degree: int, pos: int):
-        if degree > MAX_PHI_DEGREE:
+        if degree > self.max_degree:
             raise ExprError(
-                f"total degree {degree} is above the limit {MAX_PHI_DEGREE}", pos
+                f"total degree {degree} is above the limit {self.max_degree}", pos
             )
 
     def atom(self) -> Poly:
@@ -176,7 +182,7 @@ def parse_phi_expr(text: str, n: int) -> Poly:
         + tuple(f"x{i}" for i in range(1, n + 1))
         + tuple(f"Q{i}" for i in range(1, n))
     )
-    return _Parser(text, variables).parse()
+    return _Parser(text, variables, max_phi_degree(n)).parse()
 
 
 def _emit(args, payload, text: str):

@@ -95,22 +95,19 @@ class RingMatrix:
 
     # -- determinants -----------------------------------------------------
 
-    def det(self, method: str = "auto"):
+    def det(self):
+        """Bareiss for rational entries or above 6x6, memoized cofactor
+        expansion otherwise."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
         n = self.nrows
         if n == 0:
             return Rational(1)
-        if method == "auto":
-            rationals = all(
-                isinstance(x, (int, Rational)) for row in self.rows for x in row
-            )
-            method = "bareiss" if rationals or n > 6 else "cofactor"
-        if method == "bareiss":
+        if n > 6 or all(
+            isinstance(x, (int, Rational)) for row in self.rows for x in row
+        ):
             return self._det_bareiss()
-        if method == "cofactor":
-            return self._det_cofactor()
-        raise ValueError(f"unknown determinant method {method!r}")
+        return self._det_cofactor()
 
     def _det_cofactor(self):
         n = self.nrows

@@ -261,6 +261,9 @@ class LocFrac:
             other = self.ctx.const(other)
         return self + (-other)
 
+    def __rsub__(self, other):
+        return (-self) + other
+
     def __eq__(self, other):
         ctx = self.ctx
         if isinstance(other, (int, Rational)):

@@ -219,22 +219,29 @@ def quantum_groth(w) -> Poly:
 
 def s_q_poly(lam: Partition, d: int, n: int) -> Poly:
     """The quantized Schur determinant det(F^(d+j-1)_{lambda'_i - i + j})."""
+    return _quantized_schur_det(
+        lam, d, n, lambda m, k: fq_poly(n, m, k), Poly.const(xq_vars(n), 1)
+    )
+
+
+def _quantized_schur_det(lam: Partition, d: int, n: int, entry, one):
+    """det(entry(d+j-1, lambda'_i - i + j)), where entry(m, k) is (the image
+    of) F^(m)_k, entries with k < 0 are zero and the empty partition gives
+    `one`."""
     if not lam.fits_in(d, n - d):
         raise ValueError("lambda must fit in the d x (n-d) rectangle")
     lam_c = conjugate(lam)
     s = len(lam_c)
     if s == 0:
-        return Poly.const(xq_vars(n), 1)
+        return one
+    zero = one * 0
     rows = []
     for i in range(1, s + 1):
-        rows.append(
-            [
-                fq_poly(n, d + j - 1, lam_c.part(i) - i + j)
-                if lam_c.part(i) - i + j >= 0
-                else Poly.zero(xq_vars(n))
-                for j in range(1, s + 1)
-            ]
-        )
+        row = []
+        for j in range(1, s + 1):
+            k = lam_c.part(i) - i + j
+            row.append(entry(d + j - 1, k) if k >= 0 else zero)
+        rows.append(row)
     return RingMatrix(rows).det()
 
 
@@ -406,18 +413,6 @@ def g_tilde(w) -> SymFunc:
 def phi_s_q_image(lam: Partition, d: int, n: int) -> LocFrac:
     """phi(S^Q_{lam,d}) computed as the determinant of the entrywise images
     of the quantized Schur matrix (phi is a ring homomorphism)."""
-    if not lam.fits_in(d, n - d):
-        raise ValueError("lambda must fit in the d x (n-d) rectangle")
-    ctx = phi_context(n)
-    lam_c = conjugate(lam)
-    s = len(lam_c)
-    if s == 0:
-        return ctx.one
-    rows = []
-    for i in range(1, s + 1):
-        row = []
-        for j in range(1, s + 1):
-            k = lam_c.part(i) - i + j
-            row.append(phi_f_image(n, d + j - 1, k) if k >= 0 else ctx.zero)
-        rows.append(row)
-    return RingMatrix(rows).det()
+    return _quantized_schur_det(
+        lam, d, n, lambda m, k: phi_f_image(n, m, k), phi_context(n).one
+    )

@@ -50,6 +50,7 @@ from .quantum import (
 from .scalars import Rational
 from .symfunc import SymFunc
 from .toda import (
+    _point_values,
     alpha,
     beta_full,
     f_invariant,
@@ -438,8 +439,7 @@ def _toda_trial(nn, rng):
     # valid at every point of the open locus.
     from .quantum import fq_poly_z
 
-    vals = {f"z{i}": pt.z[i - 1] for i in range(1, nn + 1)}
-    vals.update({f"Q{i}": pt.Q[i - 1] for i in range(1, nn)})
+    vals = _point_values(pt)
     for i in range(2, nn + 1):
         for j in range(1, i):
             expect = Rational((-1) ** (j - 1)) * fq_poly_z(nn, i - 1, i - j).evaluate(vals)

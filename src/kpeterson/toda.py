@@ -6,8 +6,13 @@ unipotent lower bidiagonal (-Q_i z_i subdiagonal).  The spectral invariants
 F_i, the companion matrix of the common characteristic polynomial, the T/S
 determinant functions, and the Gauss and RU decompositions that realize the
 correspondence between Lax matrices and polynomial classes phi all live
-here, over exact rationals at concrete points and over polynomial or
-symmetric-function coefficients symbolically.
+here.
+
+Each matrix has one construction over any coefficient ring: the Lax matrix
+and the characteristic minor take their z and Q entries as exact rationals
+at a point or as z/Q polynomials, and the T/S determinants take a class phi
+with rational or symmetric-function coordinates.  T/S use one coordinate
+map, remainders modulo the characteristic polynomial, valid for every gamma.
 """
 
 from __future__ import annotations
@@ -153,28 +158,12 @@ class TruncSeriesPhi:
     @classmethod
     def from_zeta_coeffs(cls, n: int, coeffs) -> "TruncSeriesPhi":
         """From ascending coefficients of phi(zeta), degree <= n-1."""
-        coeffs = list(coeffs) + [0] * (n - len(list(coeffs)))
-        coeffs = (list(coeffs))[:n]
-        c = []
-        for i in range(n):
-            total = None
-            for j in range(i, n):
-                term = coeffs[j] * comb(j, i)
-                total = term if total is None else total + term
-            c.append(total * (-1) ** i if i % 2 else total)
-        return cls(n, c)
+        coeffs = list(coeffs)
+        return cls(n, _binomial_flip((coeffs + [0] * (n - len(coeffs)))[:n]))
 
     def to_zeta_coeffs(self):
         """Ascending coefficients of phi(zeta)."""
-        n = self.n
-        out = []
-        for j in range(n):
-            total = None
-            for i in range(j, n):
-                term = self.c[i] * comb(i, j)
-                total = term if total is None else total + term
-            out.append(total * (-1) ** j if j % 2 else total)
-        return out
+        return _binomial_flip(self.c)
 
     @classmethod
     def symbolic_unipotent(cls, n: int) -> "TruncSeriesPhi":
@@ -191,8 +180,19 @@ class TruncSeriesPhi:
             raise YConditionError("Y1")
         return self.scaled(Rational(1) / top)
 
-    def is_symbolic(self) -> bool:
-        return any(isinstance(ci, SymFunc) for ci in self.c)
+
+def _binomial_flip(values):
+    """w_i = (-1)^i sum_{j >= i} C(j, i) v_j.  It takes the ascending
+    zeta-coefficients of phi to the coordinates c_i of
+    phi = sum (-1)^i c_i (zeta-1)^i and, being an involution, back."""
+    n = len(values)
+    out = []
+    for i in range(n):
+        total = values[i]
+        for j in range(i + 1, n):
+            total = total + values[j] * comb(j, i)
+        out.append(-total if i % 2 else total)
+    return out
 
 
 # -- spectral invariants -------------------------------------------------------
@@ -223,32 +223,64 @@ def _point_values(pt: TodaPoint) -> dict:
 # -- Lax matrices ---------------------------------------------------------------
 
 
-def lax_ab(pt: TodaPoint):
-    n = pt.n
-    A = [[Rational(0)] * n for _ in range(n)]
-    B = [[Rational(0)] * n for _ in range(n)]
-    for i in range(n):
-        A[i][i] = rat(pt.z[i])
-        if i + 1 < n:
-            A[i][i + 1] = Rational(-1)
-        B[i][i] = Rational(1)
-    for i in range(n - 1):
-        B[i + 1][i] = -rat(pt.Q[i]) * rat(pt.z[i])
-    return RingMatrix(A), RingMatrix(B)
+def _lax_ab(z, Q):
+    """A and B^{-1} from ring elements z_1..z_n, Q_1..Q_{n-1}; B is unipotent
+    lower bidiagonal, so B^{-1}_{ij} = prod_{j <= k < i} Q_k z_k exactly."""
+    n = len(z)
+    zero = z[0] * 0
+    one = zero + 1
+    A = [[zero] * n for _ in range(n)]
+    binv = [[zero] * n for _ in range(n)]
+    for j in range(n):
+        A[j][j] = z[j]
+        if j + 1 < n:
+            A[j][j + 1] = -one
+        binv[j][j] = one
+        prod = one
+        for i in range(j + 1, n):
+            prod = prod * Q[i - 1] * z[i - 1]
+            binv[i][j] = prod
+    return RingMatrix(A), RingMatrix(binv)
+
+
+def _char_minor(z, Q, variables) -> Poly:
+    """Delta_{1,1}(zeta*B - A) in the polynomial ring of `variables`, which
+    holds zeta and every variable of the entries z_i, Q_i."""
+    n = len(z)
+    zeta = Poly.variable(variables, "zeta")
+    zero = Poly.zero(variables)
+    rows = [[zero] * (n - 1) for _ in range(n - 1)]
+    for k in range(n - 1):  # row and column k hold index k + 2 of zeta*B - A
+        rows[k][k] = zeta - z[k + 1]
+        if k + 1 < n - 1:
+            rows[k][k + 1] = zero + 1
+        if k:
+            rows[k][k - 1] = -(zeta * (Q[k] * z[k]))
+    if not rows:
+        return Poly.const(variables, 1)
+    return RingMatrix(rows).det()
+
+
+def _point_entries(pt: TodaPoint):
+    return [rat(v) for v in pt.z], [rat(v) for v in pt.Q]
+
+
+def _symbolic_entries(variables, n: int):
+    z = [Poly.variable(variables, f"z{i}") for i in range(1, n + 1)]
+    Q = [Poly.variable(variables, f"Q{i}") for i in range(1, n)]
+    return z, Q
 
 
 def lax_matrix(pt: TodaPoint) -> RingMatrix:
-    """L = A B^{-1}; B is unipotent lower bidiagonal so B^{-1} is exact."""
-    n = pt.n
-    A, _ = lax_ab(pt)
-    binv = [[Rational(0)] * n for _ in range(n)]
-    for j in range(n):
-        binv[j][j] = Rational(1)
-        prod = Rational(1)
-        for i in range(j + 1, n):
-            prod = prod * rat(pt.Q[i - 1]) * rat(pt.z[i - 1])
-            binv[i][j] = prod
-    return A * RingMatrix(binv)
+    """L = A B^{-1} at a rational point."""
+    A, binv = _lax_ab(*_point_entries(pt))
+    return A * binv
+
+
+def lax_matrix_symbolic(n: int) -> RingMatrix:
+    """L = A B^{-1} over the z/Q polynomial ring (B^{-1} is polynomial)."""
+    A, binv = _lax_ab(*_symbolic_entries(zq_vars(n), n))
+    return A * binv
 
 
 def lax_to_point(L: RingMatrix) -> TodaPoint:
@@ -271,71 +303,13 @@ def lax_to_point(L: RingMatrix) -> TodaPoint:
 def char_minor_phi(pt: TodaPoint) -> Poly:
     """The (1,1) minor Delta_{1,1} of zeta*B - A, a monic polynomial of
     degree n-1 in zeta."""
-    n = pt.n
-    A, B = lax_ab(pt)
-    variables = ("zeta",)
-    zeta = Poly.variable(variables, "zeta")
-    rows = []
-    for i in range(2, n + 1):
-        rows.append(
-            [zeta * B[i, j] - A[i, j] for j in range(2, n + 1)]
-        )
-    if not rows:
-        return Poly.const(variables, 1)
-    return RingMatrix(rows).det()
+    return _char_minor(*_point_entries(pt), ("zeta",))
 
 
 def char_minor_phi_symbolic(n: int) -> Poly:
     """Delta_{1,1} over the symbolic z/Q polynomial ring with zeta."""
     variables = ("zeta",) + zq_vars(n)
-    zeta = Poly.variable(variables, "zeta")
-    one = Poly.const(variables, 1)
-    rows = []
-    for i in range(2, n + 1):
-        row = []
-        for j in range(2, n + 1):
-            b = one if i == j else Poly.zero(variables)
-            if i == j + 1:
-                b = -Poly.variable(variables, f"Q{j}") * Poly.variable(
-                    variables, f"z{j}"
-                )
-            a = Poly.zero(variables)
-            if i == j:
-                a = Poly.variable(variables, f"z{i}")
-            elif j == i + 1:
-                a = -one
-            row.append(zeta * b - a)
-        rows.append(row)
-    if not rows:
-        return one
-    return RingMatrix(rows).det()
-
-
-def lax_matrix_symbolic(n: int) -> RingMatrix:
-    """L = A B^{-1} over the z/Q polynomial ring (B^{-1} is polynomial)."""
-    variables = zq_vars(n)
-    zero = Poly.zero(variables)
-    one = Poly.const(variables, 1)
-
-    def z(i):
-        return Poly.variable(variables, f"z{i}")
-
-    def q(i):
-        return Poly.variable(variables, f"Q{i}")
-
-    A = [[zero] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        A[i - 1][i - 1] = z(i)
-        if i < n:
-            A[i - 1][i] = -one
-    binv = [[zero] * n for _ in range(n)]
-    for j in range(1, n + 1):
-        binv[j - 1][j - 1] = one
-        prod = one
-        for i in range(j + 1, n + 1):
-            prod = prod * q(i - 1) * z(i - 1)
-            binv[i - 1][j - 1] = prod
-    return RingMatrix(A) * RingMatrix(binv)
+    return _char_minor(*_symbolic_entries(variables, n), variables)
 
 
 # -- companion matrix and T/S determinants ----------------------------------------
@@ -384,62 +358,29 @@ def _poly_mod(coeffs, modulus):
     return coeffs
 
 
-def ts_functions(phi: TruncSeriesPhi, params: SpectralParams, cmap: str = "auto"):
+def ts_functions(phi: TruncSeriesPhi, params: SpectralParams):
     """The tau-function determinants T_1..T_n, S_1..S_n of phi.
 
-    Columns are the coordinates of phi*zeta^j (j < i) padded with the
-    coordinates of basis powers; the coordinate map is admissible (basis
-    determinant 1): the remainder map for any gamma, or the (zeta-1)-power
-    map (with its sign normalization) in the unipotent case.  Both maps give
-    identical values; rescaling phi by a constant c multiplies T_i and S_i
-    by c^i.
+    Columns are the coordinates of phi*zeta^j (j < i), padded with the
+    coordinates of basis powers, under the remainder map modulo the
+    characteristic polynomial (admissible for every gamma: basis determinant
+    1).  Rescaling phi by a constant c multiplies T_i and S_i by c^i.
     """
     n = phi.n
     if params.n != n:
         raise ValueError("size mismatch")
-    if cmap == "auto":
-        cmap = "zeta1" if params.is_unipotent() else "remainder"
-    symbolic = phi.is_symbolic()
-    zero = SymFunc.zero() if symbolic else Rational(0)
-    one = SymFunc.one() if symbolic else Rational(1)
-
-    def pad(lst):
-        return list(lst) + [zero] * (n - len(lst))
-
-    if cmap == "remainder":
-        modulus = params.char_poly_coeffs()
-        cur = pad(phi.to_zeta_coeffs())
-        b = []
-        for _ in range(n):
-            b.append(list(cur))
-            cur = _poly_mod([zero] + cur, modulus)
-            cur = pad(cur)
-        a = [[one if k == j else zero for k in range(n)] for j in range(n)]
-        sign = 1
-    elif cmap == "zeta1":
-        if not params.is_unipotent():
-            raise ValueError("the (zeta-1) coordinate map needs unipotent gamma")
-        # work in u = zeta - 1; the class lives in coefficients mod u^n
-        cur = [ci * ((-1) ** i if i % 2 else 1) for i, ci in enumerate(pad(phi.c))]
-        b = []
-        for j in range(n):
-            coords = [ci * ((-1) ** i if i % 2 else 1) for i, ci in enumerate(cur)]
-            b.append(coords)
-            # multiply by zeta = 1 + u, truncated at u^n
-            cur = [
-                cur[k] + (cur[k - 1] if k else zero) for k in range(n)
-            ]
-        a = [
-            [((-1) ** k) * comb(j, k) * one for k in range(n)] for j in range(n)
-        ]
-        sign = (-1) ** (n * (n - 1) // 2)
-    else:
-        raise ValueError(f"unknown coordinate map {cmap!r}")
+    zero = phi.c[0] * 0
+    one = zero + 1
+    modulus = params.char_poly_coeffs()
+    cur = phi.to_zeta_coeffs()
+    b = []
+    for _ in range(n):
+        b.append(cur)
+        cur = _poly_mod([zero] + cur, modulus)
+    a = [[one if k == j else zero for k in range(n)] for j in range(n)]
 
     def det_of(columns):
-        rows = [[col[k] for col in columns] for k in range(n)]
-        d = RingMatrix(rows).det()
-        return d * sign if sign < 0 else d
+        return RingMatrix([[col[k] for col in columns] for k in range(n)]).det()
 
     T = [det_of(b[:i] + a[i - 1 : n - 1]) for i in range(1, n + 1)]
     S = [det_of(b[:i] + a[i : n]) for i in range(1, n + 1)]
@@ -541,7 +482,7 @@ def beta_full(phi: TruncSeriesPhi, params: SpectralParams) -> BetaData:
     X = phi_of_companion(phi, params)
     if not X.det():
         raise YConditionError("Y0")
-    T, S = ts_functions(phi, params, "remainder")
+    T, S = ts_functions(phi, params)
     for i in range(1, n):
         if not T[i - 1]:
             raise YConditionError(f"Y2[{i}]")
@@ -566,7 +507,7 @@ def minor_formulas(phi: TruncSeriesPhi, params: SpectralParams) -> bool:
     S_i = xi^{1..i}_{1..i}(phi(C)) for 1 <= i <= n."""
     n = phi.n
     X = phi_of_companion(phi, params)
-    T, S = ts_functions(phi, params, "remainder")
+    T, S = ts_functions(phi, params)
     for i in range(1, n + 1):
         rows = list(range(1, i)) + [i]
         cols = list(range(1, i)) + [n]
@@ -600,7 +541,7 @@ def random_unipotent_point(n: int, rng, max_tries: int = 10000) -> TodaPoint:
         phi = TruncSeriesPhi(n, coeffs)
         try:
             return beta_full(phi, uni).point
-        except (YConditionError, DecompositionError, ValueError, ZeroDivisionError):
+        except (ValueError, ZeroDivisionError):
             continue
     raise RuntimeError("sampling failed; the locus should be dense")
 

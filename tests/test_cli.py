@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from kpeterson.cli import MAX_PHI_DEGREE, MAX_PHI_N, main, parse_phi_expr
+from kpeterson.cli import MAX_PHI_N, main, max_phi_degree, parse_phi_expr
 from kpeterson.partitions import Partition
 from kpeterson.polynomials import Poly
 from kpeterson.scalars import Rational
@@ -90,7 +90,16 @@ class TestExprParser:
         code, out, err = run_cli(capsys, "phi", "--n", "3", "--poly", "x1^100000")
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "Traceback" not in err
-        assert f"above the limit {MAX_PHI_DEGREE}" in err
+        assert f"above the limit {max_phi_degree(3)}" in err
+
+    def test_degree_limit_depends_on_n(self, capsys):
+        code, out, err = run_cli(capsys, "phi", "--n", "5", "--poly", "x1^32")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"above the limit {max_phi_degree(5)}" in err
+        code, out, err = run_cli(capsys, "phi", "--n", "3", "--poly", "x1^64")
+        assert code == 0 and err == ""
+        assert json.loads(out)["num"]
 
     def test_n_above_limit_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "phi", "--n", str(MAX_PHI_N + 1), "--poly", "z1")

@@ -60,7 +60,7 @@ class TestTauSigma:
                 assert f.in_lambda_n(n)
 
     def test_matches_toda_determinants_symbolically(self):
-        for n in (2, 3, 4):
+        for n in (2, 3, 4, 5):
             phi = TruncSeriesPhi.symbolic_unipotent(n)
             T, S = ts_functions(phi, SpectralParams.unipotent(n))
             t = tau_sigma(n)
@@ -249,6 +249,12 @@ class TestReduction:
         assert ctx.reduce(prod).den == ctx.one.den and ctx.reduce(prod) == 1
         with pytest.raises(TypeError):
             LocFrac(ctx, prod.num, prod.den, reduce=True)
+
+    def test_scalar_minus_image(self):
+        ctx = phi_context(3)
+        z1 = ctx.image("z1")
+        assert 1 - z1 == ctx.one - z1 == ctx.image("x1")
+        assert Rational(1, 2) - z1 == -(z1 - Rational(1, 2))
 
     def test_factors_irreducible_and_not_associate(self):
         # reducing once gives the same lowest terms as reducing every step

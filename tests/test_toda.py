@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -37,6 +38,37 @@ h = SymFunc.h
 
 def q(a, b=1):
     return Rational(a, b)
+
+
+def point_values(pt):
+    vals = {f"z{i}": pt.z[i - 1] for i in range(1, pt.n + 1)}
+    vals.update({f"Q{i}": pt.Q[i - 1] for i in range(1, pt.n)})
+    return vals
+
+
+def zeta1_ts_functions(phi, params):
+    """Reference T/S through the (zeta-1)-power coordinate map: phi*zeta^j
+    is written in powers of u = zeta - 1 truncated at u^n, which is a valid
+    coordinate map only when the characteristic polynomial is (zeta-1)^n.
+    Its basis determinant is (-1)^{n(n-1)/2}, hence the sign normalization."""
+    assert params.is_unipotent()
+    n = phi.n
+    zero = phi.c[0] * 0
+    one = zero + 1
+    cur = [-ci if i % 2 else ci for i, ci in enumerate(phi.c)]
+    b = []
+    for _ in range(n):
+        b.append([-ci if i % 2 else ci for i, ci in enumerate(cur)])
+        cur = [cur[k] + (cur[k - 1] if k else zero) for k in range(n)]
+    a = [[(-1) ** k * comb(j, k) * one for k in range(n)] for j in range(n)]
+    sign = (-1) ** (n * (n - 1) // 2)
+
+    def det_of(columns):
+        return RingMatrix([[col[k] for col in columns] for k in range(n)]).det() * sign
+
+    T = [det_of(b[:i] + a[i - 1 : n - 1]) for i in range(1, n + 1)]
+    S = [det_of(b[:i] + a[i:n]) for i in range(1, n + 1)]
+    return T, S
 
 
 class TestInvariants:
@@ -95,6 +127,18 @@ class TestLax:
         with pytest.raises(ValueError):
             TodaPoint(2, (q(2), q(2)), (q(1),))
 
+    def test_symbolic_specializes_to_points(self):
+        rng = random.Random(37)
+        for n in (2, 3, 4, 5):
+            L = lax_matrix_symbolic(n)
+            minor = char_minor_phi_symbolic(n)
+            for _ in range(20):
+                pt = random_z_point(n, rng)
+                vals = point_values(pt)
+                rows = [[entry.specialize(vals) for entry in row] for row in L.rows]
+                assert rows == [list(row) for row in lax_matrix(pt).rows]
+                assert minor.specialize(vals) == char_minor_phi(pt)
+
 
 class TestCharMinor:
     def test_n3_symbolic_matches_reference(self):
@@ -135,7 +179,7 @@ class TestTS:
     def test_unit_class_has_unit_principal_minors(self):
         params = SpectralParams(tuple(map(Rational, (2, 3, 1))))
         phi = TruncSeriesPhi.from_zeta_coeffs(3, [1])
-        _, S = ts_functions(phi, params, "remainder")
+        _, S = ts_functions(phi, params)
         assert S == [Rational(1)] * 3
 
     def test_tn_sn_power_of_c0(self):
@@ -155,12 +199,25 @@ class TestTS:
         assert T[2] == 1 and S[2] == 1
 
     def test_admissible_maps_agree(self):
-        for n in (2, 3, 4):
-            phi = TruncSeriesPhi.symbolic_unipotent(n)
+        rng = random.Random(89)
+        for n in (2, 3, 4, 5, 6):
             uni = SpectralParams.unipotent(n)
-            T1, S1 = ts_functions(phi, uni, "zeta1")
-            T2, S2 = ts_functions(phi, uni, "remainder")
-            assert T1 == T2 and S1 == S2
+            classes = [
+                TruncSeriesPhi(n, [q(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)])
+                for _ in range(30)
+            ]
+            if n <= 5:
+                classes.append(TruncSeriesPhi.symbolic_unipotent(n))
+            for phi in classes:
+                assert zeta1_ts_functions(phi, uni) == ts_functions(phi, uni)
+
+    def test_zeta_coeffs_round_trip(self):
+        rng = random.Random(97)
+        for n in (1, 2, 3, 4, 5):
+            phi = TruncSeriesPhi(n, [q(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)])
+            assert TruncSeriesPhi.from_zeta_coeffs(n, phi.to_zeta_coeffs()) == phi
+            sym = TruncSeriesPhi.symbolic_unipotent(n)
+            assert TruncSeriesPhi.from_zeta_coeffs(n, sym.to_zeta_coeffs()) == sym
 
     def test_rescaling_covariance(self):
         rng = random.Random(47)
@@ -177,12 +234,6 @@ class TestTS:
         # downstream ratios are scale-invariant
         for i in range(1, n):
             assert Ts[i - 1] / Ss[i - 1] == T[i - 1] / S[i - 1]
-
-    def test_zeta1_map_requires_unipotent(self):
-        params = SpectralParams(tuple(map(Rational, (2, 3, 1))))
-        phi = TruncSeriesPhi.from_zeta_coeffs(3, [1, 1, 1])
-        with pytest.raises(ValueError):
-            ts_functions(phi, params, "zeta1")
 
 
 class TestDecompositions:
@@ -333,8 +384,7 @@ class TestSpectrum:
         for _ in range(5):
             pt = random_z_point(n, rng)
             L = lax_matrix(pt)
-            vals = {f"z{i}": pt.z[i - 1] for i in range(1, n + 1)}
-            vals.update({f"Q{i}": pt.Q[i - 1] for i in range(1, n)})
+            vals = point_values(pt)
             # compare char poly coefficients against F_i values
             v = ("zeta",)
             zeta = Poly.variable(v, "zeta")
@@ -379,8 +429,7 @@ class TestSpectrum:
             for point_maker in (random_z_point, random_unipotent_point):
                 pt = point_maker(n, rng)
                 bd = beta_full(alpha(pt), gamma_of_point(pt))
-                vals = {f"z{i}": pt.z[i - 1] for i in range(1, n + 1)}
-                vals.update({f"Q{i}": pt.Q[i - 1] for i in range(1, n)})
+                vals = point_values(pt)
                 for i in range(2, n + 1):
                     for j in range(1, i):
                         expected = Rational((-1) ** (j - 1)) * fq_poly_z(
