@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .partitions import Partition, Permutation, complement, conjugate
 from .polynomials import Poly
 from .scalars import Rational
-from .symfunc import SymFrac, SymFunc, perp, schur
+from .symfunc import SymFunc, perp, schur
 from .matrices import RingMatrix
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "Poly",
     "Rational",
     "SymFunc",
-    "SymFrac",
     "schur",
     "perp",
     "RingMatrix",

@@ -12,7 +12,7 @@ import sys
 
 from .grothendieck import dual_groth, klr_coeff, stable_groth_vars
 from .partitions import Partition, Permutation
-from .peterson import DSpec, d_det, phi_context, tau_sigma
+from .peterson import DSpec, d_det, phi_apply, tau_sigma
 from .polynomials import Poly
 from .quantum import (
     g_tilde,
@@ -23,6 +23,7 @@ from .quantum import (
 )
 from .scalars import Rational
 from .suites import SUITE_NAMES, run_suite
+from .symfunc import SymFunc
 
 # Largest degree * (n-1)^2 `kpet phi` accepts.  The parser expands powers
 # eagerly and Phi_n numerators grow fast with both the degree and n, so one
@@ -34,8 +35,9 @@ def max_phi_degree(n: int) -> int:
     """Largest total degree `kpet phi --n n` accepts."""
     return MAX_PHI_WEIGHT // max((n - 1) ** 2, 1)
 
-# Largest n `kpet phi` accepts: the Phi_8 context builds in seconds, while
-# n = 9 takes tens of seconds before the first image and grows from there.
+# Largest n `kpet phi` and `kpet tau` accept: the Phi_8 context builds in
+# seconds, while at n = 9 the tau/sigma table alone takes over ten seconds and
+# the first Phi_9 image tens of seconds, growing from there.
 MAX_PHI_N = 8
 
 
@@ -279,6 +281,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bounded_n(n: int) -> int:
+    if n > MAX_PHI_N:
+        raise ValueError(f"--n {n} is above the limit {MAX_PHI_N}")
+    return n
+
+
 def _perm(args) -> Permutation:
     w = Permutation.from_text(args.w)
     if args.n and args.n != w.n:
@@ -314,7 +322,7 @@ def _dispatch(args) -> int:
         value = stable_groth_vars(Partition.from_text(args.partition), args.d)
         _emit(args, value.to_json(), value.to_str())
     elif cmd == "tau":
-        table = tau_sigma(args.n)
+        table = tau_sigma(_bounded_n(args.n))
         payload = {
             "n": args.n,
             "tau": [t.to_json() for t in table.tau],
@@ -331,11 +339,15 @@ def _dispatch(args) -> int:
         value = d_det(DSpec(theta, avec, args.n))
         _emit(args, value.to_json(), value.to_str())
     elif cmd == "phi":
-        if args.n > MAX_PHI_N:
-            raise ValueError(f"--n {args.n} is above the limit {MAX_PHI_N}")
-        poly = parse_phi_expr(args.poly, args.n)
-        frac = phi_context(args.n).apply(poly)
-        _emit(args, frac.to_json(), f"({frac.num.to_str()}) / ({frac.den.to_str()})")
+        poly = parse_phi_expr(args.poly, _bounded_n(args.n))
+        frac = phi_apply(poly, args.n)
+        num = SymFunc.from_poly(frac.num)
+        den = SymFunc.from_poly(frac.ctx.factor_product(frac.den))
+        _emit(
+            args,
+            {"num": num.to_json(), "den": den.to_json()},
+            f"({num.to_str()}) / ({den.to_str()})",
+        )
     elif cmd == "groth":
         value = groth_poly(_perm(args))
         _emit(args, value.to_json(), value.to_str())

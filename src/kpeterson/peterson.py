@@ -6,13 +6,15 @@ denominators of the substitution homomorphism
     z_i |-> tau_i sigma_{i-1} / (sigma_i tau_{i-1}),
     Q_i |-> tau_{i-1} tau_{i+1} / tau_i^2,
 
-with x_i = 1 - z_i.  Images are carried as localized fractions: a numerator
-polynomial in h_1..h_{n-1} and a denominator kept in factored form as a
-monomial in {tau_i, sigma_i}.  Their arithmetic never divides;
+with x_i = 1 - z_i.  PhiContext keeps this substitution as one table of
+tau/sigma factor exponents; the z_i and Q_i images and the image of every
+z/Q polynomial are read off it.  Every image is a LocFrac: a numerator
+polynomial in h_1..h_{n-1} over a denominator kept in factored form as a
+monomial in {tau_i, sigma_i}.  LocFrac arithmetic never divides;
 PhiContext.reduce, the only place that tries exact division, brings each
-finished image to lowest terms once.  The
-D-determinant family (truncated-series minors), its recursions, the kappa_d
-involution, and the skew-operator identities complete the toolkit.
+finished image to lowest terms once.  The D-determinant family
+(truncated-series minors), its recursions, the kappa_d involution, and the
+skew-operator identities complete the toolkit.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .matrices import RingMatrix
 from .partitions import Partition, partitions_in_rectangle
 from .polynomials import Poly, _mono_mul, terms_add, terms_mul
 from .scalars import Rational
-from .symfunc import SymFrac, SymFunc, from_p_dict, p_perp, perp, schur, to_p_dict
+from .symfunc import SymFunc, from_p_dict, p_perp, perp, schur, to_p_dict
 
 __all__ = [
     "TauSigmaTable",
@@ -38,7 +40,6 @@ __all__ = [
     "kappa_p",
     "PhiContext",
     "phi_context",
-    "phi_table",
     "phi_apply",
     "d_recursion_check",
     "d_base_check",
@@ -193,13 +194,15 @@ def kappa(d: int, f: SymFunc) -> SymFunc:
 
 
 class LocFrac:
-    """num / prod(factors^den): a Poly numerator over a denominator kept as
-    exponents of the tau/sigma factors.
+    """num / prod(factors^den): the one value type of a Phi_n image, a Poly
+    numerator in h_1..h_{n-1} over a denominator kept as exponents of the
+    tau/sigma factors (in the order of PhiContext.factor_names).
 
     +, -, * and ** never divide, so a result need not be in lowest terms;
     PhiContext.reduce brings a value there, and is_polynomial and symfunc
-    read the representation as it stands.  The keyword ``reduce`` only
-    accepts False (kept for callers that still pass it).
+    read the representation as it stands.  ctx.factor_product(den) expands
+    the denominator.  The keyword ``reduce`` only accepts False (kept for
+    callers that still pass it).
     """
 
     __slots__ = ("ctx", "num", "den")
@@ -280,12 +283,6 @@ class LocFrac:
     def is_polynomial(self) -> bool:
         return not any(self.den)
 
-    def to_symfrac(self) -> SymFrac:
-        return SymFrac(
-            SymFunc.from_poly(self.num),
-            SymFunc.from_poly(self.ctx.factor_product(self.den)),
-        )
-
     def symfunc(self) -> SymFunc:
         if not self.is_polynomial():
             raise ValueError("denominator is non-trivial")
@@ -302,12 +299,12 @@ class LocFrac:
 
 class PhiContext:
     """Everything needed to apply Phi_n: the tau/sigma factor basis as
-    h-polynomials and the generator images as localized fractions."""
+    h-polynomials, the generator table (_build_contrib) and the generator
+    images read off it, in lowest terms."""
 
     def __init__(self, n: int):
         self.n = n
         table = tau_sigma(n)
-        self.table = table
         names, factors = [], []
         for i in range(1, n):
             names.append(f"tau{i}")
@@ -323,82 +320,43 @@ class PhiContext:
         k = len(self.factors)
         self.one = LocFrac(self, Poly.const(self.hvars, 1), (0,) * k)
         self.zero = LocFrac(self, Poly.zero(self.hvars), (0,) * k)
-        self._images = self._build_images()
-        self._image_powers: dict = {}
         self._zq_contrib = self._build_contrib()
-
-    # factor index helpers: tau_i at i-1, sigma_i at n-2+i (units skipped)
-    def _den_unit(self):
-        return (0,) * len(self.factors)
-
-    def _den(self, taus=(), sigmas=()):
-        den = [0] * len(self.factors)
-        for i in taus:
-            if 1 <= i <= self.n - 1:
-                den[i - 1] += 1
-        for i in sigmas:
-            if 1 <= i <= self.n - 1:
-                den[self.n - 2 + i] += 1
-        return tuple(den)
-
-    def _sym(self, f: SymFunc) -> Poly:
-        return f.to_poly(self.n)
+        variables = tuple(self._zq_contrib)
+        self._images = {
+            v: self.reduce(self._apply_monomial(Poly.variable(variables, v)))
+            for v in variables
+        }
+        for i in range(1, n + 1):
+            self._images[f"x{i}"] = self.one - self._images[f"z{i}"]
+        self._image_powers: dict = {}
 
     def const(self, value) -> LocFrac:
-        return LocFrac(self, Poly.const(self.hvars, value), self._den_unit())
+        return LocFrac(self, Poly.const(self.hvars, value), self.one.den)
 
     def from_symfunc(self, f: SymFunc) -> LocFrac:
-        return LocFrac(self, self._sym(f), self._den_unit())
-
-    def _build_images(self) -> dict:
-        n, table = self.n, self.table
-        images = {}
-        for i in range(1, n + 1):
-            num = self._sym(table.tau[i] * table.sigma[i - 1])
-            den = self._den(
-                taus=[i - 1] if i - 1 >= 1 else [], sigmas=[i] if i <= n - 1 else []
-            )
-            images[f"z{i}"] = self.reduce(LocFrac(self, num, den))
-        for i in range(1, n):
-            num = self._sym(table.tau[i - 1] * table.tau[i + 1])
-            images[f"Q{i}"] = self.reduce(LocFrac(self, num, self._den(taus=[i, i])))
-        for i in range(1, n + 1):
-            images[f"x{i}"] = self.one - images[f"z{i}"]
-        return images
+        return LocFrac(self, f.to_poly(self.n), self.one.den)
 
     def _build_contrib(self) -> dict:
-        """Factor-exponent contributions of z_i and Q_i (their images are
-        monomials in the tau/sigma factors, units dropped)."""
+        """The generator table of Phi_n: z_i -> tau_i sigma_{i-1} /
+        (sigma_i tau_{i-1}) and Q_i -> tau_{i-1} tau_{i+1} / tau_i^2, each as
+        (factor index, exponent) pairs.  tau_i sits at index i-1 and sigma_i
+        at n-2+i; the units tau_0 = sigma_0 = tau_n = sigma_n = 1 are
+        dropped."""
         n = self.n
+
+        def tau(i, e):
+            return [(i - 1, e)] if 1 <= i <= n - 1 else []
+
+        def sigma(i, e):
+            return [(n - 2 + i, e)] if 1 <= i <= n - 1 else []
+
         contrib = {}
-
-        def tau_idx(i):
-            return i - 1 if 1 <= i <= n - 1 else None
-
-        def sigma_idx(i):
-            return n - 2 + i if 1 <= i <= n - 1 else None
-
         for i in range(1, n + 1):
-            entries = []
-            for idx, mult in (
-                (tau_idx(i), 1),
-                (sigma_idx(i - 1), 1),
-                (sigma_idx(i), -1),
-                (tau_idx(i - 1), -1),
-            ):
-                if idx is not None:
-                    entries.append((idx, mult))
-            contrib[f"z{i}"] = tuple(entries)
+            contrib[f"z{i}"] = tuple(
+                tau(i, 1) + sigma(i - 1, 1) + sigma(i, -1) + tau(i - 1, -1)
+            )
         for i in range(1, n):
-            entries = []
-            for idx, mult in (
-                (tau_idx(i - 1), 1),
-                (tau_idx(i + 1), 1),
-                (tau_idx(i), -2),
-            ):
-                if idx is not None:
-                    entries.append((idx, mult))
-            contrib[f"Q{i}"] = tuple(entries)
+            contrib[f"Q{i}"] = tuple(tau(i - 1, 1) + tau(i + 1, 1) + tau(i, -2))
         return contrib
 
     def image(self, name: str) -> LocFrac:
@@ -502,30 +460,16 @@ class PhiContext:
             num = num + term
         return LocFrac(self, num, common)
 
-    def apply(self, p: Poly) -> SymFrac:
-        return self.apply_frac(p).to_symfrac()
-
 
 @lru_cache(maxsize=None)
 def phi_context(n: int) -> PhiContext:
     return PhiContext(n)
 
 
-def phi_table(n: int) -> dict:
-    """Generator images {z_i: SymFrac, Q_i: SymFrac} of Phi_n."""
-    ctx = phi_context(n)
-    out = {}
-    for i in range(1, n + 1):
-        out[f"z{i}"] = ctx.image(f"z{i}").to_symfrac()
-    for i in range(1, n):
-        out[f"Q{i}"] = ctx.image(f"Q{i}").to_symfrac()
-    return out
-
-
-def phi_apply(p: Poly, n: int) -> SymFrac:
+def phi_apply(p: Poly, n: int) -> LocFrac:
     """Apply the substitution homomorphism Phi_n to a polynomial in the
-    z/x/Q variables; exact, denominators are tau/sigma monomials."""
-    return phi_context(n).apply(p)
+    z/x/Q variables; exact, in lowest terms over a tau/sigma monomial."""
+    return phi_context(n).apply_frac(p)
 
 
 # -- identity checks -----------------------------------------------------------------

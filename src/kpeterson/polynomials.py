@@ -345,27 +345,35 @@ class Poly:
         return cls(variables, terms)
 
     def to_str(self):
-        if not self.terms:
-            return "0"
-        chunks = []
-        for e, c in self.sorted_terms():
-            factors = [
-                v if exp == 1 else f"{v}^{exp}" for v, exp in zip(self.vars, e) if exp
-            ]
-            body = "*".join(factors)
-            if not body:
-                chunk = rational_to_text(c)
-            elif c == 1:
-                chunk = body
-            elif c == -1:
-                chunk = "-" + body
-            else:
-                chunk = rational_to_text(c) + "*" + body
-            chunks.append(chunk)
-        out = chunks[0]
-        for chunk in chunks[1:]:
-            out += " - " + chunk[1:] if chunk.startswith("-") else " + " + chunk
-        return out
+        return format_terms(
+            (
+                "*".join(v if x == 1 else f"{v}^{x}" for v, x in zip(self.vars, e) if x),
+                c,
+            )
+            for e, c in self.sorted_terms()
+        )
+
+
+def format_terms(pairs) -> str:
+    """Join (monomial text, coefficient) pairs into `c*m + m - m - c`; an
+    empty monomial text stands for 1 and no pairs give "0"."""
+    chunks = []
+    for body, c in pairs:
+        if not body:
+            chunk = rational_to_text(c)
+        elif c == 1:
+            chunk = body
+        elif c == -1:
+            chunk = "-" + body
+        else:
+            chunk = rational_to_text(c) + "*" + body
+        chunks.append(chunk)
+    if not chunks:
+        return "0"
+    out = chunks[0]
+    for chunk in chunks[1:]:
+        out += " - " + chunk[1:] if chunk.startswith("-") else " + " + chunk
+    return out
 
 
 def _merge_vars(v1, v2):

@@ -16,10 +16,10 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 
 from .matrices import RingMatrix
-from .polynomials import Poly, _mono_mul, terms_add, terms_mul, terms_scale
+from .polynomials import Poly, _mono_mul, format_terms, terms_add, terms_mul, terms_scale
 from .scalars import Rational, rat, rational_from_text, rational_to_text
 
-__all__ = ["SymFunc", "SymFrac", "schur", "to_p_dict", "from_p_dict", "perp"]
+__all__ = ["SymFunc", "schur", "to_p_dict", "from_p_dict", "perp"]
 
 
 def _trim(exps):
@@ -246,30 +246,17 @@ class SymFunc:
         return total
 
     def to_str(self):
-        if not self.terms:
-            return "0"
-        chunks = []
-        for e, c in self.sorted_terms():
-            factors = []
-            for i in range(len(e), 0, -1):
-                if e[i - 1] == 1:
-                    factors.append(f"h{i}")
-                elif e[i - 1] > 1:
-                    factors.append(f"h{i}^{e[i - 1]}")
-            body = "*".join(factors)
-            if not body:
-                chunk = rational_to_text(c)
-            elif c == 1:
-                chunk = body
-            elif c == -1:
-                chunk = "-" + body
-            else:
-                chunk = rational_to_text(c) + "*" + body
-            chunks.append(chunk)
-        out = chunks[0]
-        for chunk in chunks[1:]:
-            out += " - " + chunk[1:] if chunk.startswith("-") else " + " + chunk
-        return out
+        return format_terms(
+            (
+                "*".join(
+                    f"h{i}" if e[i - 1] == 1 else f"h{i}^{e[i - 1]}"
+                    for i in range(len(e), 0, -1)
+                    if e[i - 1]
+                ),
+                c,
+            )
+            for e, c in self.sorted_terms()
+        )
 
 
 _H_EXPANSIONS: dict = {}
@@ -405,94 +392,3 @@ def perp(f: SymFunc, g: SymFunc) -> SymFunc:
         total = total + image * c
     return total
 
-
-# -- fractions -------------------------------------------------------------------
-
-
-class SymFrac:
-    """A quotient of symmetric functions; equality by cross-multiplication.
-
-    Not reduced by any gcd; the Peterson-map layer keeps denominators in
-    factored form and only expands them here at the output boundary.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: SymFunc, den: SymFunc | None = None):
-        if den is None:
-            den = SymFunc.one()
-        if isinstance(num, (int, Rational)):
-            num = SymFunc.const(num)
-        if isinstance(den, (int, Rational)):
-            den = SymFunc.const(den)
-        if den.is_zero():
-            raise ZeroDivisionError("SymFrac with zero denominator")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymFrac is immutable")
-
-    def _coerce(self, other):
-        if isinstance(other, (int, Rational, SymFunc)):
-            return SymFrac(other if isinstance(other, SymFunc) else SymFunc.const(other))
-        if isinstance(other, SymFrac):
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return SymFrac(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return SymFrac(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return SymFrac(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by zero SymFrac")
-        return SymFrac(self.num * other.den, self.den * other.num)
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __repr__(self):
-        return f"SymFrac({self.num.to_str()} / {self.den.to_str()})"
-
-    def to_json(self):
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(SymFunc.from_json(data["num"]), SymFunc.from_json(data["den"]))

@@ -47,6 +47,37 @@ class TestCompute:
         assert SymFunc.from_json(data["num"]) == SymFunc.h(1)
         assert SymFunc.from_json(data["den"]) == 1 + SymFunc.h(1)
 
+    def test_phi_output_pinned(self, capsys):
+        def terms(*pairs):
+            return [{"coeff": c, "monomial": m} for c, m in pairs]
+
+        cases = [
+            (
+                ("2", "1-(1-x1)*(1-Q1)"),
+                {"num": terms(("1", [])), "den": terms(("1", [1]))},
+                "(1) / (h1)",
+            ),
+            (
+                ("3", "z1*Q2"),
+                {
+                    "num": terms(("1", [2, 2])),
+                    "den": terms(
+                        ("1", [2, 1, 1, 1, 1]), ("-2", [2, 2, 1, 1]), ("1", [2, 2, 2]),
+                        ("1", [1, 1, 1, 1, 1]), ("-1", [2, 2, 1]), ("3", [1, 1, 1, 1]),
+                        ("-3", [2, 1, 1]), ("1", [2, 2]), ("3", [1, 1, 1]),
+                        ("-2", [2, 1]), ("1", [1, 1]),
+                    ),
+                },
+                "(h2^2) / (h2*h1^4 - 2*h2^2*h1^2 + h2^3 + h1^5 - h2^2*h1 + 3*h1^4"
+                " - 3*h2*h1^2 + h2^2 + 3*h1^3 - 2*h2*h1 + h1^2)",
+            ),
+        ]
+        for (n, poly), payload, text in cases:
+            code, out, _ = run_cli(capsys, "phi", "--n", n, "--poly", poly)
+            assert code == 0 and out == json.dumps(payload, indent=2) + "\n"
+            code, out, _ = run_cli(capsys, "phi", "--n", n, "--poly", poly, "--text")
+            assert code == 0 and out == text + "\n"
+
     def test_lambda_map_text(self, capsys):
         code, out, _ = run_cli(capsys, "lambda-map", "1432")
         assert code == 0 and json.loads(out) == "2,1,1"
@@ -103,6 +134,12 @@ class TestExprParser:
 
     def test_n_above_limit_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "phi", "--n", str(MAX_PHI_N + 1), "--poly", "z1")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert f"above the limit {MAX_PHI_N}" in err
+
+    def test_tau_n_above_limit_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "tau", "--n", str(MAX_PHI_N + 1))
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error:")
         assert f"above the limit {MAX_PHI_N}" in err

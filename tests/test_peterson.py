@@ -18,14 +18,14 @@ from kpeterson.peterson import (
     perp_d_check,
     phi_apply,
     phi_context,
-    phi_table,
     skew_rectangle_check,
     sigma_identity_check,
     tau_sigma,
 )
-from kpeterson.polynomials import Poly, zq_vars
+from kpeterson.polynomials import Poly, xq_vars, zq_vars
+from kpeterson.quantum import fq_poly, phi_f_image
 from kpeterson.scalars import Rational
-from kpeterson.symfunc import SymFrac, SymFunc, from_p_dict, schur
+from kpeterson.symfunc import SymFunc, from_p_dict, schur
 from kpeterson.toda import SpectralParams, TruncSeriesPhi, f_invariant, ts_functions
 
 h = SymFunc.h
@@ -33,6 +33,12 @@ h = SymFunc.h
 
 def p(i):
     return from_p_dict({(0,) * (i - 1) + (1,): Rational(1)})
+
+
+def parts(frac):
+    """A Phi_n image as (numerator, expanded denominator) SymFuncs."""
+    den = frac.ctx.factor_product(frac.den)
+    return SymFunc.from_poly(frac.num), SymFunc.from_poly(den)
 
 
 class TestTauSigma:
@@ -166,10 +172,24 @@ class TestKappa:
 
 class TestPhi:
     def test_table_n2(self):
-        table = phi_table(2)
-        assert table["z1"] == SymFrac(h(1), 1 + h(1))
-        assert table["z2"] == SymFrac(1 + h(1), h(1))
-        assert table["Q1"] == SymFrac(SymFunc.one(), h(1) ** 2)
+        ctx = phi_context(2)
+        assert parts(ctx.image("z1")) == (h(1), 1 + h(1))
+        assert parts(ctx.image("z2")) == (1 + h(1), h(1))
+        assert parts(ctx.image("Q1")) == (SymFunc.one(), h(1) ** 2)
+
+    def test_generator_images_match_tau_sigma_products(self):
+        # z_i -> tau_i sigma_{i-1} / (sigma_i tau_{i-1}),
+        # Q_i -> tau_{i-1} tau_{i+1} / tau_i^2, written with SymFunc products
+        for n in range(2, 7):
+            ctx, t = phi_context(n), tau_sigma(n)
+            for i in range(1, n + 1):
+                num = ctx.from_symfunc(t.tau[i] * t.sigma[i - 1])
+                den = ctx.from_symfunc(t.sigma[i] * t.tau[i - 1])
+                assert ctx.image(f"z{i}") * den == num
+            for i in range(1, n):
+                num = ctx.from_symfunc(t.tau[i - 1] * t.tau[i + 1])
+                den = ctx.from_symfunc(t.tau[i] ** 2)
+                assert ctx.image(f"Q{i}") * den == num
 
     def test_z_product_telescopes_to_one(self):
         for n in (2, 3, 4):
@@ -177,29 +197,25 @@ class TestPhi:
             prod = Poly.const(v, 1)
             for i in range(1, n + 1):
                 prod = prod * Poly.variable(v, f"z{i}")
-            assert phi_apply(prod, n) == SymFrac(SymFunc.one())
+            assert phi_apply(prod, n) == 1
 
     def test_constants_fixed(self):
         v = zq_vars(3)
-        assert phi_apply(Poly.const(v, Rational(7, 3)), 3) == SymFrac(
-            SymFunc.const(Rational(7, 3))
-        )
+        assert phi_apply(Poly.const(v, Rational(7, 3)), 3) == Rational(7, 3)
 
     def test_remarkable_identity_small(self):
         from math import comb
 
         for n in (2, 3):
             for i in range(1, n + 1):
-                assert phi_apply(f_invariant(n, i), n) == SymFrac(
-                    SymFunc.const(comb(n, i))
-                )
+                assert phi_apply(f_invariant(n, i), n) == comb(n, i)
 
     def test_quantum_groth_21_by_hand(self):
         # G^Q_21 at n=2 is 1 - (1-x1)(1-Q1); its image is 1/h1
         v = ("x1", "x2", "Q1")
         x1, Q1 = Poly.variable(v, "x1"), Poly.variable(v, "Q1")
         value = phi_apply(1 - (1 - x1) * (1 - Q1), 2)
-        assert value == SymFrac(SymFunc.one(), h(1))
+        assert parts(value) == (SymFunc.one(), h(1))
 
     def test_x_is_one_minus_z(self):
         for n in (2, 3):
@@ -225,6 +241,40 @@ class TestPhi:
             a, b = rand_poly(), rand_poly()
             assert phi_apply(a * b, n) == phi_apply(a, n) * phi_apply(b, n)
             assert phi_apply(a + b, n) == phi_apply(a, n) + phi_apply(b, n)
+
+    def test_generic_and_monomial_paths_agree(self):
+        # apply_frac takes the generic path for input in x and the monomial
+        # path for input in z/Q only; both must give the same lowest terms
+        def same(a, b):
+            return a.num == b.num and a.den == b.den
+
+        for n in (3, 4):
+            ctx = phi_context(n)
+            for m in range(1, n + 1):
+                for i in range(m + 1):
+                    x_image = ctx.apply_frac(fq_poly(n, m, i))
+                    assert same(x_image, phi_f_image(n, m, i))
+        rng = random.Random(17)
+        for n in (3, 4):
+            ctx, xv, zv = phi_context(n), xq_vars(n), zq_vars(n)
+            atoms = [
+                (Poly.variable(xv, f"x{i}"), 1 - Poly.variable(zv, f"z{i}"))
+                for i in range(1, n + 1)
+            ]
+            atoms += [
+                (Poly.variable(xv, f"Q{i}"), Poly.variable(zv, f"Q{i}"))
+                for i in range(1, n)
+            ]
+            for _ in range(6):
+                x_form, z_form = Poly.zero(xv), Poly.zero(zv)
+                for _ in range(rng.randint(1, 3)):
+                    c = Rational(rng.randint(-3, 3) or 1, rng.randint(1, 2))
+                    x_term, z_term = Poly.const(xv, c), Poly.const(zv, c)
+                    for _ in range(rng.randint(1, 3)):
+                        x_atom, z_atom = rng.choice(atoms)
+                        x_term, z_term = x_term * x_atom, z_term * z_atom
+                    x_form, z_form = x_form + x_term, z_form + z_term
+                assert same(ctx.apply_frac(x_form), ctx.apply_frac(z_form))
 
     def test_rejects_foreign_variables(self):
         poly = Poly.variable(("zeta",), "zeta")

@@ -6,7 +6,6 @@ from helpers import hall_pair, random_symfunc, schur_expansion
 from kpeterson.partitions import Partition, all_partitions_up_to
 from kpeterson.scalars import Rational
 from kpeterson.symfunc import (
-    SymFrac,
     SymFunc,
     from_p_dict,
     p_perp,
@@ -107,21 +106,3 @@ class TestSymFunc:
         with pytest.raises(ValueError):
             h(3).to_poly(3)
 
-
-class TestSymFrac:
-    def test_equality_by_cross_multiplication(self):
-        a = SymFrac(h(1) * h(2), h(2))
-        b = SymFrac(h(1) * h(2) ** 2, h(2) ** 2)
-        assert a == b
-        assert a != SymFrac(h(1), h(2))
-
-    def test_arithmetic(self):
-        a = SymFrac(h(1), h(2))
-        b = SymFrac(SymFunc.one(), h(1))
-        assert a * b == SymFrac(h(1), h(2) * h(1))
-        assert a + b == SymFrac(h(1) ** 2 + h(2), h(2) * h(1))
-        assert a / a == SymFrac(SymFunc.one())
-
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            SymFrac(h(1), SymFunc.zero())
