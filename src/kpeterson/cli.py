@@ -9,10 +9,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import factorial
 
 from .grothendieck import dual_groth, klr_coeff, stable_groth_vars
 from .partitions import Partition, Permutation
-from .peterson import DSpec, d_det, phi_apply, tau_sigma
+from .peterson import DSpec, d_det, phi_apply, phi_context, tau_sigma
 from .polynomials import Poly
 from .quantum import (
     g_tilde,
@@ -34,6 +35,14 @@ MAX_PHI_WEIGHT = 288
 def max_phi_degree(n: int) -> int:
     """Largest total degree `kpet phi --n n` accepts."""
     return MAX_PHI_WEIGHT // max((n - 1) ** 2, 1)
+
+# Largest predicted size of a `kpet phi` image: the cells of its numerator and
+# denominator boxes (PhiContext.box_cells) per (n-1)!.  A box in h_1..h_{n-1}
+# holds about (n-1)! times more cells than a numerator under its weighted
+# degree has monomials.  Dense input within the degree limit, such as
+# (x1+x2+x3+x4+Q1)^18 at n = 5, predicts millions and would run for minutes;
+# x1^k at the degree limit predicts at most 18,000 for every n.
+MAX_PHI_CELLS = 100_000
 
 # Largest n `kpet phi` and `kpet tau` accept: the Phi_8 context builds in
 # seconds, while at n = 9 the tau/sigma table alone takes over ten seconds and
@@ -89,14 +98,17 @@ class _Parser:
     """Grammar: expr := term (('+'|'-') term)*; term := factor ('*' factor)*;
     factor := ('-')* atom ('^' int)?; atom := name | int ('/' int)? | '(' expr ')'.
 
-    Every product and power is checked against max_degree before it is
-    expanded, so no input builds a polynomial above that total degree."""
+    Every product and power is checked against max_degree and, through the
+    Phi_n context ctx, against the predicted size of its image before it is
+    expanded, so no input builds a polynomial above that total degree or
+    one whose image would be above MAX_PHI_CELLS."""
 
-    def __init__(self, text: str, variables, max_degree: int):
+    def __init__(self, text: str, variables, max_degree: int, ctx):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.vars = variables
         self.max_degree = max_degree
+        self.ctx = ctx
 
     def peek(self):
         return self.tokens[self.pos]
@@ -117,6 +129,7 @@ class _Parser:
         tok = self.peek()
         if tok[0] != "end":
             raise ExprError(f"trailing input {tok[1]!r}", tok[2])
+        self.check_size(*self.ctx.exponent_range(value))
         return value
 
     def expr(self) -> Poly:
@@ -133,6 +146,10 @@ class _Parser:
             pos = self.next()[2]
             rhs = self.factor()
             self.check_degree(value.total_degree() + rhs.total_degree(), pos)
+            (lo1, hi1), (lo2, hi2) = map(self.ctx.exponent_range, (value, rhs))
+            self.check_size(
+                [a + b for a, b in zip(lo1, lo2)], [a + b for a, b in zip(hi1, hi2)]
+            )
             value = value * rhs
         return value
 
@@ -147,6 +164,8 @@ class _Parser:
             tok = self.expect("int")
             # a constant base counts as degree 1, so its exponent is bounded too
             self.check_degree(max(value.total_degree(), 1) * tok[1], tok[2])
+            lo, hi = self.ctx.exponent_range(value)
+            self.check_size([a * tok[1] for a in lo], [a * tok[1] for a in hi])
             value = value ** tok[1]
         return value * sign if sign < 0 else value
 
@@ -154,6 +173,14 @@ class _Parser:
         if degree > self.max_degree:
             raise ExprError(
                 f"total degree {degree} is above the limit {self.max_degree}", pos
+            )
+
+    def check_size(self, lo, hi):
+        cells = self.ctx.box_cells(lo, hi) // factorial(self.ctx.n - 1)
+        if cells > MAX_PHI_CELLS:
+            raise ValueError(
+                f"the predicted size of the Phi_{self.ctx.n} image, {cells} box "
+                f"cells per {self.ctx.n - 1}!, is above the limit {MAX_PHI_CELLS}"
             )
 
     def atom(self) -> Poly:
@@ -184,7 +211,7 @@ def parse_phi_expr(text: str, n: int) -> Poly:
         + tuple(f"x{i}" for i in range(1, n + 1))
         + tuple(f"Q{i}" for i in range(1, n))
     )
-    return _Parser(text, variables, max_phi_degree(n)).parse()
+    return _Parser(text, variables, max_phi_degree(n), phi_context(n)).parse()
 
 
 def _emit(args, payload, text: str):

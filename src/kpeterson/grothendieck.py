@@ -16,7 +16,6 @@ from math import comb
 from .matrices import RingMatrix
 from .partitions import Partition
 from .polynomials import Poly
-from .scalars import Rational
 from .symfunc import SymFunc
 
 __all__ = [
@@ -230,6 +229,6 @@ def stable_groth_vars(lam: Partition, d: int) -> Poly:
             size += len(s)
             for v in s:
                 exps[v - 1] += 1
-        coeff = Rational(1) if (size - lam.weight) % 2 == 0 else Rational(-1)
+        coeff = 1 if (size - lam.weight) % 2 == 0 else -1
         total = total + Poly.monomial(variables, exps, coeff)
     return total

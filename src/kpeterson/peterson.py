@@ -27,7 +27,7 @@ from math import comb
 from .grothendieck import dual_groth
 from .matrices import RingMatrix
 from .partitions import Partition, partitions_in_rectangle
-from .polynomials import Poly, _mono_mul, terms_add, terms_mul
+from .polynomials import Poly, terms_add, terms_mul
 from .scalars import Rational
 from .symfunc import SymFunc, from_p_dict, p_perp, perp, schur, to_p_dict
 
@@ -170,9 +170,9 @@ def d_plain(theta_vec, n: int) -> SymFunc:
 
 def kappa_p(d: int, i: int) -> dict:
     """kappa_d(p_i) as a p-dict: d - C(i,1)p_1 + C(i,2)p_2 - ... +/- p_i."""
-    out = {(): Rational(d)} if d else {}
+    out = {(): d} if d else {}
     for j in range(1, i + 1):
-        out[(0,) * (j - 1) + (1,)] = Rational((-1) ** j * comb(i, j))
+        out[(0,) * (j - 1) + (1,)] = (-1) ** j * comb(i, j)
     return out
 
 
@@ -185,7 +185,7 @@ def kappa(d: int, f: SymFunc) -> SymFunc:
             if e:
                 image = kappa_p(d, i)
                 for _ in range(e):
-                    term = terms_mul(term, image, _mono_mul)
+                    term = terms_mul(term, image)
         total = terms_add(total, term)
     return from_p_dict(total)
 
@@ -300,7 +300,8 @@ class LocFrac:
 class PhiContext:
     """Everything needed to apply Phi_n: the tau/sigma factor basis as
     h-polynomials, the generator table (_build_contrib) and the generator
-    images read off it, in lowest terms."""
+    images read off it.  Those are in lowest terms as read: no tau/sigma
+    factor of a denominator divides the numerator (checked for n <= 8)."""
 
     def __init__(self, n: int):
         self.n = n
@@ -315,6 +316,7 @@ class PhiContext:
         self.factor_names = tuple(names)
         self.factors = tuple(factors)
         self.hvars = tuple(f"h{i}" for i in range(1, n))
+        self._factor_boxes = [[f.degree_in(h) for h in self.hvars] for f in factors]
         self._power_cache: dict = {}
         self._product_cache: dict = {}
         k = len(self.factors)
@@ -323,8 +325,7 @@ class PhiContext:
         self._zq_contrib = self._build_contrib()
         variables = tuple(self._zq_contrib)
         self._images = {
-            v: self.reduce(self._apply_monomial(Poly.variable(variables, v)))
-            for v in variables
+            v: self._apply_monomial(Poly.variable(variables, v)) for v in variables
         }
         for i in range(1, n + 1):
             self._images[f"x{i}"] = self.one - self._images[f"z{i}"]
@@ -386,6 +387,51 @@ class PhiContext:
                     result = result * self.factor_power(idx, e)
             self._product_cache[exps] = result
         return self._product_cache[exps]
+
+    def exponent_range(self, p: Poly):
+        """(lo, hi): the least and the largest exponent of each tau/sigma
+        factor over the images of the monomials of a z/x/Q polynomial p, read
+        off the generator table.  x_i = 1 - z_i counts with exponents 0 and
+        those of z_i.  A product's range lies within the sum of its factors'
+        ranges, so a parser can bound a product before it expands it."""
+        k = len(self.factors)
+        lows, highs = [], []
+        for exps in p.terms:
+            low, high = [0] * k, [0] * k
+            for v, e in zip(p.vars, exps):
+                if not e:
+                    continue
+                if v[0] == "x":
+                    for idx, mult in self._zq_contrib["z" + v[1:]]:
+                        low[idx] += e * min(mult, 0)
+                        high[idx] += e * max(mult, 0)
+                else:
+                    for idx, mult in self._zq_contrib[v]:
+                        low[idx] += e * mult
+                        high[idx] += e * mult
+            lows.append(low)
+            highs.append(high)
+        if not lows:
+            return [0] * k, [0] * k
+        return [min(col) for col in zip(*lows)], [max(col) for col in zip(*highs)]
+
+    def box_cells(self, lo, hi) -> int:
+        """The cells prod_j (D_j + 1) of the box that holds the numerator of
+        an image with factor exponents in [lo, hi], plus those of the box of
+        its denominator, where D_j is the predicted degree in h_j.
+        _apply_monomial shifts every exponent vector by the common
+        denominator max(0, -lo), so numerator exponents stay within
+        hi - min(lo, 0)."""
+        total = 0
+        for exps in (
+            [h - min(l, 0) for l, h in zip(lo, hi)],
+            [max(-l, 0) for l in lo],
+        ):
+            cells = 1
+            for j in range(len(self.hvars)):
+                cells *= 1 + sum(e * box[j] for e, box in zip(exps, self._factor_boxes))
+            total += cells
+        return total
 
     def reduce(self, frac: LocFrac) -> LocFrac:
         """frac in lowest terms: each factor of the denominator is divided out
@@ -451,14 +497,26 @@ class PhiContext:
                 if -g[j] > common[j]:
                     common[j] = -g[j]
         common = tuple(common)
-        num = Poly.zero(self.hvars)
-        for g, coeff in sorted(gmap.items()):
-            term = Poly.const(self.hvars, coeff)
-            for idx, e in enumerate(tuple(a + b for a, b in zip(g, common))):
-                for _ in range(e):
-                    term = term * self.factors[idx]
-            num = num + term
-        return LocFrac(self, num, common)
+        shifted = {
+            tuple(a + b for a, b in zip(g, common)): coeff for g, coeff in gmap.items()
+        }
+        return LocFrac(self, self._horner(shifted, 0), common)
+
+    def _horner(self, terms: dict, idx: int) -> Poly:
+        """sum of c * prod_j factor_{idx+j}^e[j] over the {e: c} of `terms`,
+        grouped on one factor at a time: the terms that share the exponent a
+        of factor idx are summed first and multiplied by its cached a-th
+        power once."""
+        if idx == len(self.factors):
+            return Poly.const(self.hvars, terms[()])
+        groups: dict = {}
+        for e, coeff in terms.items():
+            groups.setdefault(e[0], {})[e[1:]] = coeff
+        total = Poly.zero(self.hvars)
+        for a in sorted(groups):
+            part = self._horner(groups[a], idx + 1)
+            total = total + (part * self.factor_power(idx, a) if a else part)
+        return total
 
 
 @lru_cache(maxsize=None)

@@ -1,16 +1,19 @@
 """Sparse multivariate polynomials over exact rationals.
 
 This module holds the one sparse term-dict kernel of the package: add,
-scale, multiply and exact division over ``{exponent tuple: Rational}`` maps
-with non-zero coefficients.  ``Poly``, ``SymFunc`` and the power-sum dicts of
-the symmetric-function layer all call it.  Multiplication takes the exponent
-combiner as an argument: ``_add_exps`` for the fixed-width tuples of a Poly,
-``_mono_mul`` for the trimmed tuples of the h- and p-bases.
+scale, multiply and exact division over ``{exponent tuple: int | Fraction}``
+maps with non-zero coefficients.  A coefficient is an ``int`` whenever it is
+integral and a ``Fraction`` only when it is not (``scalars.normalize``).
+``Poly``, ``SymFunc`` and the power-sum dicts of the symmetric-function layer
+all call it, with two tuple layouts: the fixed-width tuples of a Poly and the
+trailing-zero-trimmed tuples of the h- and p-bases.  ``terms_mul`` packs the
+exponent tuples into ints for the length of one multiply; the maps always
+hold tuples.
 
 A Poly has a fixed, ordered variable tuple and a term map from exponent
-vectors to non-zero Rational coefficients.  This one type backs the z/Q and
-x/Q polynomial rings, the zeta-polynomials of the Toda layer, and (through
-the h1..h_{n-1} variable set) the symmetric-function workhorse arithmetic of
+vectors to non-zero coefficients.  This one type backs the z/Q and x/Q
+polynomial rings, the zeta-polynomials of the Toda layer, and (through the
+h1..h_{n-1} variable set) the symmetric-function workhorse arithmetic of
 the Peterson map.  ``f_subset_sum`` builds the Toda invariants F^(m)_i in
 either the z/Q or the x/Q ring.
 """
@@ -18,9 +21,17 @@ either the z/Q or the x/Q ring.
 from __future__ import annotations
 
 import heapq
-from itertools import combinations
+from itertools import chain, combinations, zip_longest
+from operator import lshift
 
-from .scalars import Rational, rat, rational_from_text, rational_to_text
+from .scalars import (
+    Rational,
+    exact_quotient,
+    normalize,
+    rat,
+    rational_from_text,
+    rational_to_text,
+)
 
 __all__ = ["Poly"]
 
@@ -28,22 +39,10 @@ __all__ = ["Poly"]
 # -- the sparse term kernel ---------------------------------------------------
 
 
-def _add_exps(e1, e2):
-    """Product of two monomials with exponent tuples of one fixed width."""
-    return tuple(a + b for a, b in zip(e1, e2))
-
-
-def _mono_mul(e1, e2):
-    """Product of two monomials with trailing-zero-trimmed exponent tuples."""
-    if len(e1) < len(e2):
-        e1, e2 = e2, e1
-    return tuple(a + b for a, b in zip(e1, e2)) + e1[len(e2):]
-
-
 def terms_add(t1, t2):
     out = dict(t1)
     for e, c in t2.items():
-        s = out.get(e, 0) + c
+        s = normalize(out.get(e, 0) + c)
         if s:
             out[e] = s
         else:
@@ -52,24 +51,48 @@ def terms_add(t1, t2):
 
 
 def terms_scale(t, c):
-    return {e: v * c for e, v in t.items()} if c else {}
+    return {e: normalize(v * c) for e, v in t.items()} if c else {}
 
 
-def terms_mul(t1, t2, combine=_add_exps):
-    """Product of two term maps; `combine` multiplies two exponent tuples."""
-    # iterate over the smaller factor for speed
+def terms_mul(t1, t2):
+    """Product of two term maps, in either exponent-tuple layout.
+
+    For the length of the call each exponent tuple is packed into one int,
+    slot i at bit i * bits, with bits wide enough for the call's largest
+    per-slot exponent sum: adding two packed keys then multiplies the two
+    monomials with no carry between slots.  The packed products are read
+    back into tuples padded to the shortest operand tuple, which keeps both
+    the fixed width of a Poly and the trailing-zero-trimmed tuples of
+    SymFunc and the p-dicts (a product of trimmed monomials never ends in a
+    zero slot).  Exponents must not be negative.
+    """
+    if not t1 or not t2:
+        return {}
     if len(t1) > len(t2):
         t1, t2 = t2, t1
+    top1 = map(max, zip_longest(*t1, fillvalue=0))
+    top2 = map(max, zip_longest(*t2, fillvalue=0))
+    slot_sums = [a + b for a, b in zip_longest(top1, top2, fillvalue=0)]
+    bits = max(max(slot_sums, default=0).bit_length(), 1)
+    width = len(slot_sums)
+    shifts = range(0, bits * width, bits)
+    packed2 = [(sum(map(lshift, e, shifts)), c) for e, c in t2.items()]
     acc = {}
+    get = acc.get
     for e1, c1 in t1.items():
-        for e2, c2 in t2.items():
-            e = combine(e1, e2)
-            s = acc.get(e, 0) + c1 * c2
-            if s:
-                acc[e] = s
-            else:
-                del acc[e]
-    return acc
+        k1 = sum(map(lshift, e1, shifts))
+        for k2, c2 in packed2:
+            k = k1 + k2
+            acc[k] = get(k, 0) + c1 * c2
+    mask = (1 << bits) - 1
+    pad = min(map(len, chain(t1, t2)))
+    fields = [shifts[:i] for i in range(width + 1)]
+    out = {}
+    for k, c in acc.items():
+        if c:
+            slots = fields[max(pad, -(-k.bit_length() // bits))]
+            out[tuple([(k >> s) & mask for s in slots])] = normalize(c)
+    return out
 
 
 def terms_exact_div(t, divisor):
@@ -96,12 +119,12 @@ def terms_exact_div(t, divisor):
         q_exps = tuple(a - b for a, b in zip(exps, dlt_exps))
         if any(e < 0 for e in q_exps):
             return None
-        q_coeff = coeff / dlt_coeff
+        q_coeff = exact_quotient(coeff, dlt_coeff)
         quotient[q_exps] = q_coeff
         for e, c in divisor.items():
-            target = _add_exps(e, q_exps)
+            target = tuple(a + b for a, b in zip(e, q_exps))
             old = rem.get(target)
-            s = (old or 0) - q_coeff * c
+            s = normalize((old or 0) - q_coeff * c)
             if s:
                 rem[target] = s
                 if old is None and target != exps:
@@ -111,6 +134,14 @@ def terms_exact_div(t, divisor):
             else:
                 rem.pop(target, None)
     return quotient
+
+
+def _exponents(exps):
+    """An exponent tuple from user input; packing needs every entry >= 0."""
+    exps = tuple(exps)
+    if any(e < 0 for e in exps):
+        raise ValueError(f"negative exponent in {exps}")
+    return exps
 
 
 class Poly:
@@ -131,7 +162,7 @@ class Poly:
 
     @classmethod
     def const(cls, variables, value):
-        value = rat(value)
+        value = normalize(value)
         if not value:
             return cls.zero(variables)
         return cls(variables, {(0,) * len(tuple(variables)): value})
@@ -141,14 +172,15 @@ class Poly:
         variables = tuple(variables)
         idx = variables.index(name)
         exps = tuple(1 if i == idx else 0 for i in range(len(variables)))
-        return cls(variables, {exps: Rational(1)})
+        return cls(variables, {exps: 1})
 
     @classmethod
     def monomial(cls, variables, exps, coeff=1):
-        coeff = rat(coeff)
+        exps = _exponents(exps)
+        coeff = normalize(coeff)
         if not coeff:
             return cls.zero(variables)
-        return cls(variables, {tuple(exps): coeff})
+        return cls(variables, {exps: coeff})
 
     # -- basic structure ----------------------------------------------
 
@@ -159,7 +191,7 @@ class Poly:
         return all(not any(e) for e in self.terms)
 
     def constant_term(self):
-        return self.terms.get((0,) * len(self.vars), Rational(0))
+        return self.terms.get((0,) * len(self.vars), 0)
 
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
@@ -221,7 +253,7 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Rational)):
-            return Poly(self.vars, terms_scale(self.terms, rat(other)))
+            return Poly(self.vars, terms_scale(self.terms, other))
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -296,7 +328,7 @@ class Poly:
             if not factor:
                 continue
             key = tuple(e[i] for i in keep)
-            s = acc.get(key, 0) + factor
+            s = normalize(acc.get(key, 0) + factor)
             if s:
                 acc[key] = s
             else:
@@ -320,7 +352,7 @@ class Poly:
         if [v for v in self.vars if self.degree_in(v) > 0 and v != name]:
             raise ValueError("not univariate in " + name)
         idx = self.vars.index(name)
-        out = [Rational(0)] * (self.degree_in(name) + 1)
+        out = [0] * (self.degree_in(name) + 1)
         for e, c in self.terms.items():
             out[e[idx]] = c
         return out
@@ -340,7 +372,8 @@ class Poly:
     def from_json(cls, data):
         variables = tuple(data["vars"])
         terms = {
-            tuple(t["exps"]): rational_from_text(t["coeff"]) for t in data["terms"]
+            _exponents(t["exps"]): normalize(rational_from_text(t["coeff"]))
+            for t in data["terms"]
         }
         return cls(variables, terms)
 

@@ -3,13 +3,28 @@
 Everything in this package computes over the rationals, exactly.  The scalar
 type is the standard library's ``fractions.Fraction``, which keeps the
 denominator positive and the fraction reduced after every operation.
+
+Polynomial coefficients are ``int`` or ``Fraction``: ``normalize`` stores an
+integral value as an ``int`` (integer arithmetic is several times faster than
+``Fraction`` arithmetic, and every tau/sigma factor and Phi_n numerator has
+integer coefficients) and keeps a ``Fraction`` only when it is not integral.
+``exact_quotient`` divides two such coefficients without ever producing a
+float.  Scalar code outside the polynomial kernel (Toda points, matrix
+inverses) keeps using ``rat`` and ``Fraction``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Rational
 
-__all__ = ["Rational", "rat", "rational_from_text", "rational_to_text"]
+__all__ = [
+    "Rational",
+    "rat",
+    "normalize",
+    "exact_quotient",
+    "rational_from_text",
+    "rational_to_text",
+]
 
 
 def rat(value):
@@ -17,6 +32,32 @@ def rat(value):
     if isinstance(value, int):
         return Rational(value)
     return value
+
+
+def normalize(value):
+    """An int or Rational as a coefficient: an int when it is integral.
+
+    >>> normalize(Rational(6, 3)), normalize(Rational(1, 2))
+    (2, Fraction(1, 2))
+    """
+    if type(value) is int:
+        return value
+    if value.denominator == 1:
+        return int(value.numerator)
+    return value
+
+
+def exact_quotient(a, b):
+    """a / b for int or Rational coefficients, normalized; int / int never
+    becomes a float.
+
+    >>> exact_quotient(6, 3), exact_quotient(3, 2)
+    (2, Fraction(3, 2))
+    """
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Rational(a, b) if r else q
+    return normalize(Rational(a) / b)
 
 
 def rational_from_text(text: str):

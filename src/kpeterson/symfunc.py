@@ -16,8 +16,8 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 
 from .matrices import RingMatrix
-from .polynomials import Poly, _mono_mul, format_terms, terms_add, terms_mul, terms_scale
-from .scalars import Rational, rat, rational_from_text, rational_to_text
+from .polynomials import Poly, format_terms, terms_add, terms_mul, terms_scale
+from .scalars import Rational, normalize, rat, rational_from_text, rational_to_text
 
 __all__ = ["SymFunc", "schur", "to_p_dict", "from_p_dict", "perp"]
 
@@ -57,7 +57,7 @@ class SymFunc:
 
     @classmethod
     def const(cls, value):
-        value = rat(value)
+        value = normalize(value)
         return cls({(): value} if value else {})
 
     @classmethod
@@ -71,7 +71,7 @@ class SymFunc:
             return cls.zero()
         if i == 0:
             return cls.one()
-        return cls({(0,) * (i - 1) + (1,): Rational(1)})
+        return cls({(0,) * (i - 1) + (1,): 1})
 
     @classmethod
     def h_monomial(cls, indices, coeff=1):
@@ -83,7 +83,7 @@ class SymFunc:
 
     @classmethod
     def monomial(cls, exps, coeff=1):
-        coeff = rat(coeff)
+        coeff = normalize(coeff)
         if not coeff:
             return cls.zero()
         return cls({_trim(exps): coeff})
@@ -100,7 +100,7 @@ class SymFunc:
         return all(not e for e in self.terms)
 
     def constant_term(self):
-        return self.terms.get((), Rational(0))
+        return self.terms.get((), 0)
 
     def degree(self) -> int:
         return max((_mono_degree(e) for e in self.terms), default=0)
@@ -159,11 +159,11 @@ class SymFunc:
 
     def __mul__(self, other):
         if isinstance(other, (int, Rational)):
-            return SymFunc(terms_scale(self.terms, rat(other)))
+            return SymFunc(terms_scale(self.terms, other))
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return SymFunc(terms_mul(self.terms, other.terms, _mono_mul))
+        return SymFunc(terms_mul(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -271,7 +271,7 @@ def _h_expansion(i: int, num_vars: int) -> Poly:
             exps = [0] * num_vars
             for j in combo:
                 exps[j] += 1
-            terms[tuple(exps)] = Rational(1)
+            terms[tuple(exps)] = 1
         _H_EXPANSIONS[key] = Poly(variables, terms)
     return _H_EXPANSIONS[key]
 
@@ -300,12 +300,12 @@ def schur(lam) -> SymFunc:
 
 # h_m written in the p's and p_m written in the h's, by Newton's identities:
 # m*h_m = sum_{i=1}^{m} p_i h_{m-i}.
-_H_IN_P: list = [ {(): Rational(1)} ]
+_H_IN_P: list = [{(): 1}]
 _P_IN_H: list = [ SymFunc.one() ]
 
 
 def _p_gen(i: int):
-    return {(0,) * (i - 1) + (1,): Rational(1)}
+    return {(0,) * (i - 1) + (1,): 1}
 
 
 def _ensure_newton(m: int):
@@ -313,7 +313,7 @@ def _ensure_newton(m: int):
         k = len(_H_IN_P)
         acc: dict = {}
         for i in range(1, k + 1):
-            acc = terms_add(acc, terms_mul(_p_gen(i), _H_IN_P[k - i], _mono_mul))
+            acc = terms_add(acc, terms_mul(_p_gen(i), _H_IN_P[k - i]))
         _H_IN_P.append(terms_scale(acc, Rational(1, k)))
     while len(_P_IN_H) <= m:
         k = len(_P_IN_H)
@@ -332,7 +332,7 @@ def to_p_dict(f: SymFunc) -> dict:
             if exp:
                 _ensure_newton(i)
                 for _ in range(exp):
-                    term = terms_mul(term, _H_IN_P[i], _mono_mul)
+                    term = terms_mul(term, _H_IN_P[i])
         out = terms_add(out, term)
     return out
 
@@ -370,7 +370,7 @@ def p_perp(i: int, g: SymFunc) -> SymFunc:
                     new.extend([0] * (target - len(new)))
                 new[target - 1] += 1
             key = _trim(new)
-            s = acc.get(key, 0) + coeff
+            s = normalize(acc.get(key, 0) + coeff)
             if s:
                 acc[key] = s
             else:

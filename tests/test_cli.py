@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from kpeterson.cli import MAX_PHI_N, main, max_phi_degree, parse_phi_expr
+from kpeterson.cli import MAX_PHI_CELLS, MAX_PHI_N, main, max_phi_degree, parse_phi_expr
 from kpeterson.partitions import Partition
 from kpeterson.polynomials import Poly
 from kpeterson.scalars import Rational
@@ -131,6 +131,29 @@ class TestExprParser:
         code, out, err = run_cli(capsys, "phi", "--n", "3", "--poly", "x1^64")
         assert code == 0 and err == ""
         assert json.loads(out)["num"]
+
+    @pytest.mark.parametrize(
+        "n, poly",
+        [(3, "(x1+x2+Q1+Q2)^72"), (4, "(x1+x2+x3+Q1)^32"), (5, "(x1+x2+x3+x4+Q1)^18")],
+    )
+    def test_dense_input_is_usage_error(self, capsys, n, poly):
+        code, out, err = run_cli(capsys, "phi", "--n", str(n), "--poly", poly)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert f"above the limit {MAX_PHI_CELLS}" in err
+
+    def test_dense_sum_of_small_products_is_usage_error(self, capsys):
+        # each power is small; only the sum's exponent range is too wide
+        code, out, err = run_cli(capsys, "phi", "--n", "4", "--poly", "x1^16 + z2^16")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
+
+    def test_single_variable_at_degree_limit_answers(self, capsys):
+        for n in range(2, MAX_PHI_N + 1):
+            code, out, err = run_cli(
+                capsys, "phi", "--n", str(n), "--poly", f"x1^{max_phi_degree(n)}"
+            )
+            assert code == 0 and err == "", n
 
     def test_n_above_limit_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "phi", "--n", str(MAX_PHI_N + 1), "--poly", "z1")

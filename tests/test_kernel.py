@@ -2,9 +2,15 @@
 
 Poly arithmetic is checked against sympy's sparse rings over QQ (a test
 oracle only); SymFunc and the power-sum conversions are checked against Poly
-through to_poly/from_poly and against their own inverses.
+through to_poly/from_poly and against their own inverses.  The packed-int
+multiply is checked against a plain tuple loop kept here as the reference,
+on both exponent layouts.
 """
 
+from fractions import Fraction
+from itertools import zip_longest
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from sympy import QQ
@@ -12,8 +18,8 @@ from sympy.polys.polyerrors import ExactQuotientFailed
 from sympy.polys.rings import ring
 
 from kpeterson.peterson import kappa
-from kpeterson.polynomials import Poly
-from kpeterson.scalars import Rational
+from kpeterson.polynomials import Poly, terms_mul
+from kpeterson.scalars import Rational, normalize
 from kpeterson.symfunc import SymFunc, from_p_dict, to_p_dict
 
 VARS = ("x1", "x2", "x3")
@@ -105,3 +111,113 @@ def test_p_dict_roundtrip(f):
 @given(symfuncs(3), st.integers(0, 3))
 def test_kappa_is_an_involution(f, d):
     assert kappa(d, kappa(d, f)) == f
+
+
+# -- the packed multiply against a tuple loop ------------------------------------
+
+
+def reference_mul(t1, t2):
+    """Tuple-loop product of two term maps: slot sums, with the shorter
+    tuple read as padded by zeros (the trimmed layout) and the result as
+    long as the longer operand tuple."""
+    acc = {}
+    for e1, c1 in t1.items():
+        for e2, c2 in t2.items():
+            e = tuple(a + b for a, b in zip_longest(e1, e2, fillvalue=0))
+            acc[e] = acc.get(e, 0) + Fraction(c1) * c2
+    return {e: c for e, c in acc.items() if c}
+
+
+def trim(e):
+    while e and e[-1] == 0:
+        e = e[:-1]
+    return e
+
+
+def assert_normalized(terms):
+    for c in terms.values():
+        assert type(c) in (int, Fraction)
+        assert type(c) is int or c.denominator != 1
+
+
+mixed_coeffs = st.one_of(st.integers(-9, 9), coeffs).filter(bool).map(normalize)
+big_exps = st.integers(0, 300)
+
+
+def fixed_terms(width=3):
+    exps = st.tuples(*[big_exps] * width)
+    return st.dictionaries(exps, mixed_coeffs, max_size=5)
+
+
+def trimmed_terms():
+    exps = st.lists(big_exps, max_size=4).map(lambda e: trim(tuple(e)))
+    return st.dictionaries(exps, mixed_coeffs, max_size=5)
+
+
+@given(fixed_terms(), fixed_terms())
+def test_packed_mul_matches_tuple_loop_fixed_width(t1, t2):
+    got = terms_mul(t1, t2)
+    assert got == reference_mul(t1, t2)
+    assert all(len(e) == 3 for e in got)
+    assert_normalized(got)
+
+
+@given(trimmed_terms(), trimmed_terms())
+def test_packed_mul_matches_tuple_loop_trimmed(t1, t2):
+    got = terms_mul(t1, t2)
+    assert got == reference_mul(t1, t2)
+    assert all(e == trim(e) for e in got)
+    assert_normalized(got)
+
+
+@pytest.mark.parametrize(
+    "a, b", [(255, 1), (128, 128), (255, 256), (256, 256), (511, 1), (300, 212), (300, 300)]
+)
+def test_field_width_holds_slot_sums_across_byte_boundaries(a, b):
+    t1 = {(a, 0, b): 1, (0, b, 0): 2, (1, 1, 1): -1}
+    t2 = {(b, a, 0): 3, (a, 0, a): Fraction(1, 2), (0, 0, 0): 5}
+    assert terms_mul(t1, t2) == reference_mul(t1, t2)
+    s1 = {(a,): 1, (0, b): 2, (): -1}
+    s2 = {(b, a): 3, (0, 0, a): 1}
+    assert terms_mul(s1, s2) == reference_mul(s1, s2)
+
+
+@given(fixed_terms(), fixed_terms())
+def test_mixed_coefficients_normalized(t1, t2):
+    a, b = Poly(VARS, t1), Poly(VARS, t2)
+    for result in (a * b, a + b, a - b, a * 3, a * Fraction(2, 3), -a):
+        assert_normalized(result.terms)
+
+
+@given(polys(3), polys(3, min_size=1))
+def test_exact_div_coefficients_normalized(a, b):
+    q = (a * b).exact_div(b)
+    assert q == a
+    assert_normalized(q.terms)
+
+
+def test_integral_fractions_become_ints():
+    half = Poly.monomial(VARS, (1, 0, 0), Fraction(1, 2))
+    product = half * Poly.monomial(VARS, (0, 1, 0), 2)
+    assert product.terms == {(1, 1, 0): 1}
+    assert type(product.terms[(1, 1, 0)]) is int
+    total = half + half
+    assert type(total.terms[(1, 0, 0)]) is int
+    assert type(Poly.const(VARS, Fraction(4, 2)).constant_term()) is int
+    assert type(SymFunc.const(Fraction(6, 3)).constant_term()) is int
+
+
+def test_exact_div_inexact_leading_quotient_is_a_fraction():
+    x = Poly.variable(VARS, "x1")
+    q = (x * 3).exact_div(x * 2)
+    assert q.terms == {(0, 0, 0): Fraction(3, 2)}
+    assert type(q.terms[(0, 0, 0)]) is Fraction
+    q = (x * 4).exact_div(x * 2)
+    assert q.terms == {(0, 0, 0): 2} and type(q.terms[(0, 0, 0)]) is int
+
+
+def test_negative_exponent_rejected():
+    with pytest.raises(ValueError):
+        Poly.monomial(VARS, (1, -1, 0))
+    with pytest.raises(ValueError):
+        Poly.from_json({"vars": list(VARS), "terms": [{"coeff": "1", "exps": [0, -2, 0]}]})

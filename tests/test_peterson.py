@@ -300,6 +300,19 @@ class TestReduction:
         with pytest.raises(TypeError):
             LocFrac(ctx, prod.num, prod.den, reduce=True)
 
+    def test_generator_images_in_lowest_terms(self):
+        # the z_i/Q_i images are read off the exponent table unreduced
+        for n in range(2, 7):
+            ctx = phi_context(n)
+            names = [f"{v}{i}" for v in "zx" for i in range(1, n + 1)]
+            names += [f"Q{i}" for i in range(1, n)]
+            for name in names:
+                image = ctx.image(name)
+                for idx, e in enumerate(image.den):
+                    if e > 0:
+                        factor = ctx.factors[idx]
+                        assert image.num.exact_div(factor) is None, (n, name, idx)
+
     def test_scalar_minus_image(self):
         ctx = phi_context(3)
         z1 = ctx.image("z1")
