@@ -314,6 +314,13 @@ def _bounded_n(n: int) -> int:
     return n
 
 
+def _positive_counts(args):
+    for flag in ("n", "trials"):
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            raise ValueError(f"--{flag} {value} is not positive")
+
+
 def _perm(args) -> Permutation:
     w = Permutation.from_text(args.w)
     if args.n and args.n != w.n:
@@ -363,7 +370,7 @@ def _dispatch(args) -> int:
     elif cmd == "ddet":
         theta = tuple(int(v) for v in args.theta.split(","))
         avec = tuple(int(v) for v in args.a.split(","))
-        value = d_det(DSpec(theta, avec, args.n))
+        value = d_det(DSpec(theta, avec, _bounded_n(args.n)))
         _emit(args, value.to_json(), value.to_str())
     elif cmd == "phi":
         poly = parse_phi_expr(args.poly, _bounded_n(args.n))
@@ -391,6 +398,7 @@ def _dispatch(args) -> int:
         value = k_conjugate(Partition.from_text(args.partition), args.k)
         _emit(args, value.to_text(), value.to_text())
     elif cmd == "toda-roundtrip":
+        _positive_counts(args)
         report = run_suite("toda-roundtrip", n=args.n, trials=args.trials, seed=args.seed)
         payload = {
             "trials": len(report.cases),
@@ -400,6 +408,7 @@ def _dispatch(args) -> int:
         _emit(args, payload, json.dumps(payload))
         return report.exit_code
     elif cmd == "verify":
+        _positive_counts(args)
         report = run_suite(args.suite, n=args.n, trials=args.trials, seed=args.seed)
         _emit(args, report.to_json(), report.summary())
         return report.exit_code

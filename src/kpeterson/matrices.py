@@ -77,9 +77,6 @@ class RingMatrix:
             )
         return RingMatrix([[a * other for a in row] for row in self.rows])
 
-    def transpose(self):
-        return RingMatrix(list(zip(*self.rows)))
-
     def submatrix(self, row_idx, col_idx):
         """Submatrix from 1-based row/column index sequences."""
         return RingMatrix(

@@ -8,9 +8,10 @@ denominators of the substitution homomorphism
 
 with x_i = 1 - z_i.  PhiContext keeps this substitution as one table of
 tau/sigma factor exponents; the z_i and Q_i images and the image of every
-z/Q polynomial are read off it.  Every image is a LocFrac: a numerator
-polynomial in h_1..h_{n-1} over a denominator kept in factored form as a
-monomial in {tau_i, sigma_i}.  LocFrac arithmetic never divides;
+z/Q polynomial are read off it.  A polynomial with x_i is rewritten into
+z/Q first, so there is one evaluation path.  Every image is a LocFrac: a
+numerator polynomial in h_1..h_{n-1} over a denominator kept in factored
+form as a monomial in {tau_i, sigma_i}.  LocFrac arithmetic never divides;
 PhiContext.reduce, the only place that tries exact division, brings each
 finished image to lowest terms once.  The D-determinant family
 (truncated-series minors), its recursions, the kappa_d involution, and the
@@ -27,7 +28,7 @@ from math import comb
 from .grothendieck import dual_groth
 from .matrices import RingMatrix
 from .partitions import Partition, partitions_in_rectangle
-from .polynomials import Poly, terms_add, terms_mul
+from .polynomials import Poly, terms_add, terms_mul, zq_vars
 from .scalars import Rational
 from .symfunc import SymFunc, from_p_dict, p_perp, perp, schur, to_p_dict
 
@@ -323,13 +324,15 @@ class PhiContext:
         self.one = LocFrac(self, Poly.const(self.hvars, 1), (0,) * k)
         self.zero = LocFrac(self, Poly.zero(self.hvars), (0,) * k)
         self._zq_contrib = self._build_contrib()
-        variables = tuple(self._zq_contrib)
+        variables = zq_vars(n)
         self._images = {
             v: self._apply_monomial(Poly.variable(variables, v)) for v in variables
         }
         for i in range(1, n + 1):
             self._images[f"x{i}"] = self.one - self._images[f"z{i}"]
-        self._image_powers: dict = {}
+        self._x_to_z = {
+            f"x{i}": 1 - Poly.variable(variables, f"z{i}") for i in range(1, n + 1)
+        }
 
     def const(self, value) -> LocFrac:
         return LocFrac(self, Poly.const(self.hvars, value), self.one.den)
@@ -365,12 +368,6 @@ class PhiContext:
             return self._images[name]
         except KeyError:
             raise ValueError(f"Phi_{self.n} has no image for variable {name!r}")
-
-    def image_power(self, name: str, e: int) -> LocFrac:
-        powers = self._image_powers.setdefault(name, [self.one, self.image(name)])
-        while len(powers) <= e:
-            powers.append(powers[-1] * powers[1])
-        return powers[e]
 
     def factor_power(self, idx: int, e: int) -> Poly:
         powers = self._power_cache.setdefault(idx, [Poly.const(self.hvars, 1)])
@@ -450,24 +447,14 @@ class PhiContext:
 
     def apply_frac(self, p: Poly, reduce_result: bool = True) -> LocFrac:
         """Image of a polynomial in z_i / x_i / Q_i under Phi_n, in lowest
-        terms unless reduce_result is false."""
-        used = [v for v in p.vars if p.degree_in(v) > 0]
-        for v in used:
-            if v not in self._images:
+        terms unless reduce_result is false.  p is first rewritten into the
+        z/Q ring with x_i = 1 - z_i (Poly.substitute), so every input is
+        evaluated on the monomial path; variables that do not occur in p
+        are ignored."""
+        for v in p.vars:
+            if v not in self._images and p.degree_in(v) > 0:
                 raise ValueError(f"variable {v!r} not in the domain of Phi_{self.n}")
-        if all(v[0] in "zQ" for v in used):
-            total = self._apply_monomial(p)
-        else:
-            total = self.zero
-            for exps, coeff in p.sorted_terms():
-                term = None
-                for v, e in zip(p.vars, exps):
-                    if not e:
-                        continue
-                    factor = self.image_power(v, e)
-                    term = factor if term is None else term * factor
-                term = self.const(coeff) if term is None else term * coeff
-                total = total + term
+        total = self._apply_monomial(p.substitute(self._x_to_z, zq_vars(self.n)))
         return self.reduce(total) if reduce_result else total
 
     def _apply_monomial(self, p: Poly) -> LocFrac:

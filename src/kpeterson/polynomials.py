@@ -14,8 +14,9 @@ A Poly has a fixed, ordered variable tuple and a term map from exponent
 vectors to non-zero coefficients.  This one type backs the z/Q and x/Q
 polynomial rings, the zeta-polynomials of the Toda layer, and (through the
 h1..h_{n-1} variable set) the symmetric-function workhorse arithmetic of
-the Peterson map.  ``f_subset_sum`` builds the Toda invariants F^(m)_i in
-either the z/Q or the x/Q ring.
+the Peterson map.  ``Poly.substitute`` replaces variables by polynomials;
+it is the one rewrite between the z/Q and x/Q rings (x_i = 1 - z_i).
+``f_subset_sum`` builds the Toda invariants F^(m)_i in the z/Q ring only.
 """
 
 from __future__ import annotations
@@ -293,17 +294,7 @@ class Poly:
 
     def with_vars(self, variables):
         """Embed into a polynomial ring with a superset of the variables."""
-        variables = tuple(variables)
-        pos = []
-        for v in self.vars:
-            pos.append(variables.index(v))
-        terms = {}
-        for e, c in self.terms.items():
-            new = [0] * len(variables)
-            for p, exp in zip(pos, e):
-                new[p] = exp
-            terms[tuple(new)] = c
-        return Poly(variables, terms)
+        return self.substitute({}, variables)
 
     def swap_vars(self, name1: str, name2: str):
         i, j = self.vars.index(name1), self.vars.index(name2)
@@ -314,26 +305,56 @@ class Poly:
             terms[tuple(new)] = c
         return Poly(self.vars, terms)
 
+    def substitute(self, images: dict, variables):
+        """The polynomial over `variables` that replaces each variable named
+        in `images` by its image, a Poly over `variables` or a number, all at
+        once.  Every other variable of self keeps its name and must be in
+        `variables` unless it does not occur; names in `images` that are not
+        variables of self are ignored.  The terms are grouped by their
+        substituted exponents, and each group is multiplied by cached powers
+        of the images once.
+
+        >>> v = ("x1", "x2")
+        >>> x1, x2 = Poly.variable(v, "x1"), Poly.variable(v, "x2")
+        >>> (x1 * x2 + x1).substitute({"x1": 1 - x2}, v).to_str()
+        '-x2^2 + 1'
+        >>> (x1 * x2).substitute({"x2": 3}, ("x1",)).to_str()
+        '3*x1'
+        """
+        variables = tuple(variables)
+        subs = [i for i, v in enumerate(self.vars) if v in images]
+        if not subs and self.vars == variables:
+            return self
+        kept = []
+        for i, v in enumerate(self.vars):
+            if v in variables and v not in images:
+                kept.append((i, variables.index(v)))
+            elif v not in images and self.degree_in(v):
+                raise ValueError(f"variable {v!r} has no image in {variables}")
+        groups: dict = {}
+        for e, c in self.terms.items():
+            new = [0] * len(variables)
+            for i, j in kept:
+                new[j] = e[i]
+            groups.setdefault(tuple([e[i] for i in subs]), {})[tuple(new)] = c
+        powers = [[1, images[self.vars[i]]] for i in subs]
+        total = Poly.zero(variables)
+        for key, terms in groups.items():
+            part = Poly(variables, terms)
+            for table, e in zip(powers, key):
+                while len(table) <= e:
+                    table.append(table[-1] * table[1])
+                if e:
+                    part = part * table[e]
+            total = total + part if total else part
+        return total
+
     def specialize(self, values: dict):
         """Substitute Rational values for a subset of the variables."""
-        idxs = {self.vars.index(name): rat(v) for name, v in values.items()}
-        keep = [i for i in range(len(self.vars)) if i not in idxs]
-        new_vars = tuple(self.vars[i] for i in keep)
-        acc = {}
-        for e, c in self.terms.items():
-            factor = c
-            for i, v in idxs.items():
-                if e[i]:
-                    factor = factor * v ** e[i]
-            if not factor:
-                continue
-            key = tuple(e[i] for i in keep)
-            s = normalize(acc.get(key, 0) + factor)
-            if s:
-                acc[key] = s
-            else:
-                del acc[key]
-        return Poly(new_vars, acc)
+        return self.substitute(
+            {name: rat(v) for name, v in values.items()},
+            [v for v in self.vars if v not in values],
+        )
 
     def evaluate(self, point: dict):
         """Evaluate at Rational values for all variables."""
@@ -429,18 +450,19 @@ def xq_vars(n: int):
     )
 
 
-def f_subset_sum(n: int, m: int, i: int, variables, z) -> Poly:
-    """F^(m)_i over `variables`: the sum over i-subsets I of {1..m} of
-    prod_{j in I} z(j) prod_{j in I, j+1 not in I} (1 - Q_j), with Q_n = 0,
-    where z(j) is the polynomial that stands for z_j."""
+def f_subset_sum(n: int, m: int, i: int) -> Poly:
+    """F^(m)_i over z1..zn, Q1..Q_{n-1}: the sum over i-subsets I of
+    {1..m} of prod_{j in I} z_j prod_{j in I, j+1 not in I} (1 - Q_j), with
+    Q_n = 0."""
     if not (1 <= m <= n and 0 <= i):
         raise ValueError("need 1 <= m <= n and i >= 0")
+    variables = zq_vars(n)
     total = Poly.zero(variables)
     for subset in combinations(range(1, m + 1), i):
         chosen = set(subset)
         term = Poly.const(variables, 1)
         for j in subset:
-            term = term * z(j)
+            term = term * Poly.variable(variables, f"z{j}")
             if j + 1 not in chosen and j != n:
                 term = term * (1 - Poly.variable(variables, f"Q{j}"))
         total = total + term

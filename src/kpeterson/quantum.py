@@ -22,7 +22,7 @@ from itertools import product
 from .matrices import RingMatrix
 from .partitions import Partition, conjugate
 from .peterson import LocFrac, phi_context, tau_sigma
-from .polynomials import Poly, f_subset_sum, xq_vars, zq_vars
+from .polynomials import Poly, f_subset_sum, xq_vars
 from .scalars import Rational
 from .symfunc import SymFunc
 
@@ -90,36 +90,20 @@ def groth_poly(w) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def fq_poly(n: int, m: int, i: int) -> Poly:
-    """F^(m)_i over x1..xn, Q1..Q_{n-1}, with z_j = 1 - x_j."""
-    variables = xq_vars(n)
-    return f_subset_sum(
-        n, m, i, variables, lambda j: 1 - Poly.variable(variables, f"x{j}")
-    )
-
-
-@lru_cache(maxsize=None)
 def fq_poly_z(n: int, m: int, i: int) -> Poly:
     """F^(m)_i written in the z/Q variables; this form is a sum of plain
     monomials, which the Peterson map evaluates fastest."""
-    variables = zq_vars(n)
-    return f_subset_sum(n, m, i, variables, lambda j: Poly.variable(variables, f"z{j}"))
+    return f_subset_sum(n, m, i)
 
 
-def _elem_one_minus_x(n: int, j: int):
-    """e_0..e_j of (1-x_1, ..., 1-x_j) over x1..xn."""
-    variables = tuple(f"x{i}" for i in range(1, n + 1))
-    table = [Poly.const(variables, 1)]
-    for t in range(1, j + 1):
-        y = 1 - Poly.variable(variables, f"x{t}")
-        new = []
-        for i in range(t + 1):
-            entry = table[i] if i < len(table) else Poly.zero(variables)
-            if i > 0:
-                entry = entry + y * table[i - 1]
-            new.append(entry)
-        table = new
-    return table
+@lru_cache(maxsize=None)
+def fq_poly(n: int, m: int, i: int) -> Poly:
+    """F^(m)_i over x1..xn, Q1..Q_{n-1}: fq_poly_z with z_j = 1 - x_j."""
+    variables = xq_vars(n)
+    return fq_poly_z(n, m, i).substitute(
+        {f"z{j}": 1 - Poly.variable(variables, f"x{j}") for j in range(1, n + 1)},
+        variables,
+    )
 
 
 class QuantizeContext:
@@ -134,7 +118,12 @@ class QuantizeContext:
             for e in product(*[range(n - j + 1) for j in range(1, n)])
         ]
         self.stair_index = {e: i for i, e in enumerate(self.staircase)}
-        elem = [None] + [_elem_one_minus_x(n, j) for j in range(1, n)]
+        # fq_poly(n, j, i) at Q = 0 is e_i(1 - x_1, ..., 1 - x_j)
+        q_zero = {f"Q{j}": 0 for j in range(1, n)}
+        elem = [None] + [
+            [fq_poly(n, j, i).specialize(q_zero) for i in range(j + 1)]
+            for j in range(1, n)
+        ]
         self._f_factors = elem
         columns = []
         for exps in self.basis:

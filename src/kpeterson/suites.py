@@ -36,6 +36,7 @@ from .peterson import (
     sigma_identity_check,
     tau_sigma,
 )
+from .polynomials import Poly
 from .quantum import (
     g_tilde,
     grassmannian_perm,
@@ -48,7 +49,7 @@ from .quantum import (
     NonPolynomialImageError,
 )
 from .scalars import Rational
-from .symfunc import SymFunc
+from .symfunc import SymFunc, schur
 from .toda import (
     _point_values,
     alpha,
@@ -150,7 +151,7 @@ def _eq_case(case_id, lhs_fn, rhs_fn, render=str, tier="assert"):
 
 
 def _ns(n, default):
-    return [n] if n else list(default)
+    return list(default) if n is None else [n]
 
 
 # -- suite builders -----------------------------------------------------------------
@@ -276,7 +277,7 @@ def _random_dspec(nn, rng):
 
 
 def _suite_d_recursions(n, trials, rng):
-    count = trials or 200
+    count = 200 if trials is None else trials
     cases = []
     for nn in _ns(n, (3, 4, 5)):
         specs = [_random_dspec(nn, rng) for _ in range(count)]
@@ -302,7 +303,7 @@ def _suite_d_recursions(n, trials, rng):
 
 def _suite_lattice_identity(n, trials, rng):
     pairs = ((3, 1), (4, 2), (5, 2), (5, 3))
-    if n:
+    if n is not None:
         pairs = tuple(p for p in pairs if p[0] == n)
     cases = []
     for nn, d in pairs:
@@ -333,28 +334,14 @@ def _quantization_chain_cases(nn, d, lam):
     """The quantization chain at one (n, d, lambda): the quantized Schur
     determinant, its image as a D-ratio, and the skew-operator form."""
     from .peterson import skew_rectangle_check
-    from .polynomials import Poly
-    from .matrices import RingMatrix
 
     ctx = phi_context(nn)
 
     def quantize_side():
         xvars = tuple(f"x{i}" for i in range(1, nn + 1))
-        maxm = lam.weight + len(lam) + 1
-        H = {(m, 0): (Poly.const(xvars, 1) if m == 0 else Poly.zero(xvars)) for m in range(maxm + 1)}
-        for j in range(1, d + 1):
-            y = 1 - Poly.variable(xvars, f"x{j}")
-            for m in range(maxm + 1):
-                H[(m, j)] = H[(m, j - 1)] + (y * H[(m - 1, j)] if m else Poly.zero(xvars))
-        ell = len(lam)
-        if ell == 0:
-            s_poly = Poly.const(xvars, 1)
-        else:
-            rows = [
-                [H.get((lam.part(i) + j - i, d), Poly.zero(xvars)) for j in range(1, ell + 1)]
-                for i in range(1, ell + 1)
-            ]
-            s_poly = RingMatrix(rows).det()
+        s_poly = schur(lam).expand_in_vars(d).substitute(
+            {f"x{j}": 1 - Poly.variable(xvars, f"x{j}") for j in range(1, d + 1)}, xvars
+        )
         lhs = quantize(s_poly, nn)
         rhs = s_q_poly(lam, d, nn).with_vars(lhs.vars)
         return lhs == rhs, f"Qhat(s_({lam.to_text()})(1-x))", "quantized Schur determinant"
@@ -449,7 +436,7 @@ def _toda_trial(nn, rng):
 
 
 def _suite_toda_roundtrip(n, trials, rng):
-    count = trials or 100
+    count = 100 if trials is None else trials
     cases = []
     for nn in _ns(n, (2, 3, 4, 5)):
         for t in range(count):
@@ -465,7 +452,7 @@ def _suite_toda_roundtrip(n, trials, rng):
 
 
 def _suite_conjecture2(n, trials, rng):
-    nn = n or 5
+    nn = 5 if n is None else n
     cases = []
     fibers: dict = {}
     order = sorted(all_permutations(nn), key=lambda w: w.images)

@@ -203,8 +203,7 @@ def f_invariant(n: int, i: int) -> Poly:
     """The spectral invariant F_i(z, Q) = F^(n)_i (see f_subset_sum)."""
     if not 1 <= i <= n:
         raise ValueError("need 1 <= i <= n")
-    variables = zq_vars(n)
-    return f_subset_sum(n, n, i, variables, lambda j: Poly.variable(variables, f"z{j}"))
+    return f_subset_sum(n, n, i)
 
 
 def gamma_of_point(pt: TodaPoint) -> SpectralParams:

@@ -168,6 +168,15 @@ class TestExprParser:
         assert f"above the limit {MAX_PHI_N}" in err
 
 
+    def test_ddet_n_above_limit_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "ddet", "--n", "3000", "--theta", "1", "--a", "0"
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert f"above the limit {MAX_PHI_N}" in err
+
+
 class TestVerify:
     def test_suite_runs_green(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "example-1-2")
@@ -187,6 +196,22 @@ class TestVerify:
         assert code == 0
         data = json.loads(out)
         assert data == {"trials": 5, "failures": 0, "seed": 7}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "remarkable-identity", "--n", "0"),
+            ("verify", "remarkable-identity", "--trials", "0"),
+            ("verify", "d-recursions", "--n", "3", "--trials", "-1"),
+            ("toda-roundtrip", "--n", "0"),
+            ("toda-roundtrip", "--n", "3", "--trials", "0"),
+        ],
+    )
+    def test_non_positive_count_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert "is not positive" in err
 
     def test_report_determinism(self, capsys):
         def strip(payload):

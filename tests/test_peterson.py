@@ -242,9 +242,10 @@ class TestPhi:
             assert phi_apply(a * b, n) == phi_apply(a, n) * phi_apply(b, n)
             assert phi_apply(a + b, n) == phi_apply(a, n) + phi_apply(b, n)
 
-    def test_generic_and_monomial_paths_agree(self):
-        # apply_frac takes the generic path for input in x and the monomial
-        # path for input in z/Q only; both must give the same lowest terms
+    def test_x_and_z_inputs_agree(self):
+        # apply_frac rewrites input in x into z/Q (x_i = 1 - z_i) before it
+        # evaluates it; the same polynomial written either way must give the
+        # same lowest terms
         def same(a, b):
             return a.num == b.num and a.den == b.den
 
@@ -254,6 +255,9 @@ class TestPhi:
                 for i in range(m + 1):
                     x_image = ctx.apply_frac(fq_poly(n, m, i))
                     assert same(x_image, phi_f_image(n, m, i))
+        ctx = phi_context(5)
+        for m in (5, 4):
+            assert same(ctx.apply_frac(fq_poly(5, m, 2)), phi_f_image(5, m, 2))
         rng = random.Random(17)
         for n in (3, 4):
             ctx, xv, zv = phi_context(n), xq_vars(n), zq_vars(n)

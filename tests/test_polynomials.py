@@ -60,6 +60,55 @@ def test_specialize_drops_variables():
     assert q.vars == ("x1", "x3") and q == Poly.const(("x1", "x3"), 1)
 
 
+def _random_poly(rng, variables, max_terms=4, max_exp=2):
+    total = Poly.zero(variables)
+    for _ in range(rng.randint(0, max_terms)):
+        exps = tuple(rng.randint(0, max_exp) for _ in variables)
+        coeff = Rational(rng.randint(-4, 4), rng.randint(1, 3))
+        total = total + Poly.monomial(variables, exps, coeff)
+    return total
+
+
+def test_substitute_matches_evaluation():
+    # source x1..x3, y; target y, z1, z2 and an unused foreign zeta.  Images
+    # share target variables, x3's image is a constant, and y is kept.
+    rng = random.Random(5)
+    source = ("x1", "x2", "x3", "y")
+    target = ("zeta", "y", "z1", "z2")
+    for _ in range(40):
+        p = _random_poly(rng, source, max_exp=3)
+        images = {
+            "x1": _random_poly(rng, target[1:]).with_vars(target),
+            "x2": _random_poly(rng, target[1:]).with_vars(target),
+            "x3": Rational(rng.randint(-3, 3), rng.randint(1, 2)),
+        }
+        q = p.substitute(images, target)
+        assert q.vars == target and q.degree_in("zeta") == 0
+        for _ in range(3):
+            point = {v: Rational(rng.randint(-5, 5), rng.randint(1, 4)) for v in target}
+            values = {
+                name: img.evaluate(point) if isinstance(img, Poly) else img
+                for name, img in images.items()
+            }
+            values["y"] = point["y"]
+            assert q.evaluate(point) == p.evaluate(values)
+
+
+def test_substitute_drops_and_ignores_unused_variables():
+    # an unused source variable (zeta) need not be in the target, and an
+    # image for a name the polynomial does not have is ignored
+    source = ("zeta", "x1", "x2")
+    x1, x2 = Poly.variable(source, "x1"), Poly.variable(source, "x2")
+    target = ("z1", "z2")
+    z1, z2 = Poly.variable(target, "z1"), Poly.variable(target, "z2")
+    images = {"x1": 1 - z1, "x2": 1 - z2, "x3": z1}
+    assert (x1 * x2).substitute(images, target) == (1 - z1) * (1 - z2)
+    with pytest.raises(ValueError):
+        Poly.variable(source, "zeta").substitute(images, target)
+    same = z1 + z2 * z2
+    assert same.substitute({}, target) is same
+
+
 def test_swap_and_embed_vars():
     x1 = Poly.variable(VARS, "x1")
     x2 = Poly.variable(VARS, "x2")
