@@ -49,6 +49,11 @@ MAX_PHI_CELLS = 100_000
 # the first Phi_9 image tens of seconds, growing from there.
 MAX_PHI_N = 8
 
+# Largest permutation length `kpet qgroth` and `kpet gtilde` accept: both
+# expand G_w over the n! f-monomials, whose coordinate matrix is inverted in
+# about 2 s at n = 6; at n = 7 it is 5040 x 5040, which is unmeasured.
+MAX_QUANTIZE_N = 6
+
 
 class ExprError(ValueError):
     def __init__(self, message: str, pos: int):
@@ -328,6 +333,15 @@ def _perm(args) -> Permutation:
     return w
 
 
+def _quantized_perm(args) -> Permutation:
+    w = _perm(args)
+    if w.n > MAX_QUANTIZE_N:
+        raise ValueError(
+            f"permutation length {w.n} is above the limit {MAX_QUANTIZE_N}"
+        )
+    return w
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -386,10 +400,10 @@ def _dispatch(args) -> int:
         value = groth_poly(_perm(args))
         _emit(args, value.to_json(), value.to_str())
     elif cmd == "qgroth":
-        value = quantum_groth(_perm(args))
+        value = quantum_groth(_quantized_perm(args))
         _emit(args, value.to_json(), value.to_str())
     elif cmd == "gtilde":
-        value = g_tilde(_perm(args))
+        value = g_tilde(_quantized_perm(args))
         _emit(args, value.to_json(), value.to_str())
     elif cmd == "lambda-map":
         value = lambda_map(_perm(args)).partition

@@ -3,12 +3,17 @@
 Entries only need +, -, * (with each other and with ints) and, for the
 fraction-free path, an exact __truediv__.  Determinants: Bareiss for
 rational entries, memoized cofactor expansion for small symbolic matrices
-(every matrix in this artifact is at most 6x6).
+(every symbolic matrix in this artifact is at most 6x6).
+
+``inverse`` and ``solve`` (rational entries) share one Gauss-Jordan
+elimination over sparse rows whose integral entries stay ``int``
+(``scalars.normalize``); it prefers unit pivots, so the integral 720x720
+f-monomial matrix of the quantization map is inverted without a Fraction.
 """
 
 from __future__ import annotations
 
-from .scalars import Rational, rat
+from .scalars import Rational, exact_quotient, normalize, rat
 
 __all__ = ["RingMatrix"]
 
@@ -160,7 +165,8 @@ class RingMatrix:
     # -- field operations (rational entries) -------------------------------
 
     def inverse(self):
-        """Inverse over the rationals (Gauss-Jordan)."""
+        """Inverse over the rationals (sparse Gauss-Jordan); entries are
+        ``int`` where integral, as ``scalars.normalize`` gives them."""
         n = self.nrows
         return RingMatrix(
             self._gauss_jordan([[int(i == j) for j in range(n)] for i in range(n)])
@@ -172,26 +178,58 @@ class RingMatrix:
 
     def _gauss_jordan(self, rhs_rows):
         """Reduce the augmented matrix [self | rhs_rows] to [I | X] over the
-        rationals and return the rows of X."""
+        rationals and return the rows of X, normalized.
+
+        Each augmented row is a sparse {column: value} dict whose values are
+        ``int`` while they are integral.  Column by column, the pivot row is
+        chosen among the unplaced rows with a non-zero entry in that column:
+        one whose entry is +-1 if there is one, then the one with the fewest
+        non-zeros, then the lowest index.  A unit pivot keeps an integer row
+        integral.  Eliminating a column touches only the non-zero columns of
+        the pivot row.  X is unique, so the pivot order does not change the
+        answer.
+        """
         n = self.nrows
         if n != self.ncols:
             raise ValueError("Gauss-Jordan elimination needs a square matrix")
-        aug = [
-            [rat(x) for x in row] + [rat(b) for b in extra]
-            for row, extra in zip(self.rows, rhs_rows)
-        ]
+        aug = []
+        for row, extra in zip(self.rows, rhs_rows):
+            entries = {j: normalize(x) for j, x in enumerate(row) if x}
+            entries.update((n + k, normalize(b)) for k, b in enumerate(extra) if b)
+            aug.append(entries)
+        unplaced = set(range(n))
+        pivot_rows = [None] * n
         for col in range(n):
-            pivot = next((r for r in range(col, n) if aug[r][col]), None)
-            if pivot is None:
+            best = None
+            for r in unplaced:
+                p = aug[r].get(col)
+                if p:
+                    key = (p != 1 and p != -1, len(aug[r]), r)
+                    if best is None or key < best:
+                        best = key
+            if best is None:
                 raise ZeroDivisionError("singular matrix")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv_p = Rational(1) / aug[col][col]
-            aug[col] = [x * inv_p for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    factor = aug[r][col]
-                    aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-        return [row[n:] for row in aug]
+            r = best[2]
+            unplaced.discard(r)
+            pivot = aug[r]
+            p = pivot[col]
+            if p != 1:
+                pivot = {j: exact_quotient(v, p) for j, v in pivot.items()}
+                aug[r] = pivot
+            pivot_rows[col] = pivot
+            for other in aug:
+                factor = other.get(col)
+                if factor and other is not pivot:
+                    for j, v in pivot.items():
+                        value = other.get(j, 0) - factor * v
+                        if type(value) is not int:
+                            value = normalize(value)
+                        if value:
+                            other[j] = value
+                        else:
+                            del other[j]
+        width = len(rhs_rows[0]) if rhs_rows else 0
+        return [[row.get(n + k, 0) for k in range(width)] for row in pivot_rows]
 
 
 def _dot(row, col):

@@ -23,7 +23,7 @@ from .matrices import RingMatrix
 from .partitions import Partition, conjugate
 from .peterson import LocFrac, phi_context, tau_sigma
 from .polynomials import Poly, f_subset_sum, xq_vars
-from .scalars import Rational
+from .scalars import normalize
 from .symfunc import SymFunc
 
 __all__ = [
@@ -107,7 +107,16 @@ def fq_poly(n: int, m: int, i: int) -> Poly:
 
 
 class QuantizeContext:
-    """The f-monomial basis of the staircase span and its inverse."""
+    """The f-monomial basis of the staircase span L_n and its inverse.
+
+    Column c of the coordinate matrix holds the staircase coordinates of
+    the c-th f-monomial prod_j e_{i_j}(1 - x_1, ..., 1 - x_j).  ``inverse``
+    is that matrix's inverse, computed once by the sparse Gauss-Jordan of
+    ``RingMatrix``; it is integral and sparse (3,791 non-zeros of 14,400 at
+    n = 5).  ``expand`` reads it column-wise: for each staircase monomial it
+    keeps the non-zero (basis index, entry) pairs of that column, so an
+    expansion walks only the terms of its input.
+    """
 
     def __init__(self, n: int):
         self.n = n
@@ -125,31 +134,30 @@ class QuantizeContext:
             for j in range(1, n)
         ]
         self._f_factors = elem
-        columns = []
-        for exps in self.basis:
+        size = len(self.staircase)
+        assert size == len(self.basis)
+        rows = [[0] * size for _ in range(size)]
+        for c, exps in enumerate(self.basis):
             poly = Poly.const(self.xvars, 1)
             for j, i in enumerate(exps, start=1):
                 if i:
                     poly = poly * elem[j][i]
-            columns.append(self._coords(poly))
-        size = len(self.staircase)
-        assert size == len(self.basis)
-        matrix = RingMatrix(
-            [[columns[c][r] for c in range(size)] for r in range(size)]
-        )
-        self.inverse = matrix.inverse()
+            for e, coeff in poly.terms.items():
+                rows[self._stair_position(e)][c] = coeff
+        self.inverse = RingMatrix(rows).inverse()
+        self._inverse_columns = [
+            [(c, a) for c, a in enumerate(column) if a]
+            for column in zip(*self.inverse.rows)
+        ]
         self._f_q_cache: dict = {}
 
-    def _coords(self, p: Poly):
-        vec = [Rational(0)] * len(self.staircase)
-        for e, c in p.terms.items():
-            idx = self.stair_index.get(e)
-            if idx is None:
-                raise NotInSpanError(
-                    f"monomial with exponents {e} is outside the staircase span"
-                )
-            vec[idx] = c
-        return vec
+    def _stair_position(self, e) -> int:
+        idx = self.stair_index.get(e)
+        if idx is None:
+            raise NotInSpanError(
+                f"monomial with exponents {e} is outside the staircase span"
+            )
+        return idx
 
     def expand(self, p: Poly):
         """Coefficients of p over the f-monomial basis (same order as
@@ -157,15 +165,11 @@ class QuantizeContext:
         for v in p.vars:
             if p.degree_in(v) > 0 and not v.startswith("x"):
                 raise NotInSpanError(f"variable {v} is not allowed in L_n")
-        vec = self._coords(p.with_vars(self.xvars))
-        coords = []
-        for row in self.inverse.rows:
-            total = Rational(0)
-            for a, b in zip(row, vec):
-                if a and b:
-                    total += a * b
-            coords.append(total)
-        return coords
+        coords = [0] * len(self.basis)
+        for e, coeff in p.with_vars(self.xvars).terms.items():
+            for c, a in self._inverse_columns[self._stair_position(e)]:
+                coords[c] += a * coeff
+        return [normalize(x) for x in coords]
 
     def f_q_monomial(self, exps) -> Poly:
         """The F-monomial prod_j F^(j)_{i_j} as a polynomial in x, Q."""

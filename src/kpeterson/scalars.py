@@ -9,8 +9,10 @@ integral value as an ``int`` (integer arithmetic is several times faster than
 ``Fraction`` arithmetic, and every tau/sigma factor and Phi_n numerator has
 integer coefficients) and keeps a ``Fraction`` only when it is not integral.
 ``exact_quotient`` divides two such coefficients without ever producing a
-float.  Scalar code outside the polynomial kernel (Toda points, matrix
-inverses) keeps using ``rat`` and ``Fraction``.
+float.  The Gauss-Jordan elimination behind ``RingMatrix.inverse`` and
+``solve`` keeps its entries the same way, so an integral inverse (such as
+the quantization map's) is all ``int``.  Toda points keep using ``rat`` and
+``Fraction``.
 """
 
 from __future__ import annotations

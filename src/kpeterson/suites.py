@@ -529,29 +529,42 @@ def _suite_buch_cor_5_7(n, trials, rng):
     return cases
 
 
+# Each suite with the values of --n it accepts: every one builds at least one
+# case, and the largest runs within minutes (remarkable-identity at n = 6 is
+# the slowest, at about 100 s).  An empty tuple: the suite takes no --n.
 _BUILDERS = {
-    "example-1-2": _suite_example_1_2,
-    "remarkable-identity": _suite_remarkable,
-    "theorem-1-5": _suite_theorem_1_5,
-    "example-7-3": _suite_example_7_3,
-    "lambda-tables": _suite_lambda_tables,
-    "prop-5-1": _suite_prop_5_1,
-    "d-recursions": _suite_d_recursions,
-    "lattice-identity": _suite_lattice_identity,
-    "prop-6-chain": _suite_prop_6_chain,
-    "toda-roundtrip": _suite_toda_roundtrip,
-    "conjecture2": _suite_conjecture2,
-    "conjecture7-4": _suite_conjecture_7_4,
-    "buch-cor-5-7": _suite_buch_cor_5_7,
+    "example-1-2": (_suite_example_1_2, ()),
+    "remarkable-identity": (_suite_remarkable, range(2, 7)),
+    "theorem-1-5": (_suite_theorem_1_5, range(2, 6)),
+    "example-7-3": (_suite_example_7_3, ()),
+    "lambda-tables": (_suite_lambda_tables, (4, 5)),
+    "prop-5-1": (_suite_prop_5_1, range(2, 8)),
+    "d-recursions": (_suite_d_recursions, range(2, 8)),
+    "lattice-identity": (_suite_lattice_identity, (3, 4, 5)),
+    "prop-6-chain": (_suite_prop_6_chain, range(2, 6)),
+    "toda-roundtrip": (_suite_toda_roundtrip, range(2, 9)),
+    "conjecture2": (_suite_conjecture2, range(2, 6)),
+    "conjecture7-4": (_suite_conjecture_7_4, range(2, 6)),
+    "buch-cor-5-7": (_suite_buch_cor_5_7, range(2, 8)),
 }
 SUITE_NAMES = tuple(_BUILDERS)
 
 
 def run_suite(name: str, n=None, trials=None, seed=None) -> SuiteReport:
-    """Execute a named suite; the report's case order is the build order."""
+    """Execute a named suite; the report's case order is the build order.
+
+    Raises ValueError for an unknown suite or an n the suite does not
+    accept."""
     if name not in _BUILDERS:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    build, accepted = _BUILDERS[name]
+    if n is not None and n not in accepted:
+        if not accepted:
+            raise ValueError(f"suite {name} takes no --n")
+        raise ValueError(
+            f"--n {n} is outside suite {name}'s range {accepted[0]}..{accepted[-1]}"
+        )
     seed = DEFAULT_SEED if seed is None else seed
     rng = random.Random(seed)
-    cases = _BUILDERS[name](n, trials, rng)
+    cases = build(n, trials, rng)
     return SuiteReport(name, [_run_case(c) for c in cases], seed)

@@ -294,8 +294,8 @@ def lax_to_point(L: RingMatrix) -> TodaPoint:
         if not cur:
             raise ValueError("Lax matrix outside the parametrized locus")
         z.append(prev / cur)
-        prev = cur
-    Q = tuple(-M[i + 1, i] for i in range(1, n))
+        prev = rat(cur)
+    Q = tuple(-rat(M[i + 1, i]) for i in range(1, n))
     return TodaPoint(n, tuple(z), Q)
 
 

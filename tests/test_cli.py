@@ -2,7 +2,14 @@ import json
 
 import pytest
 
-from kpeterson.cli import MAX_PHI_CELLS, MAX_PHI_N, main, max_phi_degree, parse_phi_expr
+from kpeterson.cli import (
+    MAX_PHI_CELLS,
+    MAX_PHI_N,
+    MAX_QUANTIZE_N,
+    main,
+    max_phi_degree,
+    parse_phi_expr,
+)
 from kpeterson.partitions import Partition
 from kpeterson.polynomials import Poly
 from kpeterson.scalars import Rational
@@ -213,6 +220,25 @@ class TestVerify:
         assert err.count("\n") == 1 and err.startswith("error:")
         assert "is not positive" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("verify", "lattice-identity", "--n", "6"), "range 3..5"),
+            (("verify", "prop-6-chain", "--n", "7"), "range 2..5"),
+            (("verify", "lambda-tables", "--n", "3"), "range 4..5"),
+            (("verify", "conjecture2", "--n", "9"), "range 2..5"),
+            (("verify", "conjecture7-4", "--n", "1"), "range 2..5"),
+            (("verify", "example-1-2", "--n", "7"), "takes no --n"),
+            (("verify", "example-7-3", "--n", "5"), "takes no --n"),
+            (("toda-roundtrip", "--n", "100"), "range 2..8"),
+        ],
+    )
+    def test_n_outside_suite_range_is_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert message in err
+
     def test_report_determinism(self, capsys):
         def strip(payload):
             for case in payload["cases"]:
@@ -264,6 +290,13 @@ class TestVerify:
         assert code == 0 and out.strip() == "-x1*Q1 + x1 + Q1"
         code, out, _ = run_cli(capsys, "gtilde", "12543", "--text")
         assert code == 0 and "h" in out
+
+    @pytest.mark.parametrize("command", ["qgroth", "gtilde"])
+    def test_quantized_permutation_above_limit_is_usage_error(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "2134567")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert f"above the limit {MAX_QUANTIZE_N}" in err
 
     def test_mismatched_n_flag(self, capsys):
         code, out, err = run_cli(capsys, "groth", "21", "--n", "3")

@@ -1,10 +1,86 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kpeterson.matrices import RingMatrix
 from kpeterson.polynomials import Poly
 from kpeterson.scalars import Rational
+
+
+def reference_gauss_jordan(rows, rhs_rows):
+    """Dense Gauss-Jordan over Fraction, first non-zero pivot in each
+    column: the independent reference for RingMatrix._gauss_jordan."""
+    n = len(rows)
+    aug = [
+        [Rational(x) for x in row] + [Rational(b) for b in extra]
+        for row, extra in zip(rows, rhs_rows)
+    ]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
+        if pivot is None:
+            raise ZeroDivisionError("singular matrix")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv_p = Rational(1) / aug[col][col]
+        aug[col] = [x * inv_p for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+# Mostly zeros and small integers, with some non-unit and fractional entries,
+# so that both unit and non-unit pivots occur and many draws are singular.
+entries = st.one_of(
+    st.just(0),
+    st.just(0),
+    st.integers(-3, 3),
+    st.builds(Rational, st.integers(-4, 4), st.integers(1, 3)),
+)
+
+
+@st.composite
+def square_systems(draw):
+    n = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    rhs = draw(st.lists(entries, min_size=n, max_size=n))
+    return rows, rhs
+
+
+def _reference_or_singular(rows, rhs_rows):
+    try:
+        return reference_gauss_jordan(rows, rhs_rows)
+    except ZeroDivisionError:
+        return None
+
+
+@settings(max_examples=300)
+@given(square_systems())
+def test_inverse_matches_reference(system):
+    rows, _ = system
+    n = len(rows)
+    expected = _reference_or_singular(rows, [[int(i == j) for j in range(n)] for i in range(n)])
+    if expected is None:
+        with pytest.raises(ZeroDivisionError):
+            RingMatrix(rows).inverse()
+    else:
+        got = RingMatrix(rows).inverse().rows
+        assert [list(r) for r in got] == expected
+        assert all(type(x) is int for r in got for x in r if x.denominator == 1)
+
+
+@settings(max_examples=300)
+@given(square_systems())
+def test_solve_matches_reference(system):
+    rows, rhs = system
+    expected = _reference_or_singular(rows, [[b] for b in rhs])
+    if expected is None:
+        with pytest.raises(ZeroDivisionError):
+            RingMatrix(rows).solve(rhs)
+    else:
+        assert RingMatrix(rows).solve(rhs) == [row[0] for row in expected]
 
 
 def test_minor_examples():

@@ -29,6 +29,7 @@ from kpeterson.quantum import (
     phi_groth_image,
     pi_op,
     quantize,
+    quantize_context,
     quantum_groth,
     s_q_poly,
 )
@@ -135,11 +136,58 @@ class TestQuantize:
             spec = quantum_groth(w).specialize({f"Q{i}": 0 for i in range(1, 5)})
             assert spec == groth_poly(w).with_vars(spec.vars), w
 
+    def test_q_zero_recovers_classical_s6(self):
+        w = Permutation.from_text("213465")
+        spec = quantum_groth(w).specialize({f"Q{i}": 0 for i in range(1, 6)})
+        assert spec == groth_poly(w).with_vars(spec.vars)
+
     def test_rejects_outside_span(self):
         with pytest.raises(NotInSpanError):
             quantize(Poly.variable(("x1", "x2"), "x1") ** 5, 2)
         with pytest.raises(NotInSpanError):
             quantize(Poly.variable(xq_vars(2), "Q1"), 2)
+
+
+def _f_monomial_matrix(ctx):
+    """The coordinate matrix of the f-monomial basis, rebuilt from the
+    basis factors: column c holds the staircase coordinates of basis c."""
+    size = len(ctx.basis)
+    rows = [[0] * size for _ in range(size)]
+    for c, exps in enumerate(ctx.basis):
+        poly = Poly.const(ctx.xvars, 1)
+        for j, i in enumerate(exps, start=1):
+            if i:
+                poly = poly * ctx._f_factors[j][i]
+        for e, coeff in poly.terms.items():
+            rows[ctx.stair_index[e]][c] = coeff
+    return rows
+
+
+class TestQuantizeContext:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_inverse_times_f_monomial_matrix_is_identity(self, n):
+        ctx = quantize_context(n)
+        matrix = _f_monomial_matrix(ctx)
+        size = len(matrix)
+        for c, row in enumerate(ctx.inverse.rows):
+            nonzero = [(k, a) for k, a in enumerate(row) if a]
+            for j in range(size):
+                entry = sum(a * matrix[k][j] for k, a in nonzero)
+                assert entry == (c == j), (n, c, j)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_inverse_is_integral(self, n):
+        rows = quantize_context(n).inverse.rows
+        assert all(type(x) is int for row in rows for x in row)
+
+    def test_expand_matches_dense_product_s4(self):
+        ctx = quantize_context(4)
+        for w in all_permutations(4):
+            vec = [0] * len(ctx.staircase)
+            for e, coeff in groth_poly(w).terms.items():
+                vec[ctx.stair_index[e]] = coeff
+            dense = [sum(a * b for a, b in zip(row, vec)) for row in ctx.inverse.rows]
+            assert ctx.expand(groth_poly(w)) == dense, w
 
 
 class TestSQ:
