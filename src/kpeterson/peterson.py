@@ -8,7 +8,8 @@ denominators of the substitution homomorphism
 
 with x_i = 1 - z_i.  PhiContext keeps this substitution as one table of
 tau/sigma factor exponents; the z_i and Q_i images and the image of every
-z/Q polynomial are read off it.  A polynomial with x_i is rewritten into
+z/Q polynomial are read off it, the latter summed over cached factor powers
+by ``polynomials.grouped_product``.  A polynomial with x_i is rewritten into
 z/Q first, so there is one evaluation path.  Every image is a LocFrac: a
 numerator polynomial in h_1..h_{n-1} over a denominator kept in factored
 form as a monomial in {tau_i, sigma_i}.  LocFrac arithmetic never divides;
@@ -28,7 +29,7 @@ from math import comb
 from .grothendieck import dual_groth
 from .matrices import RingMatrix
 from .partitions import Partition, partitions_in_rectangle
-from .polynomials import Poly, terms_add, terms_mul, zq_vars
+from .polynomials import Poly, grouped_product, power_table, terms_add, terms_mul, zq_vars
 from .scalars import Rational
 from .symfunc import SymFunc, from_p_dict, p_perp, perp, schur, to_p_dict
 
@@ -232,11 +233,9 @@ class LocFrac:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        result = self.ctx.one
-        base = self
-        for _ in range(k):
-            result = result * base
-        return result
+        if k < 0:
+            raise ValueError("negative power of a LocFrac")
+        return self.ctx.one * power_table(self)(k)
 
     def __neg__(self):
         return LocFrac(self.ctx, -self.num, self.den)
@@ -318,7 +317,7 @@ class PhiContext:
         self.factors = tuple(factors)
         self.hvars = tuple(f"h{i}" for i in range(1, n))
         self._factor_boxes = [[f.degree_in(h) for h in self.hvars] for f in factors]
-        self._power_cache: dict = {}
+        self._factor_powers = [power_table(f) for f in factors]
         self._product_cache: dict = {}
         k = len(self.factors)
         self.one = LocFrac(self, Poly.const(self.hvars, 1), (0,) * k)
@@ -369,20 +368,12 @@ class PhiContext:
         except KeyError:
             raise ValueError(f"Phi_{self.n} has no image for variable {name!r}")
 
-    def factor_power(self, idx: int, e: int) -> Poly:
-        powers = self._power_cache.setdefault(idx, [Poly.const(self.hvars, 1)])
-        while len(powers) <= e:
-            powers.append(powers[-1] * self.factors[idx])
-        return powers[e]
-
     def factor_product(self, exps: tuple) -> Poly:
         exps = tuple(exps)
         if exps not in self._product_cache:
-            result = Poly.const(self.hvars, 1)
-            for idx, e in enumerate(exps):
-                if e:
-                    result = result * self.factor_power(idx, e)
-            self._product_cache[exps] = result
+            self._product_cache[exps] = grouped_product(
+                {exps: 1}, self._factor_powers, self.zero.num
+            )
         return self._product_cache[exps]
 
     def exponent_range(self, p: Poly):
@@ -478,32 +469,12 @@ class PhiContext:
                 del gmap[key]
         if not gmap:
             return self.zero
-        common = [0] * k
-        for g in gmap:
-            for j in range(k):
-                if -g[j] > common[j]:
-                    common[j] = -g[j]
-        common = tuple(common)
+        common = tuple(max(0, -min(col)) for col in zip(*gmap))
         shifted = {
             tuple(a + b for a, b in zip(g, common)): coeff for g, coeff in gmap.items()
         }
-        return LocFrac(self, self._horner(shifted, 0), common)
-
-    def _horner(self, terms: dict, idx: int) -> Poly:
-        """sum of c * prod_j factor_{idx+j}^e[j] over the {e: c} of `terms`,
-        grouped on one factor at a time: the terms that share the exponent a
-        of factor idx are summed first and multiplied by its cached a-th
-        power once."""
-        if idx == len(self.factors):
-            return Poly.const(self.hvars, terms[()])
-        groups: dict = {}
-        for e, coeff in terms.items():
-            groups.setdefault(e[0], {})[e[1:]] = coeff
-        total = Poly.zero(self.hvars)
-        for a in sorted(groups):
-            part = self._horner(groups[a], idx + 1)
-            total = total + (part * self.factor_power(idx, a) if a else part)
-        return total
+        num = grouped_product(shifted, self._factor_powers, self.zero.num)
+        return LocFrac(self, num, common)
 
 
 @lru_cache(maxsize=None)

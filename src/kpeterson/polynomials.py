@@ -8,7 +8,11 @@ integral and a ``Fraction`` only when it is not (``scalars.normalize``).
 all call it, with two tuple layouts: the fixed-width tuples of a Poly and the
 trailing-zero-trimmed tuples of the h- and p-bases.  ``terms_mul`` packs the
 exponent tuples into ints for the length of one multiply; the maps always
-hold tuples.
+hold tuples.  ``grouped_product`` is the one routine for sums of the shape
+sum c * prod_j T_j[e_j] (Horner's scheme over the slots of e): substitution
+and evaluation of a Poly, the Phi_n image of a z/Q polynomial, the
+quantization map and the Phi_n image of a quantized Grothendieck polynomial
+all evaluate through it, and ``power_table`` is the one cache of powers.
 
 A Poly has a fixed, ordered variable tuple and a term map from exponent
 vectors to non-zero coefficients.  This one type backs the z/Q and x/Q
@@ -135,6 +139,54 @@ def terms_exact_div(t, divisor):
             else:
                 rem.pop(target, None)
     return quotient
+
+
+def grouped_product(parts: dict, tables, zero):
+    """sum of part * prod_j tables[j](key[j]) over the {key: part} of `parts`.
+
+    Horner's scheme over the slots of the keys: the parts are grouped on
+    slot 0, each group is summed recursively over slots 1, 2, ..., and the
+    group's sum is multiplied by its table entry once; an entry equal to one
+    is not multiplied.  A table maps an exponent to a Poly or a number (a
+    lazily extended list, such as ``power_table``, or a cached function).
+    Parts and entries are Polys or numbers, and every key has one slot per
+    table.  The result has the type of `zero` (a Poly in its ring, or a
+    number), and is `zero` for no parts.
+    """
+    width = len(tables)
+
+    def level(group, j):
+        if j == width:
+            (leaf,) = group.values()
+            return leaf
+        slots: dict = {}
+        for key, part in group.items():
+            slots.setdefault(key[j], {})[key] = part
+        total = None
+        for e in sorted(slots):
+            part = level(slots[e], j + 1)
+            entry = tables[j](e)
+            if entry != 1:
+                part = entry * part
+            total = part if total is None else total + part
+        return total
+
+    if not parts:
+        return zero
+    total = level(parts, 0)
+    return total if type(total) is type(zero) else zero + total
+
+
+def power_table(base):
+    """e -> base**e, each power computed once from the one before."""
+    powers = [1, base]
+
+    def power(e):
+        while len(powers) <= e:
+            powers.append(powers[-1] * base)
+        return powers[e]
+
+    return power
 
 
 def _exponents(exps):
@@ -265,16 +317,7 @@ class Poly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.const(self.vars, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base_needed = k >> 1
-            if base_needed:
-                base = base * base
-            k = base_needed
-        return result
+        return self._coerce(power_table(self)(k))
 
     def exact_div(self, divisor: "Poly"):
         """Exact polynomial division; returns the quotient or None."""
@@ -311,8 +354,8 @@ class Poly:
         once.  Every other variable of self keeps its name and must be in
         `variables` unless it does not occur; names in `images` that are not
         variables of self are ignored.  The terms are grouped by their
-        substituted exponents, and each group is multiplied by cached powers
-        of the images once.
+        substituted exponents and summed by ``grouped_product`` over cached
+        powers of the images.
 
         >>> v = ("x1", "x2")
         >>> x1, x2 = Poly.variable(v, "x1"), Poly.variable(v, "x2")
@@ -337,17 +380,11 @@ class Poly:
             for i, j in kept:
                 new[j] = e[i]
             groups.setdefault(tuple([e[i] for i in subs]), {})[tuple(new)] = c
-        powers = [[1, images[self.vars[i]]] for i in subs]
-        total = Poly.zero(variables)
-        for key, terms in groups.items():
-            part = Poly(variables, terms)
-            for table, e in zip(powers, key):
-                while len(table) <= e:
-                    table.append(table[-1] * table[1])
-                if e:
-                    part = part * table[e]
-            total = total + part if total else part
-        return total
+        return grouped_product(
+            {key: Poly(variables, terms) for key, terms in groups.items()},
+            [power_table(images[self.vars[i]]) for i in subs],
+            Poly.zero(variables),
+        )
 
     def specialize(self, values: dict):
         """Substitute Rational values for a subset of the variables."""
@@ -358,15 +395,8 @@ class Poly:
 
     def evaluate(self, point: dict):
         """Evaluate at Rational values for all variables."""
-        total = Rational(0)
-        vals = [rat(point[v]) for v in self.vars]
-        for e, c in self.terms.items():
-            term = c
-            for v, exp in zip(vals, e):
-                if exp:
-                    term = term * v**exp
-            total += term
-        return total
+        tables = [power_table(rat(point[v])) for v in self.vars]
+        return grouped_product(self.terms, tables, Rational(0))
 
     def coeff_list(self, name: str):
         """Coefficients [c0, c1, ...] of a univariate polynomial."""

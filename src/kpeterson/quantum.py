@@ -5,8 +5,9 @@ staircase monomial; the quantization map rewrites a polynomial over the
 f-monomial basis (products of elementary symmetric polynomials in 1-x_1,
 ..., 1-x_j) and replaces each basis element by its Q-deformation F^(j)_i.
 The images under the Peterson map are computed through the same basis:
-phi(G^Q_w) is the coefficient vector of G_w against cached images of the
-F-monomials, which keeps the n=5 sweeps fast and exact.
+phi(G^Q_w) sums the f-basis coordinates of G_w over the images
+phi(F^(j)_i), brought to one denominator per level j, and is reduced once.
+Both sums run through ``polynomials.grouped_product``.
 
 The lambda-map factors w (normalized to w(1)=1 by the long cycle) into
 cyclic permutations c_1^{m_1} ... c_{n-2}^{m_{n-2}}, applied right to left;
@@ -16,13 +17,13 @@ the k-conjugate goes through the (k+1)-core bijection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 
 from .matrices import RingMatrix
 from .partitions import Partition, conjugate
 from .peterson import LocFrac, phi_context, tau_sigma
-from .polynomials import Poly, f_subset_sum, xq_vars
+from .polynomials import Poly, f_subset_sum, grouped_product, xq_vars
 from .scalars import normalize
 from .symfunc import SymFunc
 
@@ -137,19 +138,16 @@ class QuantizeContext:
         size = len(self.staircase)
         assert size == len(self.basis)
         rows = [[0] * size for _ in range(size)]
+        tables = [factors.__getitem__ for factors in elem[1:]]
+        zero = Poly.zero(self.xvars)
         for c, exps in enumerate(self.basis):
-            poly = Poly.const(self.xvars, 1)
-            for j, i in enumerate(exps, start=1):
-                if i:
-                    poly = poly * elem[j][i]
-            for e, coeff in poly.terms.items():
+            for e, coeff in grouped_product({exps: 1}, tables, zero).terms.items():
                 rows[self._stair_position(e)][c] = coeff
         self.inverse = RingMatrix(rows).inverse()
         self._inverse_columns = [
-            [(c, a) for c, a in enumerate(column) if a]
+            [(self.basis[c], a) for c, a in enumerate(column) if a]
             for column in zip(*self.inverse.rows)
         ]
-        self._f_q_cache: dict = {}
 
     def _stair_position(self, e) -> int:
         idx = self.stair_index.get(e)
@@ -159,28 +157,17 @@ class QuantizeContext:
             )
         return idx
 
-    def expand(self, p: Poly):
-        """Coefficients of p over the f-monomial basis (same order as
-        self.basis)."""
+    def expand(self, p: Poly) -> dict:
+        """The non-zero coefficients of p over the f-monomial basis, keyed by
+        the basis exponents (i_1, ..., i_{n-1})."""
         for v in p.vars:
             if p.degree_in(v) > 0 and not v.startswith("x"):
                 raise NotInSpanError(f"variable {v} is not allowed in L_n")
-        coords = [0] * len(self.basis)
+        coords: dict = {}
         for e, coeff in p.with_vars(self.xvars).terms.items():
-            for c, a in self._inverse_columns[self._stair_position(e)]:
-                coords[c] += a * coeff
-        return [normalize(x) for x in coords]
-
-    def f_q_monomial(self, exps) -> Poly:
-        """The F-monomial prod_j F^(j)_{i_j} as a polynomial in x, Q."""
-        exps = tuple(exps)
-        if exps not in self._f_q_cache:
-            poly = Poly.const(xq_vars(self.n), 1)
-            for j, i in enumerate(exps, start=1):
-                if i:
-                    poly = poly * fq_poly(self.n, j, i)
-            self._f_q_cache[exps] = poly
-        return self._f_q_cache[exps]
+            for exps, a in self._inverse_columns[self._stair_position(e)]:
+                coords[exps] = coords.get(exps, 0) + a * coeff
+        return {exps: normalize(c) for exps, c in coords.items() if c}
 
 
 @lru_cache(maxsize=None)
@@ -190,17 +177,16 @@ def quantize_context(n: int) -> QuantizeContext:
 
 def quantize(p: Poly, n: int) -> Poly:
     """The quantization map: expand p over the f-monomial basis and replace
-    each basis monomial by the matching F-monomial.
+    each basis monomial prod_j e_{i_j}(1 - x_1, ..., 1 - x_j) by the
+    F-monomial prod_j F^(j)_{i_j}, summed by ``grouped_product``.
 
     Raises NotInSpanError when p is not in the staircase span L_n.
     """
-    ctx = quantize_context(n)
-    coords = ctx.expand(p)
-    total = Poly.zero(xq_vars(n))
-    for coeff, exps in zip(coords, ctx.basis):
-        if coeff:
-            total = total + ctx.f_q_monomial(exps) * coeff
-    return total
+    return grouped_product(
+        quantize_context(n).expand(p),
+        [partial(fq_poly, n, j) for j in range(1, n)],
+        Poly.zero(xq_vars(n)),
+    )
 
 
 @lru_cache(maxsize=None)
@@ -359,26 +345,35 @@ def phi_f_image(n: int, m: int, i: int) -> LocFrac:
 
 
 @lru_cache(maxsize=None)
-def _phi_f_monomial(n: int, exps: tuple) -> LocFrac:
+def _phi_f_tables(n: int):
+    """The images phi(F^(j)_i), i = 0..j, over one denominator per level j:
+    the componentwise largest of their denominators.  Returns one table of
+    numerators per level j = 1..n-1 and the sum of those denominators."""
     ctx = phi_context(n)
-    total = ctx.one
-    for j, i in enumerate(exps, start=1):
-        if i:
-            total = total * phi_f_image(n, j, i)
-    return total
+    tables, den = [], [0] * len(ctx.factors)
+    for j in range(1, n):
+        images = [phi_f_image(n, j, i) for i in range(j + 1)]
+        common = [max(col) for col in zip(*(image.den for image in images))]
+        numerators = [
+            image.num * ctx.factor_product(tuple(c - d for c, d in zip(common, image.den)))
+            for image in images
+        ]
+        tables.append(numerators.__getitem__)
+        den = [a + b for a, b in zip(den, common)]
+    return tables, tuple(den)
 
 
 @lru_cache(maxsize=None)
 def phi_groth_image(w) -> LocFrac:
-    """phi(G^Q_w) computed through the f-monomial expansion of G_w, reduced."""
+    """phi(G^Q_w), reduced: the f-monomial coordinates of G_w summed over
+    the images phi(F^(j)_i) by ``grouped_product``, over one denominator."""
     n = w.n
-    coords = quantize_context(n).expand(groth_poly(w))
     ctx = phi_context(n)
-    total = ctx.zero
-    for coeff, exps in zip(coords, quantize_context(n).basis):
-        if coeff:
-            total = total + _phi_f_monomial(n, exps) * coeff
-    return ctx.reduce(total)
+    tables, den = _phi_f_tables(n)
+    num = grouped_product(
+        quantize_context(n).expand(groth_poly(w)), tables, ctx.zero.num
+    )
+    return ctx.reduce(LocFrac(ctx, num, den))
 
 
 @lru_cache(maxsize=None)

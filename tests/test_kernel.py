@@ -11,14 +11,14 @@ from fractions import Fraction
 from itertools import zip_longest
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.polyerrors import ExactQuotientFailed
 from sympy.polys.rings import ring
 
 from kpeterson.peterson import kappa
-from kpeterson.polynomials import Poly, terms_mul
+from kpeterson.polynomials import Poly, grouped_product, power_table, terms_mul
 from kpeterson.scalars import Rational, normalize
 from kpeterson.symfunc import SymFunc, from_p_dict, to_p_dict
 
@@ -221,3 +221,52 @@ def test_negative_exponent_rejected():
         Poly.monomial(VARS, (1, -1, 0))
     with pytest.raises(ValueError):
         Poly.from_json({"vars": list(VARS), "terms": [{"coeff": "1", "exps": [0, -2, 0]}]})
+
+
+# -- the grouped product against a plain sum of products ---------------------------
+
+
+def reference_grouped_product(parts, tables, zero):
+    """sum of part * prod_j tables[j][key[j]], one term at a time."""
+    total = zero
+    for key, part in parts.items():
+        term = part
+        for table, e in zip(tables, key):
+            term = table[e] * term
+        total = total + term
+    return total
+
+
+leaves = st.one_of(polys(3), mixed_coeffs)
+entries = st.one_of(polys(2), mixed_coeffs, st.just(1), st.just(0))
+
+
+@st.composite
+def grouped_sums(draw):
+    """(parts, tables): a table per slot, entry 0 drawn like any other; a
+    slot whose largest exponent is 0 is unused by every key."""
+    tops = draw(st.lists(st.integers(0, 3), max_size=3))
+    tables = [draw(st.lists(entries, min_size=top + 1, max_size=top + 1)) for top in tops]
+    keys = st.tuples(*[st.integers(0, top) for top in tops])
+    return draw(st.dictionaries(keys, leaves, max_size=6)), tables
+
+
+@given(grouped_sums())
+@example(({}, []))
+@example(({}, [[1, 2]]))
+@example(({(): 3}, []))
+@example(({(0, 0): 2, (0, 1): Fraction(1, 2)}, [[1], [1, 1]]))
+@example(({(0,): 2, (1,): -1}, [[Poly.monomial(VARS, (1, 0, 0)), 5]]))
+def test_grouped_product_matches_sum_of_products(case):
+    parts, tables = case
+    zero = Poly.zero(VARS)
+    got = grouped_product(parts, [table.__getitem__ for table in tables], zero)
+    assert isinstance(got, Poly) and got.vars == VARS
+    assert got == reference_grouped_product(parts, tables, zero)
+
+
+@given(polys(3), st.integers(0, 6))
+def test_power_table_matches_pow(base, e):
+    power = power_table(base)
+    assert power(e) == base**e
+    assert power(e) is power(e)

@@ -285,6 +285,12 @@ class TestPhi:
         with pytest.raises(ValueError):
             phi_apply(poly, 3)
 
+    def test_negative_power_raises(self):
+        z1 = phi_context(3).image("z1")
+        assert z1**0 == 1
+        with pytest.raises(ValueError):
+            z1**-1
+
 
 class TestReduction:
     def test_arithmetic_never_divides(self, monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -33,7 +34,7 @@ from kpeterson.quantum import (
     quantum_groth,
     s_q_poly,
 )
-from kpeterson.scalars import Rational
+from kpeterson.scalars import Rational, rational_to_text
 from kpeterson.suites import load_tables
 from kpeterson.symfunc import SymFunc, perp
 
@@ -108,16 +109,15 @@ class TestQuantize:
         assert quantize(Poly.const(("x1",), 5), 3) == 5
 
     def test_basis_monomials_map_to_f_monomials(self):
-        from kpeterson.quantum import quantize_context
-
         n = 3
         ctx = quantize_context(n)
         for exps in ctx.basis:
             poly = Poly.const(ctx.xvars, 1)
+            expected = Poly.const(xq_vars(n), 1)
             for j, i in enumerate(exps, start=1):
-                if i:
-                    poly = poly * ctx._f_factors[j][i]
-            assert quantize(poly, n) == ctx.f_q_monomial(exps)
+                poly = poly * ctx._f_factors[j][i]
+                expected = expected * fq_poly(n, j, i)
+            assert quantize(poly, n) == expected
 
     def test_x1_at_n2(self):
         v = xq_vars(2)
@@ -137,9 +137,12 @@ class TestQuantize:
             assert spec == groth_poly(w).with_vars(spec.vars), w
 
     def test_q_zero_recovers_classical_s6(self):
-        w = Permutation.from_text("213465")
-        spec = quantum_groth(w).specialize({f"Q{i}": 0 for i in range(1, 6)})
-        assert spec == groth_poly(w).with_vars(spec.vars)
+        for text in ("213465", "654321"):
+            w = Permutation.from_text(text)
+            spec = quantum_groth(w).specialize({f"Q{i}": 0 for i in range(1, 6)})
+            assert spec == groth_poly(w).with_vars(spec.vars), text
+        # the last w is the longest element: its G_w is the staircase monomial
+        assert spec.to_str() == "x1^5*x2^4*x3^3*x4^2*x5"
 
     def test_rejects_outside_span(self):
         with pytest.raises(NotInSpanError):
@@ -187,7 +190,8 @@ class TestQuantizeContext:
             for e, coeff in groth_poly(w).terms.items():
                 vec[ctx.stair_index[e]] = coeff
             dense = [sum(a * b for a, b in zip(row, vec)) for row in ctx.inverse.rows]
-            assert ctx.expand(groth_poly(w)) == dense, w
+            expected = {exps: x for exps, x in zip(ctx.basis, dense) if x}
+            assert ctx.expand(groth_poly(w)) == expected, w
 
 
 class TestSQ:
@@ -348,6 +352,16 @@ class TestGTilde:
     def test_identity(self):
         assert g_tilde(Permutation.identity(3)) == SymFunc.one()
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_image_matches_homomorphism_on_quantum_groth(self, n):
+        # phi_groth_image assembles the F-images over the f-basis
+        # coordinates; apply_frac evaluates the quantized polynomial term by
+        # term through the generator table.  Lowest terms are unique.
+        ctx = phi_context(n)
+        for w in all_permutations(n):
+            image, direct = phi_groth_image(w), ctx.apply_frac(quantum_groth(w))
+            assert (image.num, image.den) == (direct.num, direct.den), w
+
     def test_grassmannian_images(self):
         # lambda = empty gives the identity (no descents), covered above;
         # the descent-cleared numerator form needs Des(w) = {d}.
@@ -385,3 +399,33 @@ class TestGTilde:
                 route_b = perp(lifted, table.tau[d])
                 assert route_b == dual_groth(complement(lam, d, n))
                 assert image == ctx.from_symfunc(route_b)
+
+
+def _outputs_digest(ns):
+    """sha256 over the reduced phi(F^(m)_i) for m < n and, for every w in
+    S_n, phi(G^Q_w), g_tilde(w) and G^Q_w, coefficients as rational text."""
+    digest = hashlib.sha256()
+
+    def poly_text(terms):
+        return ";".join(f"{e}:{rational_to_text(c)}" for e, c in terms)
+
+    def frac_text(frac):
+        return poly_text(frac.num.sorted_terms()) + "/" + str(frac.den)
+
+    for n in ns:
+        for m in range(1, n):
+            for i in range(m + 1):
+                digest.update(frac_text(phi_f_image(n, m, i)).encode())
+        for w in all_permutations(n):
+            digest.update(frac_text(phi_groth_image(w)).encode())
+            digest.update(poly_text(sorted(g_tilde(w).terms.items())).encode())
+            digest.update(poly_text(quantum_groth(w).sorted_terms()).encode())
+    return digest.hexdigest()
+
+
+def test_outputs_match_pinned_digest():
+    # Recorded from the term-by-term sums of cached F-monomials and of their
+    # Phi_n images that grouped_product replaced.
+    assert _outputs_digest(range(3, 6)) == (
+        "4ab6f8831dac3a675934bf1c229e5570551e00fba1946251c8b7ddda27323a4b"
+    )
