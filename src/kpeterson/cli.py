@@ -54,6 +54,27 @@ MAX_PHI_N = 8
 # about 2 s at n = 6; at n = 7 it is 5040 x 5040, which is unmeasured.
 MAX_QUANTIZE_N = 6
 
+# Largest --trials `kpet verify` and `kpet toda-roundtrip` accept.  The suites
+# build every case (one per trial and n) before the first one runs, so an
+# absurd count would exhaust memory instead of running.  At the limit,
+# `kpet verify toda-roundtrip --trials 1000` (4,000 cases over n = 2..5) takes
+# about 42 s in 21 MB, and `kpet verify d-recursions --trials 1000` about 2 s.
+MAX_TRIALS = 1000
+
+# Largest |lambda| and number of variables d `kpet gstable` accepts: the
+# set-valued tableaux it sums grow exponentially in both.  The slowest
+# accepted input, `kpet gstable 5,1 6`, takes about 8 s; `gstable 6,1 6` ran
+# past 20 s and `gstable 4,1 7` past 30 s.
+MAX_GSTABLE_WEIGHT = 6
+MAX_GSTABLE_VARS = 6
+
+# Largest length l(lambda) and size |lambda| `kpet gdual` accepts.  Its
+# determinant is l x l over the h-basis: at l = 6 the slowest shape timed,
+# `kpet gdual 11,11,10,10,9,9`, takes about 4 s, while at l = 7
+# `gdual 5,5,5,5,5,5,5` ran past 40 s and at l = 16 `gdual 1,...,1` took 29 s.
+MAX_GDUAL_LENGTH = 6
+MAX_GDUAL_WEIGHT = 60
+
 
 class ExprError(ValueError):
     def __init__(self, message: str, pos: int):
@@ -313,10 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _bounded_n(n: int) -> int:
-    if n > MAX_PHI_N:
-        raise ValueError(f"--n {n} is above the limit {MAX_PHI_N}")
-    return n
+def _bounded(value: int, limit: int, what: str) -> int:
+    if value > limit:
+        raise ValueError(f"{what} {value} is above the limit {limit}")
+    return value
 
 
 def _positive_counts(args):
@@ -324,6 +345,8 @@ def _positive_counts(args):
         value = getattr(args, flag)
         if value is not None and value < 1:
             raise ValueError(f"--{flag} {value} is not positive")
+    if args.trials is not None:
+        _bounded(args.trials, MAX_TRIALS, "--trials")
 
 
 def _perm(args) -> Permutation:
@@ -335,10 +358,7 @@ def _perm(args) -> Permutation:
 
 def _quantized_perm(args) -> Permutation:
     w = _perm(args)
-    if w.n > MAX_QUANTIZE_N:
-        raise ValueError(
-            f"permutation length {w.n} is above the limit {MAX_QUANTIZE_N}"
-        )
+    _bounded(w.n, MAX_QUANTIZE_N, "permutation length")
     return w
 
 
@@ -357,7 +377,10 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     cmd = args.command
     if cmd == "gdual":
-        value = dual_groth(Partition.from_text(args.partition))
+        lam = Partition.from_text(args.partition)
+        _bounded(len(lam), MAX_GDUAL_LENGTH, "partition length")
+        _bounded(lam.weight, MAX_GDUAL_WEIGHT, "partition size")
+        value = dual_groth(lam)
         _emit(args, value.to_json(), value.to_str())
     elif cmd == "klr":
         value = klr_coeff(
@@ -367,10 +390,12 @@ def _dispatch(args) -> int:
         )
         _emit(args, value, str(value))
     elif cmd == "gstable":
-        value = stable_groth_vars(Partition.from_text(args.partition), args.d)
+        lam = Partition.from_text(args.partition)
+        _bounded(lam.weight, MAX_GSTABLE_WEIGHT, "partition size")
+        value = stable_groth_vars(lam, _bounded(args.d, MAX_GSTABLE_VARS, "d"))
         _emit(args, value.to_json(), value.to_str())
     elif cmd == "tau":
-        table = tau_sigma(_bounded_n(args.n))
+        table = tau_sigma(_bounded(args.n, MAX_PHI_N, "--n"))
         payload = {
             "n": args.n,
             "tau": [t.to_json() for t in table.tau],
@@ -384,10 +409,10 @@ def _dispatch(args) -> int:
     elif cmd == "ddet":
         theta = tuple(int(v) for v in args.theta.split(","))
         avec = tuple(int(v) for v in args.a.split(","))
-        value = d_det(DSpec(theta, avec, _bounded_n(args.n)))
+        value = d_det(DSpec(theta, avec, _bounded(args.n, MAX_PHI_N, "--n")))
         _emit(args, value.to_json(), value.to_str())
     elif cmd == "phi":
-        poly = parse_phi_expr(args.poly, _bounded_n(args.n))
+        poly = parse_phi_expr(args.poly, _bounded(args.n, MAX_PHI_N, "--n"))
         frac = phi_apply(poly, args.n)
         num = SymFunc.from_poly(frac.num)
         den = SymFunc.from_poly(frac.ctx.factor_product(frac.den))

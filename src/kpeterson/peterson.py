@@ -15,8 +15,9 @@ numerator polynomial in h_1..h_{n-1} over a denominator kept in factored
 form as a monomial in {tau_i, sigma_i}.  LocFrac arithmetic never divides;
 PhiContext.reduce, the only place that tries exact division, brings each
 finished image to lowest terms once.  The D-determinant family
-(truncated-series minors), its recursions, the kappa_d involution, and the
-skew-operator identities complete the toolkit.
+(truncated-series minors), its recursions, the kappa_d involution (one
+substitution of the cached images kappa_d(h_i), each found once through the
+p-basis), and the skew-operator identities complete the toolkit.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from math import comb
 from .grothendieck import dual_groth
 from .matrices import RingMatrix
 from .partitions import Partition, partitions_in_rectangle
-from .polynomials import Poly, grouped_product, power_table, terms_add, terms_mul, zq_vars
+from .polynomials import Poly, grouped_product, power_table, zq_vars
 from .scalars import Rational
-from .symfunc import SymFunc, from_p_dict, p_perp, perp, schur, to_p_dict
+from .symfunc import SymFunc, _substitute, from_p_dict, p_perp, perp, schur, to_p_dict
 
 __all__ = [
     "TauSigmaTable",
@@ -178,18 +179,16 @@ def kappa_p(d: int, i: int) -> dict:
     return out
 
 
+@lru_cache(maxsize=None)
+def _kappa_h(d: int, i: int) -> SymFunc:
+    """kappa_d(h_i), through the p-basis."""
+    return from_p_dict(_substitute(to_p_dict(SymFunc.h(i)), lambda j: kappa_p(d, j)))
+
+
 def kappa(d: int, f: SymFunc) -> SymFunc:
-    """The ring endomorphism with kappa_d(p_i) as above; an involution."""
-    total: dict = {}
-    for exps, coeff in to_p_dict(f).items():
-        term = {(): coeff}
-        for i, e in enumerate(exps, start=1):
-            if e:
-                image = kappa_p(d, i)
-                for _ in range(e):
-                    term = terms_mul(term, image)
-        total = terms_add(total, term)
-    return from_p_dict(total)
+    """The ring endomorphism with kappa_d(p_i) as above; an involution.  It
+    sends each h_i to kappa_d(h_i), one substitution in the h-basis."""
+    return SymFunc(_substitute(f.terms, lambda i: _kappa_h(d, i).terms))
 
 
 # -- localized fractions and the Phi_n homomorphism ----------------------------------

@@ -5,6 +5,9 @@ A SymFunc is an exact-rational linear combination of monomials in h1, h2,
 of h_i at slot i-1, trailing zeros trimmed).  Schur functions, the p-basis
 conversions (Newton's identities), and the Hall-pairing skew operators
 (p_i-perp acts on h_j as h_{j-i}, extended as a derivation) live here.
+A ring map of Lambda given by the images of its generators -- h to p, p to
+h, the expansion in finitely many variables -- is one Poly.substitute in
+the generators up to the widest monomial (``_substitute``).
 
 Serialization format: a JSON list of {"coeff": "p/q", "monomial": [i1, i2,
 ...]} with the monomial written as its weakly decreasing index multiset and
@@ -16,7 +19,7 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 
 from .matrices import RingMatrix
-from .polynomials import Poly, format_terms, terms_add, terms_mul, terms_scale
+from .polynomials import Poly, format_terms, power_table, terms_add, terms_mul, terms_scale
 from .scalars import Rational, normalize, rat, rational_from_text, rational_to_text
 
 __all__ = ["SymFunc", "schur", "to_p_dict", "from_p_dict", "perp"]
@@ -170,10 +173,7 @@ class SymFunc:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power")
-        result = SymFunc.one()
-        for _ in range(k):
-            result = result * self
-        return result
+        return self._coerce(power_table(self)(k))
 
     def exact_div(self, divisor: "SymFunc"):
         """Exact division in the h-polynomial ring, or None if inexact.
@@ -200,12 +200,7 @@ class SymFunc:
         """As a polynomial in variables h1..h_{n-1}; requires Lambda_(n)."""
         if not self.in_lambda_n(n):
             raise ValueError(f"not in Lambda_({n})")
-        width = n - 1
-        variables = tuple(f"h{i}" for i in range(1, n))
-        return Poly(
-            variables,
-            {e + (0,) * (width - len(e)): c for e, c in self.terms.items()},
-        )
+        return _widen(self.terms, n - 1)
 
     @classmethod
     def from_poly(cls, p: Poly) -> "SymFunc":
@@ -217,14 +212,9 @@ class SymFunc:
     def expand_in_vars(self, num_vars: int) -> Poly:
         """Image in finitely many variables x1..x_N (each h_i expanded)."""
         variables = tuple(f"x{i}" for i in range(1, num_vars + 1))
-        out = Poly.zero(variables)
-        for e, c in self.sorted_terms():
-            term = Poly.const(variables, c)
-            for i, exp in enumerate(e, start=1):
-                for _ in range(exp):
-                    term = term * _h_expansion(i, num_vars)
-            out = out + term
-        return out
+        poly = _widen(self.terms, _width(self.terms))
+        images = {v: _h_expansion(i, num_vars) for i, v in enumerate(poly.vars, 1)}
+        return poly.substitute(images, variables)
 
     # -- serialization ---------------------------------------------------------
 
@@ -257,6 +247,31 @@ class SymFunc:
             )
             for e, c in self.sorted_terms()
         )
+
+
+def _width(terms) -> int:
+    return max(map(len, terms), default=0)
+
+
+def _widen(terms, width: int) -> Poly:
+    """A trimmed term dict as a Poly over generators h1..h_width."""
+    return Poly(
+        tuple(f"h{i}" for i in range(1, width + 1)),
+        {e + (0,) * (width - len(e)): c for e, c in terms.items()},
+    )
+
+
+def _substitute(terms, image) -> dict:
+    """The ring map that sends generator i to image(i), on trimmed term dicts.
+
+    image(i) is a trimmed term dict no wider than i, so the result is no
+    wider than `terms`: one Poly.substitute in the generators up to the
+    widest monomial of `terms`, trimmed back.
+    """
+    width = _width(terms)
+    poly = _widen(terms, width)
+    images = {v: _widen(image(i), width) for i, v in enumerate(poly.vars, 1)}
+    return {_trim(e): c for e, c in poly.substitute(images, poly.vars).terms.items()}
 
 
 _H_EXPANSIONS: dict = {}
@@ -325,30 +340,14 @@ def _ensure_newton(m: int):
 
 def to_p_dict(f: SymFunc) -> dict:
     """Expand f over monomials in p_1, p_2, ... (exponent-vector keys)."""
-    out: dict = {}
-    for e, c in f.terms.items():
-        term = {(): c}
-        for i, exp in enumerate(e, start=1):
-            if exp:
-                _ensure_newton(i)
-                for _ in range(exp):
-                    term = terms_mul(term, _H_IN_P[i])
-        out = terms_add(out, term)
-    return out
+    _ensure_newton(_width(f.terms))
+    return _substitute(f.terms, _H_IN_P.__getitem__)
 
 
 def from_p_dict(d: dict) -> SymFunc:
     """Inverse of to_p_dict."""
-    total = SymFunc.zero()
-    for e, c in _sorted_terms(d):
-        term = SymFunc.const(c)
-        for i, exp in enumerate(e, start=1):
-            if exp:
-                _ensure_newton(i)
-                for _ in range(exp):
-                    term = term * _P_IN_H[i]
-        total = total + term
-    return total
+    _ensure_newton(_width(d))
+    return SymFunc(_substitute(d, lambda i: _P_IN_H[i].terms))
 
 
 def p_perp(i: int, g: SymFunc) -> SymFunc:

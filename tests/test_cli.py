@@ -3,9 +3,14 @@ import json
 import pytest
 
 from kpeterson.cli import (
+    MAX_GDUAL_LENGTH,
+    MAX_GDUAL_WEIGHT,
+    MAX_GSTABLE_VARS,
+    MAX_GSTABLE_WEIGHT,
     MAX_PHI_CELLS,
     MAX_PHI_N,
     MAX_QUANTIZE_N,
+    MAX_TRIALS,
     main,
     max_phi_degree,
     parse_phi_expr,
@@ -183,6 +188,37 @@ class TestExprParser:
         assert err.count("\n") == 1 and err.startswith("error:")
         assert f"above the limit {MAX_PHI_N}" in err
 
+    @pytest.mark.parametrize(
+        "argv, limit",
+        [
+            (("gstable", str(MAX_GSTABLE_WEIGHT + 1), "1"), MAX_GSTABLE_WEIGHT),
+            (("gstable", "2", str(MAX_GSTABLE_VARS + 1)), MAX_GSTABLE_VARS),
+            (("gstable", "2", "40"), MAX_GSTABLE_VARS),
+            (("gstable", "4,4,4", "9"), MAX_GSTABLE_WEIGHT),
+            (("gdual", ",".join(["1"] * (MAX_GDUAL_LENGTH + 1))), MAX_GDUAL_LENGTH),
+            (("gdual", ",".join(["1"] * 20)), MAX_GDUAL_LENGTH),
+            (("gdual", str(MAX_GDUAL_WEIGHT + 1)), MAX_GDUAL_WEIGHT),
+        ],
+    )
+    def test_grothendieck_input_above_limit_is_usage_error(self, capsys, argv, limit):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert f"above the limit {limit}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gstable", str(MAX_GSTABLE_WEIGHT), "1"),
+            ("gstable", "1", str(MAX_GSTABLE_VARS)),
+            ("gdual", ",".join(["1"] * MAX_GDUAL_LENGTH)),
+            ("gdual", str(MAX_GDUAL_WEIGHT)),
+        ],
+    )
+    def test_grothendieck_input_at_limit_answers(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == "" and out
+
 
 class TestVerify:
     def test_suite_runs_green(self, capsys):
@@ -219,6 +255,21 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error:")
         assert "is not positive" in err
+
+    @pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 1_000_000_000])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "d-recursions"),
+            ("verify", "toda-roundtrip", "--n", "3"),
+            ("toda-roundtrip", "--n", "3"),
+        ],
+    )
+    def test_trials_above_limit_is_usage_error(self, capsys, argv, trials):
+        code, out, err = run_cli(capsys, *argv, "--trials", str(trials))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert f"above the limit {MAX_TRIALS}" in err
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -4,7 +4,9 @@ Poly arithmetic is checked against sympy's sparse rings over QQ (a test
 oracle only); SymFunc and the power-sum conversions are checked against Poly
 through to_poly/from_poly and against their own inverses.  The packed-int
 multiply is checked against a plain tuple loop kept here as the reference,
-on both exponent layouts.
+on both exponent layouts.  The ring maps of the symmetric-function layer
+(to_p_dict, from_p_dict, kappa, expand_in_vars), which run as one
+Poly.substitute each, are checked against term-by-term product loops.
 """
 
 from fractions import Fraction
@@ -17,10 +19,18 @@ from sympy import QQ
 from sympy.polys.polyerrors import ExactQuotientFailed
 from sympy.polys.rings import ring
 
-from kpeterson.peterson import kappa
-from kpeterson.polynomials import Poly, grouped_product, power_table, terms_mul
+from kpeterson.peterson import kappa, kappa_p
+from kpeterson.polynomials import Poly, grouped_product, power_table, terms_add, terms_mul
 from kpeterson.scalars import Rational, normalize
-from kpeterson.symfunc import SymFunc, from_p_dict, to_p_dict
+from kpeterson.symfunc import (
+    _H_IN_P,
+    _P_IN_H,
+    SymFunc,
+    _ensure_newton,
+    _h_expansion,
+    from_p_dict,
+    to_p_dict,
+)
 
 VARS = ("x1", "x2", "x3")
 SYMPY_RING = ring(",".join(VARS), QQ)[0]
@@ -270,3 +280,129 @@ def test_power_table_matches_pow(base, e):
     power = power_table(base)
     assert power(e) == base**e
     assert power(e) is power(e)
+
+
+# -- the ring maps of Lambda against term-by-term product loops ---------------------
+
+
+def reference_to_p_dict(f: SymFunc) -> dict:
+    """Each h-monomial of f multiplied out over the p-images of its h_i."""
+    out: dict = {}
+    for e, c in f.terms.items():
+        term = {(): c}
+        for i, exp in enumerate(e, start=1):
+            if exp:
+                _ensure_newton(i)
+                for _ in range(exp):
+                    term = terms_mul(term, _H_IN_P[i])
+        out = terms_add(out, term)
+    return out
+
+
+def reference_from_p_dict(d: dict) -> SymFunc:
+    """Each p-monomial of d multiplied out over the h-images of its p_i."""
+    total = SymFunc.zero()
+    for e, c in d.items():
+        term = SymFunc.const(c)
+        for i, exp in enumerate(e, start=1):
+            if exp:
+                _ensure_newton(i)
+                for _ in range(exp):
+                    term = term * _P_IN_H[i]
+        total = total + term
+    return total
+
+
+def reference_kappa(d: int, f: SymFunc) -> SymFunc:
+    """kappa_d applied in the p-basis: to p, each p_i to kappa_d(p_i), back."""
+    total: dict = {}
+    for exps, coeff in reference_to_p_dict(f).items():
+        term = {(): coeff}
+        for i, e in enumerate(exps, start=1):
+            for _ in range(e):
+                term = terms_mul(term, kappa_p(d, i))
+        total = terms_add(total, term)
+    return reference_from_p_dict(total)
+
+
+def reference_expand_in_vars(f: SymFunc, num_vars: int) -> Poly:
+    """Each h-monomial of f multiplied out over the x-expansions of its h_i."""
+    variables = tuple(f"x{i}" for i in range(1, num_vars + 1))
+    out = Poly.zero(variables)
+    for e, c in f.terms.items():
+        term = Poly.const(variables, c)
+        for i, exp in enumerate(e, start=1):
+            for _ in range(exp):
+                term = term * _h_expansion(i, num_vars)
+        out = out + term
+    return out
+
+
+# zero, a constant, a monomial in the widest generator alone (the narrower ones
+# absent) and monomials of mixed widths
+EDGE_SYMFUNCS = (
+    SymFunc.zero(),
+    SymFunc.const(Fraction(-3, 2)),
+    SymFunc.monomial((0, 0, 2), 3),
+    SymFunc.monomial((0, 0, 0, 1)) + SymFunc.monomial((1,), Fraction(1, 2)) + 4,
+)
+
+
+def with_edge_cases(*rest):
+    """Run a test on each of EDGE_SYMFUNCS, with `rest` as its other arguments."""
+
+    def decorate(test):
+        for f in EDGE_SYMFUNCS:
+            test = example(f, *rest)(test)
+        return test
+
+    return decorate
+
+
+def is_trimmed(terms) -> bool:
+    return all(e == trim(e) for e in terms)
+
+
+@given(symfuncs())
+@with_edge_cases()
+def test_to_p_dict_matches_product_loop(f):
+    got = to_p_dict(f)
+    assert got == reference_to_p_dict(f)
+    assert is_trimmed(got)
+    assert_normalized(got)
+
+
+@given(symfuncs())
+@with_edge_cases()
+def test_from_p_dict_matches_product_loop(f):
+    p_dict = f.terms  # read as a p-dict
+    got = from_p_dict(p_dict)
+    assert got == reference_from_p_dict(p_dict)
+    assert is_trimmed(got.terms)
+    assert_normalized(got.terms)
+
+
+@given(symfuncs(3), st.integers(0, 4))
+@with_edge_cases(0)
+@with_edge_cases(3)
+def test_kappa_matches_p_basis_loop(f, d):
+    got = kappa(d, f)
+    assert got == reference_kappa(d, f)
+    assert is_trimmed(got.terms)
+
+
+@given(symfuncs(3), st.integers(0, 4))
+@with_edge_cases(0)
+@with_edge_cases(3)
+def test_expand_in_vars_matches_product_loop(f, num_vars):
+    got = f.expand_in_vars(num_vars)
+    assert got.vars == tuple(f"x{i}" for i in range(1, num_vars + 1))
+    assert got == reference_expand_in_vars(f, num_vars)
+
+
+@given(symfuncs(3), st.integers(0, 4))
+def test_symfunc_pow_matches_repeated_product(f, k):
+    expected = SymFunc.one()
+    for _ in range(k):
+        expected = expected * f
+    assert f**k == expected
