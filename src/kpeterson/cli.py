@@ -50,8 +50,10 @@ MAX_PHI_CELLS = 100_000
 MAX_PHI_N = 8
 
 # Largest permutation length `kpet qgroth` and `kpet gtilde` accept: both
-# expand G_w over the n! f-monomials, whose coordinate matrix is inverted in
-# about 2 s at n = 6; at n = 7 it is 5040 x 5040, which is unmeasured.
+# expand G_w over the n! f-monomials, whose coordinate matrix is built and
+# inverted in about 1.4 s at n = 6 (`kpet gtilde 654321` takes about 2 s in
+# all); at n = 7 it is 5040 x 5040, and its inverse takes minutes and over a
+# gigabyte.
 MAX_QUANTIZE_N = 6
 
 # Largest --trials `kpet verify` and `kpet toda-roundtrip` accept.  The suites
@@ -63,16 +65,17 @@ MAX_TRIALS = 1000
 
 # Largest |lambda| and number of variables d `kpet gstable` accepts: the
 # set-valued tableaux it sums grow exponentially in both.  The slowest
-# accepted input, `kpet gstable 5,1 6`, takes about 8 s; `gstable 6,1 6` ran
-# past 20 s and `gstable 4,1 7` past 30 s.
+# accepted input, `kpet gstable 5,1 6` (109,633 tableaux), takes about 0.5 s;
+# with both at 7, `gstable 4,2,1 7` takes about 19 s.
 MAX_GSTABLE_WEIGHT = 6
 MAX_GSTABLE_VARS = 6
 
 # Largest length l(lambda) and size |lambda| `kpet gdual` accepts.  Its
-# determinant is l x l over the h-basis: at l = 6 the slowest shape timed,
-# `kpet gdual 11,11,10,10,9,9`, takes about 4 s, while at l = 7
-# `gdual 5,5,5,5,5,5,5` ran past 40 s and at l = 16 `gdual 1,...,1` took 29 s.
-MAX_GDUAL_LENGTH = 6
+# determinant is l x l over the h-basis, expanded over the 2^l column
+# subsets: at l = 7 the slowest shape timed, `kpet gdual 10,10,10,10,10,5,5`,
+# takes about 5 s, while at l = 8 `gdual 8,8,8,8,7,7,7,7` takes 13 s and at
+# l = 10 `gdual 5,...,5` 28 s.
+MAX_GDUAL_LENGTH = 7
 MAX_GDUAL_WEIGHT = 60
 
 

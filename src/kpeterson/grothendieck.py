@@ -221,7 +221,7 @@ def stable_groth_vars(lam: Partition, d: int) -> Poly:
     variables = tuple(f"x{i}" for i in range(1, d + 1))
     if len(lam) > d:
         return Poly.zero(variables)
-    total = Poly.zero(variables)
+    terms: dict = {}
     for cells in _enumerate_svt(lam, d, None):
         exps = [0] * d
         size = 0
@@ -229,6 +229,6 @@ def stable_groth_vars(lam: Partition, d: int) -> Poly:
             size += len(s)
             for v in s:
                 exps[v - 1] += 1
-        coeff = 1 if (size - lam.weight) % 2 == 0 else -1
-        total = total + Poly.monomial(variables, exps, coeff)
-    return total
+        key = tuple(exps)
+        terms[key] = terms.get(key, 0) + (1 if (size - lam.weight) % 2 == 0 else -1)
+    return Poly(variables, {e: c for e, c in terms.items() if c})

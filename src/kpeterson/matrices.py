@@ -2,8 +2,8 @@
 
 Entries only need +, -, * (with each other and with ints) and, for the
 fraction-free path, an exact __truediv__.  Determinants: Bareiss for
-rational entries, memoized cofactor expansion for small symbolic matrices
-(every symbolic matrix in this artifact is at most 6x6).
+rational entries, memoized cofactor expansion (one minor per subset of
+columns, no division) for every other ring.
 
 ``inverse`` and ``solve`` (rational entries) share one Gauss-Jordan
 elimination over sparse rows whose integral entries stay ``int``
@@ -98,16 +98,13 @@ class RingMatrix:
     # -- determinants -----------------------------------------------------
 
     def det(self):
-        """Bareiss for rational entries or above 6x6, memoized cofactor
-        expansion otherwise."""
+        """Bareiss for rational entries, memoized cofactor expansion for
+        every other ring."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        if n == 0:
+        if self.nrows == 0:
             return Rational(1)
-        if n > 6 or all(
-            isinstance(x, (int, Rational)) for row in self.rows for x in row
-        ):
+        if all(isinstance(x, (int, Rational)) for row in self.rows for x in row):
             return self._det_bareiss()
         return self._det_cofactor()
 

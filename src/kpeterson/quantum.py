@@ -4,10 +4,10 @@ Grothendieck polynomials are built by isobaric divided differences from the
 staircase monomial; the quantization map rewrites a polynomial over the
 f-monomial basis (products of elementary symmetric polynomials in 1-x_1,
 ..., 1-x_j) and replaces each basis element by its Q-deformation F^(j)_i.
-The images under the Peterson map are computed through the same basis:
-phi(G^Q_w) sums the f-basis coordinates of G_w over the images
-phi(F^(j)_i), brought to one denominator per level j, and is reduced once.
-Both sums run through ``polynomials.grouped_product``.
+The Peterson images are the paper's D-ratios phi(F^(m)_i) = D(theta)/tau_m:
+phi(G^Q_w) sums the f-basis coordinates of G_w over the numerators D(theta),
+over the one denominator tau_1 ... tau_{n-1}, and is reduced once.  Both
+sums run through ``polynomials.grouped_product``.
 
 The lambda-map factors w (normalized to w(1)=1 by the long cycle) into
 cyclic permutations c_1^{m_1} ... c_{n-2}^{m_{n-2}}, applied right to left;
@@ -22,7 +22,7 @@ from itertools import product
 
 from .matrices import RingMatrix
 from .partitions import Partition, conjugate
-from .peterson import LocFrac, phi_context, tau_sigma
+from .peterson import LocFrac, d_plain, phi_context, tau_sigma
 from .polynomials import Poly, f_subset_sum, grouped_product, xq_vars
 from .scalars import normalize
 from .symfunc import SymFunc
@@ -339,41 +339,40 @@ def k_conjugate(mu: Partition, k: int) -> Partition:
 
 
 @lru_cache(maxsize=None)
-def phi_f_image(n: int, m: int, i: int) -> LocFrac:
-    """phi(F^(m)_i), reduced."""
-    return phi_context(n).apply_frac(fq_poly_z(n, m, i))
+def _f_numerator(n: int, m: int, i: int) -> Poly:
+    """D(theta), theta_a = m - a - [a > m - i]: phi(F^(m)_i) times tau_m,
+    for 0 <= i <= m (D(m-1, ..., 0) = tau_m)."""
+    theta = tuple(m - a - (a > m - i) for a in range(1, m + 1))
+    return d_plain(theta, n).to_poly(n)
 
 
 @lru_cache(maxsize=None)
-def _phi_f_tables(n: int):
-    """The images phi(F^(j)_i), i = 0..j, over one denominator per level j:
-    the componentwise largest of their denominators.  Returns one table of
-    numerators per level j = 1..n-1 and the sum of those denominators."""
+def phi_f_image(n: int, m: int, i: int) -> LocFrac:
+    """phi(F^(m)_i), reduced: the D-ratio D(theta)/tau_m of lambda = (1^i),
+    theta_a = m - (lambda_{m+1-a} + a), tau_n = 1; zero for i > m.  The
+    suite f-images certifies it against the substitution."""
+    if not (1 <= m <= n and i >= 0):
+        raise ValueError("need 1 <= m <= n and i >= 0")
     ctx = phi_context(n)
-    tables, den = [], [0] * len(ctx.factors)
-    for j in range(1, n):
-        images = [phi_f_image(n, j, i) for i in range(j + 1)]
-        common = [max(col) for col in zip(*(image.den for image in images))]
-        numerators = [
-            image.num * ctx.factor_product(tuple(c - d for c, d in zip(common, image.den)))
-            for image in images
-        ]
-        tables.append(numerators.__getitem__)
-        den = [a + b for a, b in zip(den, common)]
-    return tables, tuple(den)
+    if i > m:
+        return ctx.zero
+    den = tuple(int(k == m - 1) for k in range(n - 1)) + (0,) * (n - 1)
+    return ctx.reduce(LocFrac(ctx, _f_numerator(n, m, i), den))
 
 
 @lru_cache(maxsize=None)
 def phi_groth_image(w) -> LocFrac:
-    """phi(G^Q_w), reduced: the f-monomial coordinates of G_w summed over
-    the images phi(F^(j)_i) by ``grouped_product``, over one denominator."""
+    """phi(G^Q_w), reduced: the f-monomial coordinates of G_w summed by
+    ``grouped_product`` over the numerators of phi(F^(j)_i) = D_j[i]/tau_j,
+    over the one denominator tau_1 ... tau_{n-1}."""
     n = w.n
     ctx = phi_context(n)
-    tables, den = _phi_f_tables(n)
     num = grouped_product(
-        quantize_context(n).expand(groth_poly(w)), tables, ctx.zero.num
+        quantize_context(n).expand(groth_poly(w)),
+        [partial(_f_numerator, n, j) for j in range(1, n)],
+        ctx.zero.num,
     )
-    return ctx.reduce(LocFrac(ctx, num, den))
+    return ctx.reduce(LocFrac(ctx, num, (1,) * (n - 1) + (0,) * (n - 1)))
 
 
 @lru_cache(maxsize=None)

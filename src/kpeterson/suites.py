@@ -28,6 +28,7 @@ from .partitions import (
 )
 from .peterson import (
     DSpec,
+    LocFrac,
     d_base_check,
     d_plain,
     d_recursion_check,
@@ -38,6 +39,8 @@ from .peterson import (
 )
 from .polynomials import Poly
 from .quantum import (
+    _f_numerator,
+    fq_poly_z,
     g_tilde,
     grassmannian_perm,
     groth_poly,
@@ -185,6 +188,36 @@ def _suite_remarkable(n, trials, rng):
                 return image == expected, f"phi_{nn}(F_{i})", str(expected)
 
             cases.append(_case(f"n{nn}-F{i}", thunk))
+    return cases
+
+
+def _f_image_case(nn, m, i):
+    ctx = phi_context(nn)
+    image = ctx.apply_frac(fq_poly_z(nn, m, i), reduce_result=False)
+    lhs = image * ctx.from_symfunc(tau_sigma(nn).tau[m])
+    rhs = LocFrac(ctx, _f_numerator(nn, m, i), ctx.one.den)
+    return lhs == rhs, f"phi(F^({m})_{i})*tau{m}", f"D(theta) of (1^{i}), d={m}"
+
+
+def _suite_f_images(n, trials, rng):
+    """phi(F^(m)_i) = D(theta)/tau_m against the substitution Phi_n: the
+    unreduced image of F^(m)_i times tau_m equals the numerator D(theta)
+    that phi_f_image and phi_groth_image read, by cross-multiplication with
+    no division, for m < n and 0 <= i <= m.
+
+    This suite is the only link between those numerators and the
+    substitution.  The one-column -image cases of prop-6-chain compare the
+    D-ratio with itself, since phi_s_q_image reads phi_f_image."""
+    cases = []
+    for nn in _ns(n, (3, 4, 5)):
+        for m in range(1, nn):
+            for i in range(m + 1):
+                cases.append(
+                    _case(
+                        f"n{nn}-m{m}-i{i}",
+                        lambda nn=nn, m=m, i=i: _f_image_case(nn, m, i),
+                    )
+                )
     return cases
 
 
@@ -424,8 +457,6 @@ def _toda_trial(nn, rng):
             return False, f"Q_{i}", "T ratio"
     # Entries of U against the partial spectral invariants (x_j = 1 - z_j);
     # valid at every point of the open locus.
-    from .quantum import fq_poly_z
-
     vals = _point_values(pt)
     for i in range(2, nn + 1):
         for j in range(1, i):
@@ -531,11 +562,13 @@ def _suite_buch_cor_5_7(n, trials, rng):
 
 # Each suite with the values of --n it accepts: every one builds at least one
 # case, and the largest runs within minutes (remarkable-identity at n = 6 is
-# the slowest, at about 100 s).  An empty tuple: the suite takes no --n.
+# the slowest, at about 100 s; f-images at n = 6 takes about 40 s and
+# theorem-1-5 at n = 6 about 4 s).  An empty tuple: the suite takes no --n.
 _BUILDERS = {
     "example-1-2": (_suite_example_1_2, ()),
     "remarkable-identity": (_suite_remarkable, range(2, 7)),
-    "theorem-1-5": (_suite_theorem_1_5, range(2, 6)),
+    "theorem-1-5": (_suite_theorem_1_5, range(2, 7)),
+    "f-images": (_suite_f_images, range(2, 7)),
     "example-7-3": (_suite_example_7_3, ()),
     "lambda-tables": (_suite_lambda_tables, (4, 5)),
     "prop-5-1": (_suite_prop_5_1, range(2, 8)),

@@ -55,6 +55,16 @@ def test_criterion_03_grassmannian_images():
     )
 
 
+def test_criterion_03_grassmannian_images_n6():
+    report, elapsed, failures = _run("theorem-1-5", n=6)
+    ok = not failures and len(report.cases) == 62 and elapsed < 60
+    _verdict(
+        "criterion-3 (Grassmannian images, n=6)",
+        ok,
+        f"{len(report.cases)} cases, {len(failures)} failures, {elapsed:.1f}s (< 60s)",
+    )
+
+
 def test_criterion_04_factored_numerators_n5():
     report, elapsed, failures = _run("example-7-3")
     ok = not failures and len(report.cases) == 8
@@ -166,4 +176,15 @@ def test_criterion_12_longest_element_factorization():
         ok,
         f"asserted={len(asserted)}, reported={len(reported)} (n=5 agrees: "
         f"{reported[0].lhs.startswith('agree=true')})",
+    )
+
+
+def test_criterion_13_f_images_against_substitution():
+    report, elapsed, failures = _run("f-images")
+    # m < n and 0 <= i <= m: 5 cases at n=3, 9 at n=4, 14 at n=5
+    ok = not failures and len(report.cases) == 5 + 9 + 14 and elapsed < 30
+    _verdict(
+        "criterion-13 (phi(F^(m)_i) * tau_m = D(theta), n=3..5)",
+        ok,
+        f"{len(report.cases)} cases, {len(failures)} failures, {elapsed:.1f}s (< 30s)",
     )

@@ -212,6 +212,7 @@ class TestExprParser:
             ("gstable", str(MAX_GSTABLE_WEIGHT), "1"),
             ("gstable", "1", str(MAX_GSTABLE_VARS)),
             ("gdual", ",".join(["1"] * MAX_GDUAL_LENGTH)),
+            ("gdual", ",".join(["3"] * MAX_GDUAL_LENGTH)),
             ("gdual", str(MAX_GDUAL_WEIGHT)),
         ],
     )
@@ -282,6 +283,8 @@ class TestVerify:
             (("verify", "example-1-2", "--n", "7"), "takes no --n"),
             (("verify", "example-7-3", "--n", "5"), "takes no --n"),
             (("toda-roundtrip", "--n", "100"), "range 2..8"),
+            (("verify", "f-images", "--n", "7"), "range 2..6"),
+            (("verify", "theorem-1-5", "--n", "7"), "range 2..6"),
         ],
     )
     def test_n_outside_suite_range_is_usage_error(self, capsys, argv, message):

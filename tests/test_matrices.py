@@ -111,6 +111,30 @@ def test_bareiss_matches_cofactor():
         assert m._det_bareiss() == m._det_cofactor()
 
 
+def test_symfunc_cofactor_matches_bareiss_7x7():
+    # det() expands every non-rational matrix by cofactors, whatever its
+    # size; Bareiss divides exactly and is the independent reference.
+    from kpeterson.symfunc import SymFunc
+
+    rng = random.Random(7)
+    for _ in range(2):
+        rows = [
+            [
+                sum(
+                    (SymFunc.h(k) * rng.randint(-2, 2) for k in range(3)),
+                    SymFunc.zero(),
+                )
+                if rng.random() < 0.6
+                else SymFunc.zero()
+                for _ in range(7)
+            ]
+            for _ in range(7)
+        ]
+        m = RingMatrix(rows)
+        assert m.det() == m._det_cofactor() == m._det_bareiss()
+        assert not m.det().is_zero()
+
+
 def test_determinant_commutes_with_evaluation():
     variables = ("x1", "x2")
     rng = random.Random(5)

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from math import comb
 
 import pytest
 
@@ -351,6 +352,23 @@ class TestGTilde:
 
     def test_identity(self):
         assert g_tilde(Permutation.identity(3)) == SymFunc.one()
+
+    def test_f_image_domain(self):
+        # (1^i) has more than m rows for i > m, and F^(m)_i = 0 there; the
+        # D-ratio alone would give h2^2 - h1*h3 for (4, 2, 3).
+        for n, m, i in ((4, 2, 3), (3, 1, 2), (5, 3, 9)):
+            image = phi_f_image(n, m, i)
+            assert image.num.is_zero() and not any(image.den)
+        for n, m, i in ((4, 2, -1), (4, 5, 1), (4, 0, 0), (3, -1, 1)):
+            with pytest.raises(ValueError):
+                phi_f_image(n, m, i)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_f_images_at_m_equal_n_are_binomials(self, n):
+        # F^(n)_i = F_i, and phi(F_i) = C(n, i) (the remarkable identity)
+        for i in range(n + 1):
+            image = phi_f_image(n, n, i)
+            assert image.is_polynomial() and image == comb(n, i)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_image_matches_homomorphism_on_quantum_groth(self, n):
