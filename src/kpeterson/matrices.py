@@ -1,9 +1,14 @@
 """Dense matrices over a generic commutative ring.
 
 Entries only need +, -, * (with each other and with ints) and, for the
-fraction-free path, an exact __truediv__.  Determinants: Bareiss for
-rational entries, memoized cofactor expansion (one minor per subset of
-columns, no division) for every other ring.
+fraction-free path, an exact __truediv__.  Determinants: memoized cofactor
+expansion (one minor per subset of columns, no division) for every ring but
+the rationals.  A rational determinant is computed in ``int``: each row is
+scaled by the lcm of its denominators, fraction-free Bareiss runs on the
+integer rows with exact ``//``, and the result is the ``Fraction``
+det / (product of the scales).  The same Bareiss loop, dividing with ``/``,
+is ``_det_bareiss``, the division-based reference for the cofactor
+expansion over any ring with exact division.
 
 ``inverse`` and ``solve`` (rational entries) share one Gauss-Jordan
 elimination over sparse rows whose integral entries stay ``int``
@@ -12,6 +17,9 @@ f-monomial matrix of the quantization map is inverted without a Fraction.
 """
 
 from __future__ import annotations
+
+from math import lcm
+from operator import floordiv, truediv
 
 from .scalars import Rational, exact_quotient, normalize, rat
 
@@ -98,14 +106,14 @@ class RingMatrix:
     # -- determinants -----------------------------------------------------
 
     def det(self):
-        """Bareiss for rational entries, memoized cofactor expansion for
-        every other ring."""
+        """Bareiss in ``int`` for rational entries (a ``Fraction``), memoized
+        cofactor expansion for every other ring."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
         if self.nrows == 0:
             return Rational(1)
         if all(isinstance(x, (int, Rational)) for row in self.rows for x in row):
-            return self._det_bareiss()
+            return _det_rational(self.rows)
         return self._det_cofactor()
 
     def _det_cofactor(self):
@@ -135,29 +143,10 @@ class RingMatrix:
         return result if result is not None else Rational(1)
 
     def _det_bareiss(self):
-        n = self.nrows
-        m = [
-            [rat(x) if isinstance(x, int) else x for x in row] for row in self.rows
-        ]
-        zero = m[0][0] * 0
-        sign = 1
-        prev = None  # previous pivot; None means 1
-        for k in range(n - 1):
-            if not m[k][k]:
-                for r in range(k + 1, n):
-                    if m[r][k]:
-                        m[k], m[r] = m[r], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return zero
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                    m[i][j] = num if prev is None else num / prev
-                m[i][k] = zero
-            prev = m[k][k]
-        return m[n - 1][n - 1] if sign > 0 else -m[n - 1][n - 1]
+        """Fraction-free Bareiss over any ring whose ``/`` divides exactly
+        (ints become Fractions); the division-based reference for the
+        cofactor expansion."""
+        return _bareiss([[rat(x) for x in row] for row in self.rows], truediv)
 
     # -- field operations (rational entries) -------------------------------
 
@@ -227,6 +216,48 @@ class RingMatrix:
                             del other[j]
         width = len(rhs_rows[0]) if rhs_rows else 0
         return [[row.get(n + k, 0) for k in range(width)] for row in pivot_rows]
+
+
+def _det_rational(rows):
+    """det of int/Fraction rows as a Fraction: each row is scaled by the lcm
+    of its denominators, and Bareiss runs on the integer rows."""
+    int_rows = []
+    scale = 1
+    for row in rows:
+        s = lcm(*(x.denominator for x in row))
+        int_rows.append([x.numerator * (s // x.denominator) for x in row])
+        scale *= s
+    return Rational(_bareiss(int_rows, floordiv), scale)
+
+
+def _bareiss(m, divide):
+    """The determinant of the square list-of-lists m (consumed), by
+    fraction-free elimination: every quotient divide(num, previous pivot) is
+    exact."""
+    n = len(m)
+    zero = m[0][0] * 0
+    sign = 1
+    prev = None  # previous pivot; None means 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            for r in range(k + 1, n):
+                if m[r][k]:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return zero
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        for i in range(k + 1, n):
+            row = m[i]
+            factor = row[k]
+            for j in range(k + 1, n):
+                num = pivot * row[j] - factor * pivot_row[j]
+                row[j] = num if prev is None else divide(num, prev)
+            row[k] = zero
+        prev = pivot
+    return m[n - 1][n - 1] if sign > 0 else -m[n - 1][n - 1]
 
 
 def _dot(row, col):

@@ -11,8 +11,9 @@ integer coefficients) and keeps a ``Fraction`` only when it is not integral.
 ``exact_quotient`` divides two such coefficients without ever producing a
 float.  The Gauss-Jordan elimination behind ``RingMatrix.inverse`` and
 ``solve`` keeps its entries the same way, so an integral inverse (such as
-the quantization map's) is all ``int``.  Toda points keep using ``rat`` and
-``Fraction``.
+the quantization map's) is all ``int``.  Toda points and their matrices
+keep ``Fraction`` entries, but a rational ``RingMatrix.det`` clears the
+denominators of each row and eliminates in ``int``, returning a ``Fraction``.
 """
 
 from __future__ import annotations

@@ -3,13 +3,16 @@
 Each suite is a list of cases; a case runs one exact identity and records
 pass/fail with printable left/right values.  Conjecture-tier cases are
 "reported": their agreement is recorded in the payload but they never fail
-the process.  Reports are deterministic for fixed inputs and seed (the
-elapsed_ms fields aside).
+the process.  The report header names the scalar backend, the Python
+version and the core count.  Reports are deterministic for fixed inputs,
+seed and machine (the elapsed_ms fields aside).
 """
 
 from __future__ import annotations
 
 import json
+import os
+import platform
 import random
 import time
 from dataclasses import dataclass
@@ -97,6 +100,9 @@ class SuiteReport:
             "suite": self.suite,
             "seed": self.seed,
             "version": self.version,
+            "backend": f"{Rational.__module__}.{Rational.__qualname__}",
+            "python": platform.python_version(),
+            "cores": os.cpu_count(),
             "cases": [
                 {
                     "id": c.id,

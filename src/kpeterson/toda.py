@@ -326,21 +326,26 @@ def companion_matrix(params: SpectralParams) -> RingMatrix:
 
 
 def phi_of_companion(phi: TruncSeriesPhi, params: SpectralParams) -> RingMatrix:
-    """phi(C_gamma), over the coefficient ring of phi."""
+    """phi(C_gamma), over the coefficient ring of phi, by Horner's scheme
+    X <- X C_gamma + a_k I from the top zeta-coefficient down.  Right
+    multiplication by C_gamma shifts the columns one place right and adds
+    the last column times C_gamma's last row, so a step costs O(n^2)."""
     n = phi.n
     if params.n != n:
         raise ValueError("size mismatch")
     coeffs = phi.to_zeta_coeffs()
-    C = companion_matrix(params)
-    power = RingMatrix.identity(n, Rational(1), Rational(0))
-    rows = [[coeffs[0] * (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for k in range(1, n):
-        power = power * C
-        for i in range(n):
-            for j in range(n):
-                if power.rows[i][j]:
-                    rows[i][j] = rows[i][j] + coeffs[k] * power.rows[i][j]
-    return RingMatrix(rows)
+    last = [(j, r) for j, r in enumerate(companion_matrix(params).rows[-1]) if r]
+    zero = coeffs[0] * 0
+    X = [[coeffs[-1] if i == j else zero for j in range(n)] for i in range(n)]
+    for a in reversed(coeffs[:-1]):
+        for i, row in enumerate(X):
+            tail = row.pop()
+            row.insert(0, zero)
+            if tail:
+                for j, r in last:
+                    row[j] = row[j] + tail * r
+            row[i] = row[i] + a
+    return RingMatrix(X)
 
 
 def _poly_mod(coeffs, modulus):

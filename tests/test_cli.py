@@ -308,6 +308,17 @@ class TestVerify:
         assert code1 == code2 == 0
         assert strip(json.loads(out1)) == strip(json.loads(out2))
 
+    def test_report_header_names_backend_python_and_cores(self, capsys):
+        import os
+        import platform
+
+        code, out, _ = run_cli(capsys, "verify", "toda-roundtrip", "--n", "2", "--trials", "1")
+        assert code == 0
+        data = json.loads(out)
+        assert data["backend"] == "fractions.Fraction"
+        assert data["python"] == platform.python_version()
+        assert data["cores"] == os.cpu_count()
+
     def test_conjecture_tier_never_fails_process(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "conjecture7-4", "--n", "5")
         assert code == 0

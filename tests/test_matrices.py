@@ -135,6 +135,28 @@ def test_symfunc_cofactor_matches_bareiss_7x7():
         assert not m.det().is_zero()
 
 
+@settings(max_examples=300)
+@given(st.integers(0, 7).flatmap(
+    lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+))
+def test_rational_det_matches_cofactor(rows):
+    # det() clears denominators row by row and runs Bareiss in int; the
+    # cofactor expansion never divides.  Many draws are singular or have a
+    # zero leading pivot.
+    got = RingMatrix(rows).det()
+    assert type(got) is Rational
+    assert got == (RingMatrix(rows)._det_cofactor() if rows else 1)
+
+
+def test_rational_det_row_swap_and_singular():
+    half = Rational(1, 2)
+    swap = RingMatrix([[0, half, 2], [Rational(3, 4), 1, 0], [1, 0, Rational(-5, 3)]])
+    assert swap.det() == swap._det_cofactor() == Rational(-11, 8)
+    singular = RingMatrix([[0, 1, half], [0, 3, Rational(3, 2)], [2, 0, 7]])
+    assert singular.det() == 0 and type(singular.det()) is Rational
+    assert type(RingMatrix([[1, 2], [3, 4]]).det()) is Rational
+
+
 def test_determinant_commutes_with_evaluation():
     variables = ("x1", "x2")
     rng = random.Random(5)

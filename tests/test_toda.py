@@ -46,6 +46,23 @@ def point_values(pt):
     return vals
 
 
+def reference_phi_of_companion(phi, params):
+    """phi(C_gamma) as sum_k a_k C^k over dense matrix powers: the
+    independent reference for the Horner scheme of phi_of_companion."""
+    n = phi.n
+    coeffs = phi.to_zeta_coeffs()
+    C = companion_matrix(params)
+    power = RingMatrix.identity(n, Rational(1), Rational(0))
+    rows = [[coeffs[0] * (1 if i == j else 0) for j in range(n)] for i in range(n)]
+    for k in range(1, n):
+        power = power * C
+        for i in range(n):
+            for j in range(n):
+                if power.rows[i][j]:
+                    rows[i][j] = rows[i][j] + coeffs[k] * power.rows[i][j]
+    return RingMatrix(rows)
+
+
 def zeta1_ts_functions(phi, params):
     """Reference T/S through the (zeta-1)-power coordinate map: phi*zeta^j
     is written in powers of u = zeta - 1 truncated at u^n, which is a valid
@@ -414,6 +431,29 @@ class TestSpectrum:
                 for i in range(n)
             ]
             assert RingMatrix(rows).det() == (zeta - 1) ** n
+
+    def test_phi_of_companion_matches_matrix_powers(self):
+        rng = random.Random(89)
+        for n in range(1, 8):
+            for _ in range(10):
+                phi = TruncSeriesPhi(
+                    n, [q(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+                )
+                gamma = tuple(
+                    q(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n - 1)
+                )
+                params = SpectralParams(gamma + (q(1),))
+                assert phi_of_companion(phi, params) == reference_phi_of_companion(
+                    phi, params
+                )
+
+    def test_phi_of_companion_symbolic_matches_matrix_powers(self):
+        for n in range(1, 6):
+            phi = TruncSeriesPhi.symbolic_unipotent(n)
+            params = SpectralParams.unipotent(n)
+            X = phi_of_companion(phi, params)
+            assert X == reference_phi_of_companion(phi, params)
+            assert all(isinstance(x, SymFunc) for row in X.rows for x in row)
 
     def test_companion_matrix_shape(self):
         params = SpectralParams(tuple(map(Rational, (5, 7, 1))))
