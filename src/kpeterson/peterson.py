@@ -202,8 +202,10 @@ class LocFrac:
     +, -, * and ** never divide, so a result need not be in lowest terms;
     PhiContext.reduce brings a value there, and is_polynomial and symfunc
     read the representation as it stands.  ctx.factor_product(den) expands
-    the denominator.  The keyword ``reduce`` only accepts False (kept for
-    callers that still pass it).
+    the denominator.  + and == multiply each numerator only by the factors
+    of the other denominator that its own lacks, and not at all when there
+    are none.  The keyword ``reduce`` only accepts False (kept for callers
+    that still pass it).
     """
 
     __slots__ = ("ctx", "num", "den")
@@ -248,12 +250,8 @@ class LocFrac:
         if other.num.is_zero():
             return self
         common = tuple(max(a, b) for a, b in zip(self.den, other.den))
-        left = self.num * ctx.factor_product(
-            tuple(c - a for c, a in zip(common, self.den))
-        )
-        right = other.num * ctx.factor_product(
-            tuple(c - b for c, b in zip(common, other.den))
-        )
+        left = ctx.times_factors(self.num, [c - a for c, a in zip(common, self.den)])
+        right = ctx.times_factors(other.num, [c - b for c, b in zip(common, other.den)])
         return LocFrac(ctx, left + right, common)
 
     __radd__ = __add__
@@ -272,8 +270,9 @@ class LocFrac:
             other = ctx.const(other)
         if self.den == other.den:
             return self.num == other.num
-        left = self.num * ctx.factor_product(other.den)
-        right = other.num * ctx.factor_product(self.den)
+        common = [min(a, b) for a, b in zip(self.den, other.den)]
+        left = ctx.times_factors(self.num, [b - c for b, c in zip(other.den, common)])
+        right = ctx.times_factors(other.num, [a - c for a, c in zip(self.den, common)])
         return left == right
 
     def __bool__(self):
@@ -374,6 +373,10 @@ class PhiContext:
                 {exps: 1}, self._factor_powers, self.zero.num
             )
         return self._product_cache[exps]
+
+    def times_factors(self, num: Poly, exps) -> Poly:
+        """num * factor_product(exps), with no multiply when exps is zero."""
+        return num * self.factor_product(exps) if any(exps) else num
 
     def exponent_range(self, p: Poly):
         """(lo, hi): the least and the largest exponent of each tau/sigma

@@ -7,8 +7,10 @@ integral and a ``Fraction`` only when it is not (``scalars.normalize``).
 ``Poly``, ``SymFunc`` and the power-sum dicts of the symmetric-function layer
 all call it, with two tuple layouts: the fixed-width tuples of a Poly and the
 trailing-zero-trimmed tuples of the h- and p-bases.  ``terms_mul`` packs the
-exponent tuples into ints for the length of one multiply; the maps always
-hold tuples.  ``grouped_product`` is the one routine for sums of the shape
+exponent tuples into ints for the length of one multiply, and
+``terms_exact_div`` for the length of one division (with a total-degree
+field on top, so that int order is graded-lex order); the maps always hold
+tuples.  ``grouped_product`` is the one routine for sums of the shape
 sum c * prod_j T_j[e_j] (Horner's scheme over the slots of e): substitution
 and evaluation of a Poly, the Phi_n image of a z/Q polynomial, the
 quantization map and the Phi_n image of a quantized Grothendieck polynomial
@@ -103,39 +105,58 @@ def terms_mul(t1, t2):
 def terms_exact_div(t, divisor):
     """Quotient of two fixed-width term maps, or None if inexact.
 
-    Single-divisor reduction in graded-lex order (leading terms tracked
-    through a lazy max-heap): succeeds iff divisor divides t exactly in the
-    polynomial ring.
+    Single-divisor reduction in graded-lex order: succeeds iff divisor
+    divides t exactly in the polynomial ring.  For the length of the call
+    each exponent tuple is packed into one int, the total degree in the top
+    field and then e_0, e_1, ... from the most significant field down, so
+    that int order is graded-lex order.  Every term met during the reduction
+    has a total degree at most that of t (the leading term never grows), so
+    fields as wide as the larger of the two total degrees, plus one guard
+    bit each, cannot carry into each other; a lex packing could, because a
+    less significant slot may outgrow the dividend during an inexact
+    division.  The leading term is tracked through a lazy max-heap of packed
+    keys, the remainder is keyed by them, and only the quotient is unpacked.
     """
     if not divisor:
         raise ZeroDivisionError("polynomial division by zero")
-    dlt_exps, dlt_coeff = max(
-        divisor.items(), key=lambda item: (sum(item[0]), item[0])
-    )
-    quotient = {}
-    rem = dict(t)
-    heap = [(-sum(e), tuple(-x for x in e), e) for e in rem]
+    if not t:
+        return {}
+    top = max(sum(e) for e in chain(t, divisor))
+    bits = top.bit_length() + 1
+    width = len(next(iter(divisor)))
+    shifts = range(bits * width, -1, -bits)  # degree field first, then e_0..
+    slot_shifts = shifts[1:]
+
+    def pack(e):
+        return sum(map(lshift, (sum(e), *e), shifts))
+
+    guard = sum(1 << (s + bits - 1) for s in shifts)
+    packed_div = [(pack(e), c) for e, c in divisor.items()]
+    dlt, dlt_coeff = max(packed_div)
+    rem = {pack(e): c for e, c in t.items()}
+    heap = [-k for k in rem]
     heapq.heapify(heap)
+    mask = (1 << bits) - 1
+    quotient = {}
     while heap:
-        exps = heapq.heappop(heap)[2]
-        coeff = rem.get(exps)
+        k = -heapq.heappop(heap)
+        coeff = rem.get(k)
         if not coeff:
             continue  # stale heap entry
-        q_exps = tuple(a - b for a, b in zip(exps, dlt_exps))
-        if any(e < 0 for e in q_exps):
-            return None
+        q = (k | guard) - dlt
+        if q & guard != guard:
+            return None  # some slot of the divisor's leading term is larger
+        q -= guard
         q_coeff = exact_quotient(coeff, dlt_coeff)
-        quotient[q_exps] = q_coeff
-        for e, c in divisor.items():
-            target = tuple(a + b for a, b in zip(e, q_exps))
+        quotient[tuple([(q >> s) & mask for s in slot_shifts])] = q_coeff
+        for kd, c in packed_div:
+            target = kd + q
             old = rem.get(target)
             s = normalize((old or 0) - q_coeff * c)
             if s:
                 rem[target] = s
-                if old is None and target != exps:
-                    heapq.heappush(
-                        heap, (-sum(target), tuple(-x for x in target), target)
-                    )
+                if old is None:
+                    heapq.heappush(heap, -target)
             else:
                 rem.pop(target, None)
     return quotient

@@ -22,7 +22,7 @@ from itertools import product
 
 from .matrices import RingMatrix
 from .partitions import Partition, conjugate
-from .peterson import LocFrac, d_plain, phi_context, tau_sigma
+from .peterson import LocFrac, d_plain, phi_context
 from .polynomials import Poly, f_subset_sum, grouped_product, xq_vars
 from .scalars import normalize
 from .symfunc import SymFunc
@@ -378,23 +378,28 @@ def phi_groth_image(w) -> LocFrac:
 @lru_cache(maxsize=None)
 def g_tilde(w) -> SymFunc:
     """The numerator of phi(G^Q_w) after clearing the descent-indexed tau
-    denominators; certifies polynomiality by exact division.
+    denominators, by exponent bookkeeping on the reduced image: for each i
+    in Des(w) a tau_i of the denominator cancels, or else the numerator is
+    multiplied by tau_i.  The image is in lowest terms and the tau/sigma
+    factors are irreducible and pairwise non-associate (n <= 8), so nothing
+    is left to divide.
 
     Raises NonPolynomialImageError if the image times prod_{i in Des(w)}
-    tau_i is not a polynomial in Lambda_(n).
+    tau_i is not a polynomial in Lambda_(n), i.e. a factor is left over.
     """
-    n = w.n
-    ctx = phi_context(n)
-    table = tau_sigma(n)
+    ctx = phi_context(w.n)
     image = phi_groth_image(w)
-    for i in sorted(w.descents):
-        image = image * ctx.from_symfunc(table.tau[i])
-    image = ctx.reduce(image)
-    if not image.is_polynomial():
+    num, den = image.num, list(image.den)
+    for i in w.descents:
+        if den[i - 1] > 0:
+            den[i - 1] -= 1
+        else:
+            num = num * ctx.factors[i - 1]
+    if any(den):
         raise NonPolynomialImageError(
             f"phi(G^Q_{w.to_text()}) * tau(Des) has residual denominator"
         )
-    return image.symfunc()
+    return SymFunc.from_poly(num)
 
 
 def phi_s_q_image(lam: Partition, d: int, n: int) -> LocFrac:

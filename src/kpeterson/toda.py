@@ -45,6 +45,7 @@ __all__ = [
     "beta",
     "beta_full",
     "minor_formulas",
+    "minor_identities",
     "random_z_point",
     "random_unipotent_point",
     "gamma_of_point",
@@ -478,6 +479,7 @@ class BetaData:
     U: RingMatrix
     T: tuple
     S: tuple
+    X: RingMatrix  # phi(C_gamma) of the normalized phi
 
 
 def beta_full(phi: TruncSeriesPhi, params: SpectralParams) -> BetaData:
@@ -497,7 +499,7 @@ def beta_full(phi: TruncSeriesPhi, params: SpectralParams) -> BetaData:
     C = companion_matrix(params)
     L = U * C * U.inverse()
     point = lax_to_point(L)
-    return BetaData(point, L, R, U, tuple(T), tuple(S))
+    return BetaData(point, L, R, U, tuple(T), tuple(S), X)
 
 
 def beta(phi: TruncSeriesPhi, params: SpectralParams) -> TodaPoint:
@@ -509,9 +511,14 @@ def beta(phi: TruncSeriesPhi, params: SpectralParams) -> TodaPoint:
 def minor_formulas(phi: TruncSeriesPhi, params: SpectralParams) -> bool:
     """Check T_i = (-1)^{n-i} xi^{1..i-1,n}_{1..i-1,i}(phi(C)) and
     S_i = xi^{1..i}_{1..i}(phi(C)) for 1 <= i <= n."""
-    n = phi.n
     X = phi_of_companion(phi, params)
-    T, S = ts_functions(phi, params)
+    return minor_identities(X, *ts_functions(phi, params))
+
+
+def minor_identities(X: RingMatrix, T, S) -> bool:
+    """The identities of ``minor_formulas`` for a built X = phi(C) and the
+    T/S functions of the same phi (as kept in ``BetaData``)."""
+    n = X.nrows
     for i in range(1, n + 1):
         rows = list(range(1, i)) + [i]
         cols = list(range(1, i)) + [n]

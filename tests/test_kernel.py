@@ -4,11 +4,14 @@ Poly arithmetic is checked against sympy's sparse rings over QQ (a test
 oracle only); SymFunc and the power-sum conversions are checked against Poly
 through to_poly/from_poly and against their own inverses.  The packed-int
 multiply is checked against a plain tuple loop kept here as the reference,
-on both exponent layouts.  The ring maps of the symmetric-function layer
+on both exponent layouts, and the packed exact division against the
+tuple-heap division it replaced, kept here as ``reference_exact_div``.
+The ring maps of the symmetric-function layer
 (to_p_dict, from_p_dict, kappa, expand_in_vars), which run as one
 Poly.substitute each, are checked against term-by-term product loops.
 """
 
+import heapq
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -20,8 +23,15 @@ from sympy.polys.polyerrors import ExactQuotientFailed
 from sympy.polys.rings import ring
 
 from kpeterson.peterson import kappa, kappa_p
-from kpeterson.polynomials import Poly, grouped_product, power_table, terms_add, terms_mul
-from kpeterson.scalars import Rational, normalize
+from kpeterson.polynomials import (
+    Poly,
+    grouped_product,
+    power_table,
+    terms_add,
+    terms_exact_div,
+    terms_mul,
+)
+from kpeterson.scalars import Rational, exact_quotient, normalize
 from kpeterson.symfunc import (
     _H_IN_P,
     _P_IN_H,
@@ -406,3 +416,109 @@ def test_symfunc_pow_matches_repeated_product(f, k):
     for _ in range(k):
         expected = expected * f
     assert f**k == expected
+
+
+# -- the packed exact division against the tuple-heap division ----------------------
+
+
+def reference_exact_div(t, divisor):
+    """The tuple-heap division the packed one replaced: single-divisor
+    reduction in graded-lex order over exponent tuples, the leading term
+    tracked through a lazy max-heap of (-degree, negated tuple) keys."""
+    if not divisor:
+        raise ZeroDivisionError("polynomial division by zero")
+    dlt_exps, dlt_coeff = max(divisor.items(), key=lambda item: (sum(item[0]), item[0]))
+    quotient = {}
+    rem = dict(t)
+    heap = [(-sum(e), tuple(-x for x in e), e) for e in rem]
+    heapq.heapify(heap)
+    while heap:
+        exps = heapq.heappop(heap)[2]
+        coeff = rem.get(exps)
+        if not coeff:
+            continue
+        q_exps = tuple(a - b for a, b in zip(exps, dlt_exps))
+        if any(e < 0 for e in q_exps):
+            return None
+        q_coeff = exact_quotient(coeff, dlt_coeff)
+        quotient[q_exps] = q_coeff
+        for e, c in divisor.items():
+            target = tuple(a + b for a, b in zip(e, q_exps))
+            old = rem.get(target)
+            s = normalize((old or 0) - q_coeff * c)
+            if s:
+                rem[target] = s
+                if old is None and target != exps:
+                    heapq.heappush(heap, (-sum(target), tuple(-x for x in target), target))
+            else:
+                rem.pop(target, None)
+    return quotient
+
+
+def div_terms(min_size=0, max_size=4):
+    exps = st.tuples(*[st.integers(0, 5)] * len(VARS))
+    return st.dictionaries(exps, mixed_coeffs, min_size=min_size, max_size=max_size)
+
+
+def assert_division_matches(t, divisor):
+    got = terms_exact_div(t, divisor)
+    assert got == reference_exact_div(t, divisor)
+    if got is not None:
+        assert_normalized(got)
+        assert terms_mul(got, divisor) == t
+    return got
+
+
+X1, X2 = {(1, 0, 0): 1}, {(0, 1, 0): 1}
+
+
+@given(div_terms(), div_terms(min_size=1), div_terms())
+@example({}, X1, {})  # the zero dividend
+@example({}, {(3, 1, 0): 1, (0, 0, 1): 2}, {(0, 0, 0): 5})  # a constant by a degree-4 divisor
+@example({}, {(0, 2, 0): 2}, {(1, 0, 0): Fraction(1, 3)})  # a lower-degree dividend
+@example({(1, 1, 0): Fraction(1, 2)}, {(1, 0, 0): 1, (0, 1, 0): -1}, {(2, 0, 0): 1})  # inexact
+# inexact, and a lex reduction would raise x2 past the field width of degree 3
+@example({}, {(1, 0, 0): 1, (0, 3, 0): -1}, {(3, 0, 0): 1})
+def test_packed_exact_div_matches_tuple_heap(a, b, r):
+    for t in (terms_mul(a, b), terms_add(terms_mul(a, b), r), r):
+        assert_division_matches(t, b)
+
+
+@pytest.mark.parametrize("a, b", [(255, 1), (127, 128), (255, 256), (300, 212), (511, 1)])
+def test_packed_exact_div_across_field_widths(a, b):
+    divisor = {(b, 0, 1): 3, (0, a, 0): Fraction(1, 2), (1, 1, 1): -1}
+    quotient = {(a, 0, b): 1, (0, b, 0): 2, (0, 0, 0): 5}
+    assert assert_division_matches(terms_mul(quotient, divisor), divisor) == quotient
+    assert assert_division_matches(terms_add(terms_mul(quotient, divisor), X2), divisor) is None
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_exact_div_by_tau_sigma_factors(n):
+    from kpeterson.peterson import phi_context
+
+    ctx = phi_context(n)
+    one, h1 = Poly.const(ctx.hvars, 1), Poly.variable(ctx.hvars, "h1")
+    for factor in ctx.factors:
+        # a dividend of lower degree than the divisor, and the zero dividend
+        for low in (one * 7, h1, h1 * Fraction(2, 3) + 1):
+            assert low.exact_div(factor) is None
+            assert reference_exact_div(low.terms, factor.terms) is None
+        assert Poly.zero(ctx.hvars).exact_div(factor) == Poly.zero(ctx.hvars)
+        for other in ctx.factors:
+            product = factor * other
+            assert assert_division_matches(product.terms, factor.terms) == other.terms
+            assert assert_division_matches((product + h1).terms, factor.terms) is None
+
+
+@given(symfuncs(3), symfuncs(3, min_size=1), symfuncs(2, min_size=1))
+def test_symfunc_exact_div_matches_tuple_heap(a, b, r):
+    if b.is_zero():
+        return  # the drawn terms cancelled
+    for f in (a * b, a * b + r, r):
+        width = max(map(len, (*f.terms, *b.terms)), default=0) + 1
+        expected = reference_exact_div(f.to_poly(width).terms, b.to_poly(width).terms)
+        q = f.exact_div(b)
+        if expected is None:
+            assert q is None
+        else:
+            assert q == SymFunc.from_poly(Poly(f.to_poly(width).vars, expected))

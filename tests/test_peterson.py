@@ -1,4 +1,5 @@
 import random
+from operator import add, eq
 
 import pytest
 
@@ -22,6 +23,7 @@ from kpeterson.peterson import (
     sigma_identity_check,
     tau_sigma,
 )
+from kpeterson import polynomials
 from kpeterson.polynomials import Poly, xq_vars, zq_vars
 from kpeterson.quantum import fq_poly, phi_f_image
 from kpeterson.scalars import Rational
@@ -345,6 +347,52 @@ class TestReduction:
                 assert len(factors) == 1 and factors[0][1] == 1, (n, name)
                 monics.append(sp.monic())
             assert len(set(monics)) == len(monics), n
+
+    def test_zero_denominator_side_multiplies_once(self, monkeypatch):
+        # == and + bring both sides to one denominator; the side whose
+        # denominator already is that one is not multiplied by 1
+        ctx = phi_context(4)
+        images = [ctx.image(name) for name in ("z1", "x2", "Q2")]
+        images.append(images[0] * images[2] + 1)
+        for image in images:
+            ctx.factor_product(image.den)  # the cached product, built beforehand
+        calls = []
+        counted = polynomials.terms_mul
+
+        def counting(t1, t2):
+            calls.append(1)
+            return counted(t1, t2)
+
+        monkeypatch.setattr(polynomials, "terms_mul", counting)
+        for image in images:
+            for other in (3, Rational(1, 2), ctx.one, ctx.const(-2)):
+                for op in (eq, add):
+                    for left, right in ((image, other), (other, image)):
+                        op(left, right)
+                        assert len(calls) <= 1, (op, left, right)
+                        calls.clear()
+        monkeypatch.undo()
+        z1 = images[0]
+        assert z1 + 2 == 2 + z1 and (z1 + 2) - z1 == 2 and not z1 == 3
+        assert ctx.reduce((z1 + 2) * (1 - z1)) == 2 - z1 - z1 * z1
+
+    def test_equality_cross_multiplies_by_the_uncommon_part(self, monkeypatch):
+        ctx = phi_context(4)
+        z1, z2 = ctx.image("z1"), ctx.image("z2")
+        a, b = z1 * z2, z1 * z1
+        assert any(min(x, y) for x, y in zip(a.den, b.den))
+        seen = []
+        product = type(ctx).factor_product
+
+        def recording(self, exps):
+            seen.append(tuple(exps))
+            return product(self, exps)
+
+        monkeypatch.setattr(type(ctx), "factor_product", recording)
+        assert a != b and a * z1 == b * z2
+        common = [min(x, y) for x, y in zip(a.den, b.den)]
+        uncommon = {tuple(x - c for x, c in zip(den, common)) for den in (a.den, b.den)}
+        assert set(seen) == uncommon
 
 
 class TestPerpD:

@@ -14,10 +14,11 @@ from kpeterson.partitions import (
     conjugate,
     partitions_in_rectangle,
 )
-from kpeterson.peterson import phi_context, tau_sigma
+from kpeterson.peterson import LocFrac, phi_context, tau_sigma
 from kpeterson.polynomials import Poly, xq_vars
 from kpeterson.quantum import (
     KBoundedPartition,
+    NonPolynomialImageError,
     NotInSpanError,
     bounded_to_core,
     core_to_bounded,
@@ -395,6 +396,36 @@ class TestGTilde:
         w = Permutation.from_text("12543")
         expected = dual_groth(Partition([1, 1, 1])) * dual_groth(Partition([2, 2]))
         assert g_tilde(w) == expected
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_matches_multiply_then_reduce(self, n):
+        # the descent tau's multiplied in and divided out again by reduce,
+        # as g_tilde computed them before its exponent bookkeeping
+        ctx, table = phi_context(n), tau_sigma(n)
+        for w in all_permutations(n):
+            image = phi_groth_image(w)
+            for i in sorted(w.descents):
+                image = image * ctx.from_symfunc(table.tau[i])
+            image = ctx.reduce(image)
+            assert image.is_polynomial(), w
+            assert g_tilde(w) == image.symfunc(), w
+
+    def test_leftover_factor_raises(self, monkeypatch):
+        import kpeterson.quantum as quantum
+
+        w = Permutation.from_text("2134")  # Des(w) = {1}
+        ctx = phi_context(4)
+        image = phi_groth_image(w)
+        tau1, tau2, sigma1 = 0, 1, 3  # indices into ctx.factor_names
+        for extra in (tau2, tau1, sigma1):
+            den = list(image.den)
+            den[extra] += 2 if extra == tau1 else 1
+            fake = LocFrac(ctx, image.num, tuple(den))
+            monkeypatch.setattr(quantum, "phi_groth_image", lambda w, fake=fake: fake)
+            with pytest.raises(NonPolynomialImageError):
+                g_tilde.__wrapped__(w)
+        monkeypatch.undo()
+        assert g_tilde.__wrapped__(w) == g_tilde(w)
 
     def test_quantized_stable_pushforward_routes_agree(self):
         # Route A: quantize the stable polynomial and push through phi.

@@ -24,6 +24,7 @@ from kpeterson.toda import (
     lax_matrix,
     lax_to_point,
     minor_formulas,
+    minor_identities,
     phi_of_companion,
     random_unipotent_point,
     random_z_point,
@@ -362,6 +363,37 @@ class TestAlphaBeta:
         # symbolic unipotent case: equality as polynomials in the h's
         phi = TruncSeriesPhi.symbolic_unipotent(3)
         assert minor_formulas(phi, SpectralParams.unipotent(3))
+
+    def test_beta_keeps_phi_of_companion_and_minor_identities(self):
+        rng = random.Random(73)
+        for n in (2, 3, 4, 5):
+            for _ in range(5):
+                pt = random_z_point(n, rng)
+                phi, params = alpha(pt), gamma_of_point(pt)
+                bd = beta_full(phi, params)
+                assert bd.X == phi_of_companion(phi.normalized(), params)
+                assert minor_identities(bd.X, bd.T, bd.S)
+                wrong = list(bd.S)
+                wrong[-1] = wrong[-1] + 1
+                assert not minor_identities(bd.X, bd.T, wrong)
+
+    def test_suite_trial_builds_phi_of_companion_and_ts_once(self, monkeypatch):
+        import kpeterson.toda as toda
+        from kpeterson.suites import _toda_trial
+
+        calls = {"phi_of_companion": 0, "ts_functions": 0}
+        for name in calls:
+            def counting(*args, _name=name, _f=getattr(toda, name)):
+                calls[_name] += 1
+                return _f(*args)
+
+            monkeypatch.setattr(toda, name, counting)
+        for n in (2, 3, 4, 5):
+            for key in calls:
+                calls[key] = 0
+            ok, lhs, _ = _toda_trial(n, random.Random(n))
+            assert ok, lhs
+            assert calls == {"phi_of_companion": 1, "ts_functions": 1}, n
 
     def test_beta_reports_failed_condition(self):
         uni = SpectralParams.unipotent(3)
