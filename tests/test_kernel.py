@@ -6,6 +6,8 @@ through to_poly/from_poly and against their own inverses.  The packed-int
 multiply is checked against a plain tuple loop kept here as the reference,
 on both exponent layouts, and the packed exact division against the
 tuple-heap division it replaced, kept here as ``reference_exact_div``.
+``grouped_product``, with power slots (Horner's rule) and indexed slots, is
+checked against ``helpers.reference_grouped_product``, a term-by-term sum.
 The ring maps of the symmetric-function layer
 (to_p_dict, from_p_dict, kappa, expand_in_vars), which run as one
 Poly.substitute each, are checked against term-by-term product loops.
@@ -22,6 +24,7 @@ from sympy import QQ
 from sympy.polys.polyerrors import ExactQuotientFailed
 from sympy.polys.rings import ring
 
+from helpers import Powers, reference_grouped_product
 from kpeterson.peterson import kappa, kappa_p
 from kpeterson.polynomials import (
     Poly,
@@ -246,29 +249,37 @@ def test_negative_exponent_rejected():
 # -- the grouped product against a plain sum of products ---------------------------
 
 
-def reference_grouped_product(parts, tables, zero):
-    """sum of part * prod_j tables[j][key[j]], one term at a time."""
-    total = zero
-    for key, part in parts.items():
-        term = part
-        for table, e in zip(tables, key):
-            term = table[e] * term
-        total = total + term
-    return total
+def as_table(slot):
+    """The grouped_product table of a test slot: a power_table for Powers
+    (a power slot when the base is a Poly), a list lookup otherwise."""
+    return power_table(slot.base) if isinstance(slot, Powers) else slot.__getitem__
 
 
 leaves = st.one_of(polys(3), mixed_coeffs)
 entries = st.one_of(polys(2), mixed_coeffs, st.just(1), st.just(0))
+units = st.sampled_from([0, 1, -1])
+bases = st.one_of(polys(2), mixed_coeffs, units, units.map(lambda c: Poly.const(VARS, c)))
 
 
 @st.composite
 def grouped_sums(draw):
-    """(parts, tables): a table per slot, entry 0 drawn like any other; a
-    slot whose largest exponent is 0 is unused by every key."""
-    tops = draw(st.lists(st.integers(0, 3), max_size=3))
-    tables = [draw(st.lists(entries, min_size=top + 1, max_size=top + 1)) for top in tops]
+    """(parts, slots): each slot indexed (a list, entry 0 drawn like any
+    other) or Powers of a Poly or number base (a power slot for a Poly, an
+    indexed slot for a number); a slot whose largest exponent is 0 is unused
+    by every key."""
+    slots, tops = [], []
+    for top in draw(st.lists(st.integers(0, 4), max_size=3)):
+        if draw(st.booleans()):
+            slots.append(Powers(draw(bases)))
+        else:
+            slots.append(draw(st.lists(entries, min_size=top + 1, max_size=top + 1)))
+        tops.append(top)
     keys = st.tuples(*[st.integers(0, top) for top in tops])
-    return draw(st.dictionaries(keys, leaves, max_size=6)), tables
+    return draw(st.dictionaries(keys, leaves, max_size=6)), slots
+
+
+X1 = Poly.monomial(VARS, (1, 0, 0))
+X2 = Poly.monomial(VARS, (0, 1, 0))
 
 
 @given(grouped_sums())
@@ -276,13 +287,20 @@ def grouped_sums(draw):
 @example(({}, [[1, 2]]))
 @example(({(): 3}, []))
 @example(({(0, 0): 2, (0, 1): Fraction(1, 2)}, [[1], [1, 1]]))
-@example(({(0,): 2, (1,): -1}, [[Poly.monomial(VARS, (1, 0, 0)), 5]]))
+@example(({(0,): 2, (1,): -1}, [[X1, 5]]))
+@example(({(0,): 2, (3,): X2}, [Powers(X1 + 1)]))  # gapped exponents {0, 3}
+@example(({(0, 3): X1, (2, 0): 3}, [Powers(Fraction(-1, 2)), Powers(X2 - 2)]))
+@example(({(2,): 3}, [Powers(X1)]))  # the only key has a positive exponent
+@example(({(2, 1): X1}, [Powers(-1), [X2, X1 - X2]]))
+@example(({(0,): X2, (2,): 5, (3,): X1}, [Powers(0)]))
+@example(({(1, 0): X1, (3, 2): -2}, [Powers(1), Powers(-1)]))
+@example(({(1, 0, 2): X1, (3, 2, 0): -2}, [Powers(Poly.const(VARS, c)) for c in (0, 1, -1)]))
 def test_grouped_product_matches_sum_of_products(case):
-    parts, tables = case
+    parts, slots = case
     zero = Poly.zero(VARS)
-    got = grouped_product(parts, [table.__getitem__ for table in tables], zero)
+    got = grouped_product(parts, [as_table(slot) for slot in slots], zero)
     assert isinstance(got, Poly) and got.vars == VARS
-    assert got == reference_grouped_product(parts, tables, zero)
+    assert got == reference_grouped_product(parts, slots, zero)
 
 
 @given(polys(3), st.integers(0, 6))

@@ -180,6 +180,11 @@ class TestQuantizeContext:
                 entry = sum(a * matrix[k][j] for k, a in nonzero)
                 assert entry == (c == j), (n, c, j)
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_prefix_shared_rows_match_per_monomial_products(self, n):
+        ctx = quantize_context(n)
+        assert ctx._coordinate_rows() == _f_monomial_matrix(ctx)
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_inverse_is_integral(self, n):
         rows = quantize_context(n).inverse.rows
