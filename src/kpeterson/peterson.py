@@ -17,7 +17,8 @@ numerator polynomial in h_1..h_{n-1} over a denominator kept in factored
 form as a monomial in {tau_i, sigma_i}.  LocFrac arithmetic never divides;
 PhiContext.reduce, the only place that tries exact division, brings each
 finished image to lowest terms once.  The D-determinant family
-(truncated-series minors), its recursions, the kappa_d involution (one
+(truncated-series minors, by Cauchy-Binet over cached Jacobi-Trudi minors,
+in int), its recursions, the kappa_d involution (one
 substitution of the cached images kappa_d(h_i), each found once through the
 p-basis), and the skew-operator identities complete the toolkit.
 """
@@ -34,7 +35,16 @@ from .matrices import RingMatrix
 from .partitions import Partition, partitions_in_rectangle
 from .polynomials import Poly, grouped_product, power_table, zq_vars
 from .scalars import Rational
-from .symfunc import SymFunc, _substitute, from_p_dict, p_perp, perp, schur, to_p_dict
+from .symfunc import (
+    SymFunc,
+    _jacobi_trudi_minor,
+    _substitute,
+    from_p_dict,
+    p_perp,
+    perp,
+    schur,
+    to_p_dict,
+)
 
 __all__ = [
     "TauSigmaTable",
@@ -133,31 +143,44 @@ def _geom_series_coeffs(theta: int, n: int):
 @lru_cache(maxsize=None)
 def _d_det_cached(theta: tuple, a: tuple, n: int) -> SymFunc:
     d = len(theta)
-    if d == 0:
-        return SymFunc.one()
-    phi = [SymFunc.h(i) for i in range(n)]
-    columns = []
+    # Cauchy-Binet over the wedge of the K-minors (see d_det), keyed by row
+    # bitmask S: adding row k to S flips the sign once per row of S larger than k.
+    wedge = {0: (-1) ** (d * (d - 1) // 2)}
     for theta_j, a_j in zip(theta, a):
         series = _geom_series_coeffs(theta_j, n)
-        col = []
-        for m in range(n):
-            entry = SymFunc.zero()
-            for i in range(max(0, m - a_j) + 1):
-                l = m - a_j - i
-                if l >= 0 and series[l]:
-                    entry = entry + phi[i] * series[l]
-            col.append(entry)
-        columns.append(col)
-    rows = [[columns[j][n - d + i] for j in range(d)] for i in range(d)]
-    det = RingMatrix(rows).det()
-    sign = (-1) ** (d * (d - 1) // 2)
-    return det * sign if sign < 0 else det
+        column = [(k, series[k - a_j]) for k in range(a_j, n) if series[k - a_j]]
+        grown: dict = {}
+        for rows, minor in wedge.items():
+            for k, entry in column:
+                bit = 1 << k
+                if rows & bit:
+                    continue
+                value = -minor * entry if (rows >> k).bit_count() % 2 else minor * entry
+                key = rows | bit
+                grown[key] = grown.get(key, 0) + value
+        wedge = {rows: v for rows, v in grown.items() if v}
+        if not wedge:
+            return SymFunc.zero()
+    acc: dict = {}
+    for rows, minor in wedge.items():
+        for e, v in _jacobi_trudi_minor(n - d, rows).items():
+            acc[e] = acc.get(e, 0) + minor * v
+    return SymFunc({e: v for e, v in acc.items() if v})
 
 
 def d_det(spec: DSpec) -> SymFunc:
     """D[theta; a]: the bracket of the column functions
     (1-zeta)^{a_j} zeta^{-theta_j}, evaluated through the truncated-series
     expansion in u = 1 - zeta (zeta^{-m} = sum C(m+l-1, l) u^l).
+
+    The d x d matrix of that expansion is the product H K of the d x n
+    Jacobi-Trudi block H[r][k] = h_{n-d+r-k} and the n x d integer matrix
+    K[k][j] = series_j[k - a_j] of the truncated series, so by Cauchy-Binet
+    D = (-1)^{d(d-1)/2} sum_{|S| = d} det K[S, :] det H[:, S].  The integer
+    minors det K[S, :] are built column by column as a wedge product (a
+    column with a_j >= n is empty, and D is then zero at once); each
+    Jacobi-Trudi minor det H[:, S] depends only on (n - d, S) and is
+    computed once and cached.  All arithmetic is in int.
 
     Always lands in Lambda_(n): only h_0..h_{n-1} can appear.
     """

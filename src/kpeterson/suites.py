@@ -36,6 +36,7 @@ from .peterson import (
     d_plain,
     d_recursion_check,
     kernel_det_identity,
+    perp_d_check,
     phi_context,
     sigma_identity_check,
     tau_sigma,
@@ -336,6 +337,15 @@ def _suite_d_recursions(n, trials, rng):
             return True, "all rectangle-bounded shapes", "Schur values"
 
         cases.append(_case(f"n{nn}-base-schur", base_thunk))
+
+        def perp_thunk(nn=nn, specs=specs):
+            for spec in specs:
+                for i in (1, 2):
+                    if not perp_d_check(i, spec.d, spec):
+                        return False, f"perp shifts, i = {i}, at {spec}", "shifted D's"
+            return True, f"{len(specs)} random specs, i = 1, 2", "shifted D's"
+
+        cases.append(_case(f"n{nn}-perp-shifts", perp_thunk))
     return cases
 
 

@@ -2,12 +2,18 @@
 
 A SymFunc is an exact-rational linear combination of monomials in h1, h2,
 ...; the monomial h2*h1^2 is stored as the exponent vector (2, 1) (exponent
-of h_i at slot i-1, trailing zeros trimmed).  Schur functions, the p-basis
-conversions (Newton's identities), and the Hall-pairing skew operators
-(p_i-perp acts on h_j as h_{j-i}, extended as a derivation) live here.
-A ring map of Lambda given by the images of its generators -- h to p, p to
-h, the expansion in finitely many variables -- is one Poly.substitute in
-the generators up to the widest monomial (``_substitute``).
+of h_i at slot i-1, trailing zeros trimmed).  Schur functions (each one
+cached Jacobi-Trudi minor, ``_jacobi_trudi_minor``, which the D-determinants
+of ``peterson`` share), the p-basis conversions (Newton's identities), and
+the Hall-pairing skew operators live here.  ``perp`` works in the h-basis and in int: f-perp is the composite of
+the h_k-perp of each factor of each h-monomial of f, and h_k-perp of an
+h-monomial follows from the coproduct Delta h_k = sum_t h_t (x) h_{k-t}
+(``_h_perp_monomial``, cached).  The p-basis is kept for the kappa_d
+involution and for ``p_perp`` (p_i-perp acts on h_j as h_{j-i}, extended as
+a derivation).  A ring map of Lambda given by the images of its generators
+-- h to p, p to h, the expansion in finitely many variables -- is one
+Poly.substitute in the generators up to the widest monomial
+(``_substitute``).
 
 Serialization format: a JSON list of {"coeff": "p/q", "monomial": [i1, i2,
 ...]} with the monomial written as its weakly decreasing index multiset and
@@ -16,9 +22,10 @@ the list in descending graded-lex order.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .matrices import RingMatrix
+from .partitions import Partition
 from .polynomials import Poly, format_terms, power_table, terms_add, terms_mul, terms_scale
 from .scalars import Rational, normalize, rat, rational_from_text, rational_to_text
 
@@ -294,21 +301,61 @@ def _h_expansion(i: int, num_vars: int) -> Poly:
 # -- Schur functions -----------------------------------------------------------
 
 
+def _times_h(exps: tuple, i: int) -> tuple:
+    """The monomial exps times h_i (h_0 = 1), trimmed."""
+    if i == 0:
+        return exps
+    if len(exps) < i:
+        exps = exps + (0,) * (i - len(exps))
+    return exps[: i - 1] + (exps[i - 1] + 1,) + exps[i:]
+
+
+@lru_cache(maxsize=None)
+def _jacobi_trudi_minor(m: int, cols: int) -> dict:
+    """det(h_{m + r - s_c}) over rows r = 0..k-1 and the k columns
+    s_0 < ... < s_{k-1} set in the bitmask cols, as an int term dict.
+
+    Laplace expansion along the last row, r = k - 1, over the cached minors
+    of the first k - 1 rows; h_0 = 1 and h_{<0} = 0.  The cached dict is
+    shared: callers must not mutate it.
+    """
+    if not cols:
+        return {(): 1}
+    r = cols.bit_count() - 1
+    acc: dict = {}
+    c, rest = 0, cols
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        s = low.bit_length() - 1
+        index = m + r - s
+        if index >= 0:
+            sign = -1 if (r + c) % 2 else 1
+            minor = _jacobi_trudi_minor(m, cols ^ low)
+            for e, v in minor.items():
+                key = _times_h(e, index)
+                acc[key] = acc.get(key, 0) + sign * v
+        c += 1
+    return {e: v for e, v in acc.items() if v}
+
+
 def schur(lam) -> SymFunc:
     """Jacobi-Trudi determinant det(h_{lambda_i + j - i}).
+
+    Transposed, it is det(h_{m + r - s_i}) with m = lambda_1 and the
+    strictly increasing columns s_i = m - lambda_i + i: one cached
+    ``_jacobi_trudi_minor``.
 
     >>> from kpeterson.partitions import Partition
     >>> schur(Partition([1, 1])).to_str()
     'h1^2 - h2'
     """
-    parts = tuple(lam)
-    ell = len(parts)
-    if ell == 0:
+    parts = Partition(lam).parts
+    if not parts:
         return SymFunc.one()
-    rows = [
-        [SymFunc.h(parts[i] + j - i) for j in range(ell)] for i in range(ell)
-    ]
-    return RingMatrix(rows).det()
+    m = parts[0]
+    cols = sum(1 << (m - part + i) for i, part in enumerate(parts))
+    return SymFunc(_jacobi_trudi_minor(m, cols))
 
 
 # -- power-sum basis ------------------------------------------------------------
@@ -351,7 +398,10 @@ def from_p_dict(d: dict) -> SymFunc:
 
 
 def p_perp(i: int, g: SymFunc) -> SymFunc:
-    """Apply p_i-perp: the derivation with p_i-perp h_j = h_{j-i}."""
+    """Apply p_i-perp: the derivation with p_i-perp h_j = h_{j-i}, for i >= 1
+    (p_0 is not a generator of Lambda)."""
+    if i < 1:
+        raise ValueError(f"p_i-perp needs i >= 1, got {i}")
     acc: dict = {}
     for e, c in g.terms.items():
         for j in range(len(e)):
@@ -377,17 +427,56 @@ def p_perp(i: int, g: SymFunc) -> SymFunc:
     return SymFunc(acc)
 
 
+@lru_cache(maxsize=None)
+def _h_perp_monomial(k: int, exps: tuple) -> dict:
+    """h_k-perp of the h-monomial exps, as a term dict with int coefficients.
+
+    h_0-perp is the identity and h_k-perp = 0 for k < 0 (and for k above the
+    degree).  Otherwise the coproduct Delta h_k = sum_t h_t (x) h_{k-t}, with
+    h_t-perp h_j = h_{j-t}, peels the widest factor off exps = h_j * rest:
+
+        h_k-perp(h_j * rest) = sum_{t=0}^{min(k, j)} h_{j-t} * h_{k-t}-perp(rest).
+
+    The coefficients are positive, so nothing cancels.  The cached dict is
+    shared: callers must not mutate it.
+    """
+    if k == 0:
+        return {exps: 1}
+    if k < 0 or k > _mono_degree(exps):
+        return {}
+    j = len(exps)
+    rest = _trim(exps[:-1] + (exps[-1] - 1,))
+    out: dict = {}
+    for t in range(min(k, j) + 1):
+        for mono, c in _h_perp_monomial(k - t, rest).items():
+            key = _times_h(mono, j - t)
+            out[key] = out.get(key, 0) + c
+    return out
+
+
+def _h_perp_terms(k: int, terms: dict) -> dict:
+    """h_k-perp of a term dict, summed monomial by monomial."""
+    acc: dict = {}
+    for exps, c in terms.items():
+        for mono, v in _h_perp_monomial(k, exps).items():
+            acc[mono] = acc.get(mono, 0) + c * v
+    return {e: normalize(c) for e, c in acc.items() if c}
+
+
 def perp(f: SymFunc, g: SymFunc) -> SymFunc:
     """The skew operator f-perp applied to g (Hall-pairing adjoint of
-    multiplication by f)."""
-    total = SymFunc.zero()
-    for e, c in _sorted_terms(to_p_dict(f)):
-        image = g
-        for i, exp in enumerate(e, start=1):
-            for _ in range(exp):
-                if image.is_zero():
-                    break
-                image = p_perp(i, image)
-        total = total + image * c
-    return total
+    multiplication by f).
 
+    Worked in the h-basis: (fg)-perp = f-perp o g-perp, so each term
+    c * h_{nu_1} h_{nu_2} ... of f applies h_{nu_1}-perp, h_{nu_2}-perp, ...
+    to g in turn (``_h_perp_monomial``, cached per monomial) and scales the
+    image by c.
+    """
+    total: dict = {}
+    for e, c in f.terms.items():
+        image = g.terms
+        for k in range(len(e), 0, -1):
+            for _ in range(e[k - 1]):
+                image = _h_perp_terms(k, image)
+        total = terms_add(total, terms_scale(image, c))
+    return SymFunc(total)

@@ -9,10 +9,12 @@ dominance peel of Schur products.
 from __future__ import annotations
 
 from kpeterson.grothendieck import stable_groth_vars
+from kpeterson.matrices import RingMatrix
 from kpeterson.partitions import Partition
+from kpeterson.peterson import _geom_series_coeffs
 from kpeterson.polynomials import Poly
 from kpeterson.scalars import Rational
-from kpeterson.symfunc import SymFunc, schur
+from kpeterson.symfunc import SymFunc, _sorted_terms, p_perp, schur, to_p_dict
 
 
 def random_rational(rng, allow_zero=True):
@@ -140,3 +142,50 @@ class Powers:
 
     def __repr__(self):
         return f"Powers({self.base!r})"
+
+
+def reference_perp(f: SymFunc, g: SymFunc) -> SymFunc:
+    """f-perp g through the p-basis: expand f over p-monomials (Fraction
+    coefficients) and apply p_i-perp once per factor of each."""
+    total = SymFunc.zero()
+    for e, c in _sorted_terms(to_p_dict(f)):
+        image = g
+        for i, exp in enumerate(e, start=1):
+            for _ in range(exp):
+                if image.is_zero():
+                    break
+                image = p_perp(i, image)
+        total = total + image * c
+    return total
+
+
+def reference_schur(lam) -> SymFunc:
+    """det(h_{lambda_i + j - i}) by RingMatrix's cofactor expansion."""
+    parts = tuple(lam)
+    rows = [[SymFunc.h(parts[i] + j - i) for j in range(len(parts))] for i in range(len(parts))]
+    return RingMatrix(rows).det() if parts else SymFunc.one()
+
+
+def reference_d_det(theta, a, n) -> SymFunc:
+    """D[theta; a] as the d x d determinant of SymFunc entries
+    sum_i h_i * series_j[m - a_j - i], by RingMatrix's cofactor expansion."""
+    d = len(theta)
+    if d == 0:
+        return SymFunc.one()
+    phi = [SymFunc.h(i) for i in range(n)]
+    columns = []
+    for theta_j, a_j in zip(theta, a):
+        series = _geom_series_coeffs(theta_j, n)
+        col = []
+        for m in range(n):
+            entry = SymFunc.zero()
+            for i in range(max(0, m - a_j) + 1):
+                l = m - a_j - i
+                if l >= 0 and series[l]:
+                    entry = entry + phi[i] * series[l]
+            col.append(entry)
+        columns.append(col)
+    rows = [[columns[j][n - d + i] for j in range(d)] for i in range(d)]
+    det = RingMatrix(rows).det()
+    sign = (-1) ** (d * (d - 1) // 2)
+    return det * sign if sign < 0 else det

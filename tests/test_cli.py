@@ -308,6 +308,14 @@ class TestVerify:
         assert code1 == code2 == 0
         assert strip(json.loads(out1)) == strip(json.loads(out2))
 
+    def test_d_recursions_cases(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "d-recursions", "--n", "4", "--trials", "20")
+        assert code == 0
+        cases = json.loads(out)["cases"]
+        assert [c["id"] for c in cases] == ["n4-recursions", "n4-base-schur", "n4-perp-shifts"]
+        assert {c["status"] for c in cases} == {"pass"}
+        assert cases[2]["lhs"] == "20 random specs, i = 1, 2"
+
     def test_report_header_names_backend_python_and_cores(self, capsys):
         import os
         import platform

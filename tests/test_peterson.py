@@ -2,8 +2,10 @@ import random
 from operator import add, eq
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import Powers, random_symfunc, reference_grouped_product
+from helpers import Powers, random_symfunc, reference_d_det, reference_grouped_product
 from kpeterson.grothendieck import dual_groth
 from kpeterson.partitions import Partition, partitions_in_rectangle
 from kpeterson.peterson import (
@@ -77,6 +79,16 @@ class TestTauSigma:
                 assert S[i - 1] == t.sigma[i]
 
 
+@st.composite
+def dspecs(draw):
+    """(theta, a, n) with n = 2..8, d <= n, theta_j in [-4, n+1], a_j in [0, n+1]."""
+    n = draw(st.integers(2, 8))
+    d = draw(st.integers(0, n))
+    theta = tuple(draw(st.lists(st.integers(-4, n + 1), min_size=d, max_size=d)))
+    a = tuple(draw(st.lists(st.integers(0, n + 1), min_size=d, max_size=d)))
+    return theta, a, n
+
+
 class TestDFamily:
     def test_rectangle_values(self):
         for n in (3, 4, 5):
@@ -104,6 +116,19 @@ class TestDFamily:
     def test_a_equal_n_vanishes(self):
         assert d_det(DSpec((0,), (4,), 4)).is_zero()
         assert d_det(DSpec((2, 1), (4, 0), 4)).is_zero()
+
+    @settings(max_examples=200)
+    @given(dspecs())
+    @example(((0, 1), (2, 0), 3))  # a_j = n - 1
+    @example(((2, 1), (4, 0), 4))  # a_j = n
+    @example(((0, 3), (5, 1), 4))  # a_j = n + 1
+    @example(((2, 2), (1, 1), 5))  # two equal columns
+    @example(((3, -1, 0, 2), (0, 1, 2, 0), 4))  # d = n
+    @example(((), (), 2))  # d = 0
+    @example(((3, -2, 5, 1, 0, 4, 2, 6), (0, 1, 2, 0, 3, 1, 0, 0), 8))  # d = n = 8
+    def test_matches_cofactor_reference(self, spec):
+        theta, a, n = spec
+        assert d_det(DSpec(theta, a, n)) == reference_d_det(theta, a, n)
 
     def test_values_in_lambda_n(self):
         rng = random.Random(5)

@@ -1,12 +1,15 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import hall_pair, random_symfunc, schur_expansion
+from helpers import hall_pair, random_symfunc, reference_perp, reference_schur, schur_expansion
 from kpeterson.partitions import Partition, all_partitions_up_to
 from kpeterson.scalars import Rational
 from kpeterson.symfunc import (
     SymFunc,
+    _h_perp_monomial,
     from_p_dict,
     p_perp,
     perp,
@@ -26,6 +29,13 @@ class TestSchur:
         assert schur(Partition()) == SymFunc.one()
         assert schur(Partition([1, 1])) == h(1) ** 2 - h(2)
         assert schur(Partition([2, 1])) == h(2) * h(1) - h(3)
+
+    def test_matches_cofactor_reference(self):
+        shapes = list(all_partitions_up_to(8)) + [
+            Partition(p) for p in ([5, 5, 3, 1], [4, 4, 4, 4, 2], [6, 1, 1, 1, 1, 1, 1])
+        ]
+        for lam in shapes:
+            assert schur(lam) == reference_schur(lam), lam
 
     def test_lr_positivity_small(self):
         for lam in all_partitions_up_to(3):
@@ -61,6 +71,44 @@ class TestPerp:
         for i in range(1, 4):
             for j in range(5):
                 assert p_perp(i, h(j)) == h(j - i)
+
+    @pytest.mark.parametrize("i", [0, -1, -3])
+    def test_p_perp_rejects_non_generator(self, i):
+        # p_0 is not a generator; p_0-perp used to return 2*h2*h1 on h2*h1
+        with pytest.raises(ValueError, match="i >= 1"):
+            p_perp(i, h(2) * h(1))
+
+    def test_h_perp_rule(self):
+        for k in range(6):
+            for j in range(7):
+                assert perp(h(k), h(j)) == h(j - k), (k, j)
+
+    def test_h_perp_monomial_at_and_below_zero(self):
+        for exps in [(), (1,), (0, 2), (3, 0, 1)]:
+            assert _h_perp_monomial(0, exps) == {exps: 1}
+            assert _h_perp_monomial(-1, exps) == {}
+            assert _h_perp_monomial(-4, exps) == {}
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 2**32), st.integers(0, 2**32))
+    @example(-1, 5)  # f = 0
+    @example(5, -1)  # g = 0
+    @example(-2, 5)  # f constant
+    @example(-3, -4)  # deg f > deg g
+    def test_matches_p_basis_reference(self, f_seed, g_seed):
+        def draw(seed):
+            if seed == -1:
+                return SymFunc.zero()
+            if seed == -2:
+                return SymFunc.const(Rational(-7, 3))
+            if seed == -3:
+                return h(4) * h(3) * 2 - h(5) ** 2 + Rational(1, 2)
+            if seed == -4:
+                return h(2) * h(1) - 3
+            return random_symfunc(random.Random(seed), max_index=4, max_terms=4, max_exp=2)
+
+        f, g = draw(f_seed), draw(g_seed)
+        assert perp(f, g) == reference_perp(f, g)
 
     def test_linear_and_multiplicative(self):
         rng = random.Random(23)
