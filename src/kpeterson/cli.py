@@ -79,6 +79,30 @@ MAX_GSTABLE_VARS = 6
 MAX_GDUAL_LENGTH = 7
 MAX_GDUAL_WEIGHT = 60
 
+# Largest length l(nu) and size |nu| `kpet klr` accepts: its set-valued
+# tableaux grow exponentially in both.  The slowest input timed at the limits,
+# `kpet klr '' 6,2 2,2,2,2,2`, takes about 0.7 s; `klr '' 6,2,1 3,2,2,2,2`
+# (size 11) takes 1.5 s and `klr 1 4,3,2 6,5,4,3,2,1` 2.6 s.
+MAX_KLR_LENGTH = 5
+MAX_KLR_WEIGHT = 10
+
+# Largest permutation length `kpet groth` accepts: its divided differences
+# recurse up to n(n-1)/2 deep over fast-growing polynomials.  The slowest
+# length-8 input a local search found, `kpet groth 12543876`, takes about 1 s;
+# `groth 123549876` takes 10 s, and the identity of length 50 overflows.
+MAX_GROTH_N = 8
+
+# Largest permutation length `kpet lambda-map` accepts: it takes cycle powers
+# by repeated composition, O(n^3).  The slowest input of length 100 (every
+# exponent at its largest) takes about 0.3 s, length 200 1.7 s, and a random
+# permutation of length 1000 47 s.
+MAX_LAMBDA_MAP_N = 100
+
+# Largest |mu| `kpet kconj` accepts: the (k+1)-core can have |mu|^2 / 2 cells.
+# The slowest input of size 100, 1,...,1 with --k 1, takes about 0.35 s; size
+# 200 takes 1.1 s, and 800 ones with --k 2 20 s.
+MAX_KCONJ_WEIGHT = 100
+
 
 class ExprError(ValueError):
     def __init__(self, message: str, pos: int):
@@ -353,16 +377,11 @@ def _positive_counts(args):
         _bounded(args.trials, MAX_TRIALS, "--trials")
 
 
-def _perm(args) -> Permutation:
+def _perm(args, limit: int) -> Permutation:
     w = Permutation.from_text(args.w)
     if args.n and args.n != w.n:
         raise ValueError(f"--n {args.n} does not match the permutation length {w.n}")
-    return w
-
-
-def _quantized_perm(args) -> Permutation:
-    w = _perm(args)
-    _bounded(w.n, MAX_QUANTIZE_N, "permutation length")
+    _bounded(w.n, limit, "permutation length")
     return w
 
 
@@ -387,11 +406,10 @@ def _dispatch(args) -> int:
         value = dual_groth(lam)
         _emit(args, value.to_json(), value.to_str())
     elif cmd == "klr":
-        value = klr_coeff(
-            Partition.from_text(args.lam),
-            Partition.from_text(args.mu),
-            Partition.from_text(args.nu),
-        )
+        nu = Partition.from_text(args.nu)
+        _bounded(len(nu), MAX_KLR_LENGTH, "length of nu")
+        _bounded(nu.weight, MAX_KLR_WEIGHT, "size of nu")
+        value = klr_coeff(Partition.from_text(args.lam), Partition.from_text(args.mu), nu)
         _emit(args, value, str(value))
     elif cmd == "gstable":
         lam = Partition.from_text(args.partition)
@@ -426,19 +444,21 @@ def _dispatch(args) -> int:
             f"({num.to_str()}) / ({den.to_str()})",
         )
     elif cmd == "groth":
-        value = groth_poly(_perm(args))
+        value = groth_poly(_perm(args, MAX_GROTH_N))
         _emit(args, value.to_json(), value.to_str())
     elif cmd == "qgroth":
-        value = quantum_groth(_quantized_perm(args))
+        value = quantum_groth(_perm(args, MAX_QUANTIZE_N))
         _emit(args, value.to_json(), value.to_str())
     elif cmd == "gtilde":
-        value = g_tilde(_quantized_perm(args))
+        value = g_tilde(_perm(args, MAX_QUANTIZE_N))
         _emit(args, value.to_json(), value.to_str())
     elif cmd == "lambda-map":
-        value = lambda_map(_perm(args)).partition
+        value = lambda_map(_perm(args, MAX_LAMBDA_MAP_N)).partition
         _emit(args, value.to_text(), value.to_text())
     elif cmd == "kconj":
-        value = k_conjugate(Partition.from_text(args.partition), args.k)
+        mu = Partition.from_text(args.partition)
+        _bounded(mu.weight, MAX_KCONJ_WEIGHT, "partition size")
+        value = k_conjugate(mu, args.k)
         _emit(args, value.to_text(), value.to_text())
     elif cmd == "toda-roundtrip":
         _positive_counts(args)

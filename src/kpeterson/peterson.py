@@ -19,8 +19,9 @@ PhiContext.reduce, the only place that tries exact division, brings each
 finished image to lowest terms once.  The D-determinant family
 (truncated-series minors, by Cauchy-Binet over cached Jacobi-Trudi minors,
 in int), its recursions, the kappa_d involution (one
-substitution of the cached images kappa_d(h_i), each found once through the
-p-basis), and the skew-operator identities complete the toolkit.
+substitution of the images kappa_d(h_i), each a closed-form int combination
+of h_0..h_i), and the skew-operator identities complete the toolkit; none of
+them goes through the p-basis.
 """
 
 from __future__ import annotations
@@ -35,16 +36,7 @@ from .matrices import RingMatrix
 from .partitions import Partition, partitions_in_rectangle
 from .polynomials import Poly, grouped_product, power_table, zq_vars
 from .scalars import Rational
-from .symfunc import (
-    SymFunc,
-    _jacobi_trudi_minor,
-    _substitute,
-    from_p_dict,
-    p_perp,
-    perp,
-    schur,
-    to_p_dict,
-)
+from .symfunc import SymFunc, _jacobi_trudi_minor, _substitute, _times_h, p_perp, perp, schur
 
 __all__ = [
     "TauSigmaTable",
@@ -52,7 +44,6 @@ __all__ = [
     "tau_sigma",
     "d_det",
     "kappa",
-    "kappa_p",
     "PhiContext",
     "phi_context",
     "phi_apply",
@@ -196,23 +187,22 @@ def d_plain(theta_vec, n: int) -> SymFunc:
 # -- the kappa involution ----------------------------------------------------------
 
 
-def kappa_p(d: int, i: int) -> dict:
-    """kappa_d(p_i) as a p-dict: d - C(i,1)p_1 + C(i,2)p_2 - ... +/- p_i."""
-    out = {(): d} if d else {}
-    for j in range(1, i + 1):
-        out[(0,) * (j - 1) + (1,)] = (-1) ** j * comb(i, j)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _kappa_h(d: int, i: int) -> SymFunc:
-    """kappa_d(h_i), through the p-basis."""
-    return from_p_dict(_substitute(to_p_dict(SymFunc.h(i)), lambda j: kappa_p(d, j)))
+    """kappa_d(h_i) = sum_{k=0}^{i} (-1)^k C(d+i-1, i-k) h_k, for i >= 1.
+
+    kappa_d is f |-> f(1 - x_1, ..., 1 - x_d) on d variables, and
+    prod_j 1/(1 - t(1 - x_j)) = (1 - t)^{-d} H(-t/(1 - t)) with
+    H(t) = sum_k h_k t^k; the coefficient of t^i is this sum.
+    """
+    coeffs = ((k, (-1) ** k * comb(d + i - 1, i - k)) for k in range(i + 1))
+    return SymFunc({_times_h((), k): c for k, c in coeffs if c})
 
 
 def kappa(d: int, f: SymFunc) -> SymFunc:
-    """The ring endomorphism with kappa_d(p_i) as above; an involution.  It
-    sends each h_i to kappa_d(h_i), one substitution in the h-basis."""
+    """The ring involution kappa_d with kappa_d(p_i) = d + sum_{j=1}^{i}
+    (-1)^j C(i, j) p_j.  It sends each h_i to ``_kappa_h(d, i)``, one
+    substitution in the h-basis."""
     return SymFunc(_substitute(f.terms, lambda i: _kappa_h(d, i).terms))
 
 
@@ -577,23 +567,16 @@ def kernel_value(theta: int, a: int, i: int) -> int:
 def kernel_det_identity(n: int, d: int, i_vec: tuple) -> bool:
     """det(K^{d-l+1}_{d-l, i_m}) = sum over n > a_1 > ... > a_d >= 0 of
     det(K^{d-l}_{a_l, i_m}), for a fixed decreasing index vector."""
-    lhs = RingMatrix(
-        [
-            [Rational(kernel_value(d - l + 1, d - l, i_vec[m - 1])) for m in range(1, d + 1)]
-            for l in range(1, d + 1)
-        ]
-    ).det()
-    rhs = Rational(0)
-    for a_vec in combinations(range(n - 1, -1, -1), d):
-        rhs += RingMatrix(
-            [
-                [
-                    Rational(kernel_value(d - l, a_vec[l - 1], i_vec[m - 1]))
-                    for m in range(1, d + 1)
-                ]
-                for l in range(1, d + 1)
-            ]
-        ).det()
+
+    def kernel_det(rows):
+        """det(K^{theta_l}_{a_l, i_m}) for the rows (theta_l, a_l), in int."""
+        return RingMatrix([[kernel_value(t, a, i) for i in i_vec] for t, a in rows]).det()
+
+    lhs = kernel_det([(d - l + 1, d - l) for l in range(1, d + 1)])
+    rhs = sum(
+        kernel_det([(d - l, a) for l, a in enumerate(a_vec, start=1)])
+        for a_vec in combinations(range(n - 1, -1, -1), d)
+    )
     return lhs == rhs
 
 
@@ -630,7 +613,11 @@ def perp_d_check(i: int, d: int, spec: DSpec) -> bool:
         rhs_p = rhs_p + d_det(spec.replace_a(j, spec.a[j] + i))
     if lhs_p != rhs_p:
         return False
-    lhs_k = perp(from_p_dict(kappa_p(d, i)), value)
+    # kappa_d(p_i) = d + sum_{j=1}^{i} (-1)^j C(i, j) p_j, and a constant's
+    # perp is multiplication by it
+    lhs_k = value * d
+    for j in range(1, i + 1):
+        lhs_k = lhs_k + p_perp(j, value) * ((-1) ** j * comb(i, j))
     rhs_k = SymFunc.zero()
     for j in range(d):
         rhs_k = rhs_k + d_det(spec.replace_theta(j, spec.theta[j] - i))

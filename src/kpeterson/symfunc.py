@@ -4,16 +4,15 @@ A SymFunc is an exact-rational linear combination of monomials in h1, h2,
 ...; the monomial h2*h1^2 is stored as the exponent vector (2, 1) (exponent
 of h_i at slot i-1, trailing zeros trimmed).  Schur functions (each one
 cached Jacobi-Trudi minor, ``_jacobi_trudi_minor``, which the D-determinants
-of ``peterson`` share), the p-basis conversions (Newton's identities), and
-the Hall-pairing skew operators live here.  ``perp`` works in the h-basis and in int: f-perp is the composite of
-the h_k-perp of each factor of each h-monomial of f, and h_k-perp of an
-h-monomial follows from the coproduct Delta h_k = sum_t h_t (x) h_{k-t}
-(``_h_perp_monomial``, cached).  The p-basis is kept for the kappa_d
-involution and for ``p_perp`` (p_i-perp acts on h_j as h_{j-i}, extended as
-a derivation).  A ring map of Lambda given by the images of its generators
--- h to p, p to h, the expansion in finitely many variables -- is one
-Poly.substitute in the generators up to the widest monomial
-(``_substitute``).
+of ``peterson`` share), the p-basis conversions (Newton's identities) and
+the Hall-pairing skew operators live here.  The skew operators are linear
+maps of h-monomials in int (``_linear_map``): p_i-perp is the derivation
+h_j -> h_{j-i}, and f-perp composes the h_k-perp of the factors of each
+h-monomial of f, read off the coproduct Delta h_k = sum_t h_t (x) h_{k-t}.
+No computation goes through the p-basis.  A ring map of Lambda given by the
+images of its generators -- h to p, p to h, kappa_d, the expansion in
+finitely many variables -- is one Poly.substitute in the generators up to
+the widest monomial (``_substitute``).
 
 Serialization format: a JSON list of {"coeff": "p/q", "monomial": [i1, i2,
 ...]} with the monomial written as its weakly decreasing index multiset and
@@ -397,34 +396,36 @@ def from_p_dict(d: dict) -> SymFunc:
     return SymFunc(_substitute(d, lambda i: _P_IN_H[i].terms))
 
 
+# -- skew operators (Hall-pairing adjoints) --------------------------------------
+
+
+def _linear_map(terms: dict, image, k: int) -> dict:
+    """The linear map that sends each monomial exps to the int term dict
+    image(k, exps), applied to a term dict."""
+    acc: dict = {}
+    for exps, c in terms.items():
+        for mono, v in image(k, exps).items():
+            acc[mono] = acc.get(mono, 0) + c * v
+    return {e: normalize(c) for e, c in acc.items() if c}
+
+
+def _p_perp_monomial(i: int, exps: tuple) -> dict:
+    """p_i-perp of the h-monomial exps.  p_i-perp = i d/dp_i is the derivation
+    with p_i-perp h_j = h_{j-i} (Macdonald I.5), so each factor h_j, j >= i,
+    becomes h_{j-i} with the multiplicity of h_j as coefficient; no two j
+    give the same monomial."""
+    return {
+        _times_h(_trim(exps[: j - 1] + (m - 1,) + exps[j:]), j - i): m
+        for j, m in enumerate(exps, start=1)
+        if m and j >= i
+    }
+
+
 def p_perp(i: int, g: SymFunc) -> SymFunc:
-    """Apply p_i-perp: the derivation with p_i-perp h_j = h_{j-i}, for i >= 1
-    (p_0 is not a generator of Lambda)."""
+    """Apply p_i-perp, for i >= 1 (p_0 is not a generator of Lambda)."""
     if i < 1:
         raise ValueError(f"p_i-perp needs i >= 1, got {i}")
-    acc: dict = {}
-    for e, c in g.terms.items():
-        for j in range(len(e)):
-            if not e[j]:
-                continue
-            # remove one factor h_{j+1}, append h_{j+1-i}
-            coeff = c * e[j]
-            new = list(e)
-            new[j] -= 1
-            target = j + 1 - i
-            if target < 0:
-                continue
-            if target > 0:
-                if len(new) < target:
-                    new.extend([0] * (target - len(new)))
-                new[target - 1] += 1
-            key = _trim(new)
-            s = normalize(acc.get(key, 0) + coeff)
-            if s:
-                acc[key] = s
-            else:
-                del acc[key]
-    return SymFunc(acc)
+    return SymFunc(_linear_map(g.terms, _p_perp_monomial, i))
 
 
 @lru_cache(maxsize=None)
@@ -454,15 +455,6 @@ def _h_perp_monomial(k: int, exps: tuple) -> dict:
     return out
 
 
-def _h_perp_terms(k: int, terms: dict) -> dict:
-    """h_k-perp of a term dict, summed monomial by monomial."""
-    acc: dict = {}
-    for exps, c in terms.items():
-        for mono, v in _h_perp_monomial(k, exps).items():
-            acc[mono] = acc.get(mono, 0) + c * v
-    return {e: normalize(c) for e, c in acc.items() if c}
-
-
 def perp(f: SymFunc, g: SymFunc) -> SymFunc:
     """The skew operator f-perp applied to g (Hall-pairing adjoint of
     multiplication by f).
@@ -477,6 +469,6 @@ def perp(f: SymFunc, g: SymFunc) -> SymFunc:
         image = g.terms
         for k in range(len(e), 0, -1):
             for _ in range(e[k - 1]):
-                image = _h_perp_terms(k, image)
+                image = _linear_map(image, _h_perp_monomial, k)
         total = terms_add(total, terms_scale(image, c))
     return SymFunc(total)

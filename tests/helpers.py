@@ -8,13 +8,15 @@ dominance peel of Schur products.
 
 from __future__ import annotations
 
+from math import comb
+
 from kpeterson.grothendieck import stable_groth_vars
 from kpeterson.matrices import RingMatrix
 from kpeterson.partitions import Partition
 from kpeterson.peterson import _geom_series_coeffs
 from kpeterson.polynomials import Poly
-from kpeterson.scalars import Rational
-from kpeterson.symfunc import SymFunc, _sorted_terms, p_perp, schur, to_p_dict
+from kpeterson.scalars import Rational, normalize
+from kpeterson.symfunc import SymFunc, _sorted_terms, _trim, schur, to_p_dict
 
 
 def random_rational(rng, allow_zero=True):
@@ -48,6 +50,16 @@ def hall_pair(f: SymFunc, g: SymFunc):
     return total
 
 
+def _next_leading(poly: Poly, previous):
+    """The lex-leading exponent of poly, which a Schur peel must have
+    strictly lowered from `previous` (None on the first step); a peel by a
+    wrong s_lambda would otherwise never end."""
+    exps = max(poly.terms)
+    if previous is not None and exps >= previous:
+        raise ValueError(f"Schur peel did not lower the leading exponent {previous}")
+    return exps
+
+
 def schur_expansion(f: SymFunc) -> dict:
     """Expand f over Schur functions by the dominance peel on a monomial
     expansion (enough variables to be faithful)."""
@@ -56,8 +68,9 @@ def schur_expansion(f: SymFunc) -> dict:
     num_vars = max(f.degree(), 1)
     poly = f.expand_in_vars(num_vars)
     out = {}
+    exps = None
     while not poly.is_zero():
-        exps = max(poly.terms, key=lambda e: e)
+        exps = _next_leading(poly, exps)
         coeff = poly.terms[exps]
         parts = [e for e in exps if e]
         if list(exps[: len(parts)]) != sorted(parts, reverse=True) or any(
@@ -105,8 +118,9 @@ def lift_to_symfunc(poly: Poly, num_vars: int) -> SymFunc:
     most num_vars, degree by degree through the Schur peel."""
     total = SymFunc.zero()
     remaining = poly
+    exps = None
     while not remaining.is_zero():
-        exps = max(remaining.terms, key=lambda e: e)
+        exps = _next_leading(remaining, exps)
         coeff = remaining.terms[exps]
         parts = [e for e in exps if e]
         lam = Partition(parts)
@@ -144,6 +158,42 @@ class Powers:
         return f"Powers({self.base!r})"
 
 
+def reference_kappa_p(d: int, i: int) -> dict:
+    """kappa_d(p_i) as a p-dict: d - C(i,1)p_1 + C(i,2)p_2 - ... +/- p_i."""
+    out = {(): d} if d else {}
+    for j in range(1, i + 1):
+        out[(0,) * (j - 1) + (1,)] = (-1) ** j * comb(i, j)
+    return out
+
+
+def reference_p_perp(i: int, g: SymFunc) -> SymFunc:
+    """p_i-perp as a derivation with p_i-perp h_j = h_{j-i}, by list surgery
+    on each exponent vector."""
+    acc: dict = {}
+    for e, c in g.terms.items():
+        for j in range(len(e)):
+            if not e[j]:
+                continue
+            # remove one factor h_{j+1}, append h_{j+1-i}
+            coeff = c * e[j]
+            new = list(e)
+            new[j] -= 1
+            target = j + 1 - i
+            if target < 0:
+                continue
+            if target > 0:
+                if len(new) < target:
+                    new.extend([0] * (target - len(new)))
+                new[target - 1] += 1
+            key = _trim(new)
+            s = normalize(acc.get(key, 0) + coeff)
+            if s:
+                acc[key] = s
+            else:
+                del acc[key]
+    return SymFunc(acc)
+
+
 def reference_perp(f: SymFunc, g: SymFunc) -> SymFunc:
     """f-perp g through the p-basis: expand f over p-monomials (Fraction
     coefficients) and apply p_i-perp once per factor of each."""
@@ -154,7 +204,7 @@ def reference_perp(f: SymFunc, g: SymFunc) -> SymFunc:
             for _ in range(exp):
                 if image.is_zero():
                     break
-                image = p_perp(i, image)
+                image = reference_p_perp(i, image)
         total = total + image * c
     return total
 

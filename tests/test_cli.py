@@ -1,12 +1,19 @@
 import json
+import time
 
 import pytest
 
+from kpeterson import cli
 from kpeterson.cli import (
     MAX_GDUAL_LENGTH,
     MAX_GDUAL_WEIGHT,
+    MAX_GROTH_N,
     MAX_GSTABLE_VARS,
     MAX_GSTABLE_WEIGHT,
+    MAX_KCONJ_WEIGHT,
+    MAX_KLR_LENGTH,
+    MAX_KLR_WEIGHT,
+    MAX_LAMBDA_MAP_N,
     MAX_PHI_CELLS,
     MAX_PHI_N,
     MAX_QUANTIZE_N,
@@ -25,6 +32,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _ones(count):
+    return ",".join(["1"] * count)
+
+
+def _identity(n):
+    return ",".join(str(v) for v in range(1, n + 1))
 
 
 class TestCompute:
@@ -112,6 +127,20 @@ class TestCompute:
         code, out, _ = run_cli(capsys, "gdual", "2", "--out", str(path))
         assert code == 0 and out == ""
         assert SymFunc.from_json(json.loads(path.read_text())) == SymFunc.h(2)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("klr", "1", "1", "2,2,2,2,2"),
+            ("klr", "", "1", "6,1,1,1,1"),
+            ("groth", "21345678"),
+            ("lambda-map", _identity(MAX_LAMBDA_MAP_N)),
+            ("kconj", _ones(MAX_KCONJ_WEIGHT), "--k", "50"),
+        ],
+    )
+    def test_input_at_new_limits_answers(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == "" and out
 
 
 class TestExprParser:
@@ -219,6 +248,69 @@ class TestExprParser:
     def test_grothendieck_input_at_limit_answers(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 0 and err == "" and out
+
+
+# what each subcommand computes with; an absurd input must be refused before
+# any of these is called
+COMPUTATIONS = (
+    "dual_groth",
+    "klr_coeff",
+    "stable_groth_vars",
+    "tau_sigma",
+    "d_det",
+    "phi_apply",
+    "groth_poly",
+    "quantum_groth",
+    "g_tilde",
+    "lambda_map",
+    "k_conjugate",
+    "run_suite",
+)
+
+
+class TestAbsurdInput:
+    @pytest.fixture(autouse=True)
+    def no_computation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the input reached a computation")
+
+        for name in COMPUTATIONS:
+            monkeypatch.setattr(cli, name, refuse)
+
+    @pytest.mark.parametrize(
+        "argv, limit",
+        [
+            (("gdual", _ones(20)), MAX_GDUAL_LENGTH),
+            (("gdual", "1000000"), MAX_GDUAL_WEIGHT),
+            (("klr", "1", "4,3,2", "6,5,4,3,2,1"), MAX_KLR_LENGTH),
+            (("klr", "1", "4,4,4,4", "9,9,9,9"), MAX_KLR_WEIGHT),
+            (("klr", "", "1", _ones(1000)), MAX_KLR_LENGTH),
+            (("gstable", "4,4,4", "9"), MAX_GSTABLE_WEIGHT),
+            (("gstable", "2", "40"), MAX_GSTABLE_VARS),
+            (("tau", "--n", "3000"), MAX_PHI_N),
+            (("ddet", "--n", "3000", "--theta", "1", "--a", "0"), MAX_PHI_N),
+            (("phi", "--n", "9", "--poly", "z1"), MAX_PHI_N),
+            (("phi", "--n", "3", "--poly", "x1^100000"), max_phi_degree(3)),
+            (("phi", "--n", "4", "--poly", "(x1+x2+x3+Q1)^32"), MAX_PHI_CELLS),
+            (("groth", _identity(50)), MAX_GROTH_N),
+            (("groth", "2,1,3,4,5,6,7,8,9,10,11,12"), MAX_GROTH_N),
+            (("qgroth", "2134567"), MAX_QUANTIZE_N),
+            (("gtilde", _identity(100)), MAX_QUANTIZE_N),
+            (("lambda-map", _identity(4000)), MAX_LAMBDA_MAP_N),
+            (("kconj", _ones(800), "--k", "2"), MAX_KCONJ_WEIGHT),
+            (("kconj", "100000", "--k", "100000"), MAX_KCONJ_WEIGHT),
+            (("verify", "d-recursions", "--trials", "1000000000"), MAX_TRIALS),
+            (("toda-roundtrip", "--n", "3", "--trials", "1000000000"), MAX_TRIALS),
+        ],
+    )
+    def test_refused_at_the_check(self, capsys, argv, limit):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        elapsed = time.perf_counter() - start
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"above the limit {limit}" in err
+        assert elapsed < 1.0
 
 
 class TestVerify:

@@ -24,8 +24,8 @@ from sympy import QQ
 from sympy.polys.polyerrors import ExactQuotientFailed
 from sympy.polys.rings import ring
 
-from helpers import Powers, reference_grouped_product
-from kpeterson.peterson import kappa, kappa_p
+from helpers import Powers, reference_grouped_product, reference_kappa_p
+from kpeterson.peterson import kappa
 from kpeterson.polynomials import (
     Poly,
     grouped_product,
@@ -348,7 +348,7 @@ def reference_kappa(d: int, f: SymFunc) -> SymFunc:
         term = {(): coeff}
         for i, e in enumerate(exps, start=1):
             for _ in range(e):
-                term = terms_mul(term, kappa_p(d, i))
+                term = terms_mul(term, reference_kappa_p(d, i))
         total = terms_add(total, term)
     return reference_from_p_dict(total)
 

@@ -5,18 +5,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import Powers, random_symfunc, reference_d_det, reference_grouped_product
+from helpers import (
+    Powers,
+    random_symfunc,
+    reference_d_det,
+    reference_grouped_product,
+    reference_kappa_p,
+)
 from kpeterson.grothendieck import dual_groth
 from kpeterson.partitions import Partition, partitions_in_rectangle
 from kpeterson.peterson import (
     DSpec,
     LocFrac,
+    _kappa_h,
     d_base_check,
     d_det,
     d_plain,
     d_recursion_check,
     kappa,
-    kappa_p,
     kernel_det_identity,
     perp_d_check,
     phi_apply,
@@ -29,7 +35,7 @@ from kpeterson import polynomials
 from kpeterson.polynomials import Poly, xq_vars, zq_vars
 from kpeterson.quantum import fq_poly, fq_poly_z, phi_f_image
 from kpeterson.scalars import Rational
-from kpeterson.symfunc import SymFunc, from_p_dict, schur
+from kpeterson.symfunc import SymFunc, _substitute, from_p_dict, schur, to_p_dict
 from kpeterson.toda import SpectralParams, TruncSeriesPhi, f_invariant, ts_functions
 
 h = SymFunc.h
@@ -193,8 +199,18 @@ class TestKappa:
                 assert kappa(d, f + g) == kappa(d, f) + kappa(d, g)
 
     def test_kappa_p_table(self):
-        assert kappa_p(2, 1) == {(): 2, (1,): -1}
-        assert kappa_p(1, 2) == {(): 1, (1,): -2, (0, 1): 1}
+        assert reference_kappa_p(2, 1) == {(): 2, (1,): -1}
+        assert reference_kappa_p(1, 2) == {(): 1, (1,): -2, (0, 1): 1}
+
+    def test_closed_form_matches_p_basis_route(self):
+        # kappa_d(h_i) through the p-basis: h_i to p, each p_j to
+        # kappa_d(p_j), back to h
+        for d in range(8):
+            for i in range(1, 10):
+                route = from_p_dict(
+                    _substitute(to_p_dict(h(i)), lambda j: reference_kappa_p(d, j))
+                )
+                assert _kappa_h(d, i) == route, (d, i)
 
 
 class TestPhi:

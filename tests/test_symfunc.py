@@ -4,7 +4,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import hall_pair, random_symfunc, reference_perp, reference_schur, schur_expansion
+from helpers import (
+    hall_pair,
+    random_symfunc,
+    reference_p_perp,
+    reference_perp,
+    reference_schur,
+    schur_expansion,
+)
 from kpeterson.partitions import Partition, all_partitions_up_to
 from kpeterson.scalars import Rational
 from kpeterson.symfunc import (
@@ -71,6 +78,28 @@ class TestPerp:
         for i in range(1, 4):
             for j in range(5):
                 assert p_perp(i, h(j)) == h(j - i)
+
+    @settings(max_examples=200)
+    @given(
+        st.dictionaries(
+            st.lists(st.integers(0, 3), max_size=6).map(tuple),
+            st.one_of(
+                st.integers(-9, 9),
+                st.builds(Rational, st.integers(-9, 9), st.integers(1, 6)),
+            ),
+            max_size=5,
+        ),
+        st.integers(1, 6),
+    )
+    @example({}, 1)  # g = 0
+    @example({(): 5}, 1)  # g constant
+    @example({(2,): 1, (0, 1): -2}, 1)  # p_1-perp(h1^2 - 2 h2) = 0
+    @example({(0, 0, 0, 0, 0, 2): Rational(1, 2), (1, 0, 1): 3}, 6)
+    def test_p_perp_matches_reference(self, terms, i):
+        g = sum((SymFunc.monomial(e, c) for e, c in terms.items()), SymFunc.zero())
+        got = p_perp(i, g)
+        assert got == reference_p_perp(i, g)
+        assert all(type(c) is int or c.denominator > 1 for c in got.terms.values())
 
     @pytest.mark.parametrize("i", [0, -1, -3])
     def test_p_perp_rejects_non_generator(self, i):
