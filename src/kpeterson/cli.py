@@ -31,6 +31,10 @@ from .symfunc import SymFunc
 # degree bound for every n would still admit runs of minutes at n = 5.
 MAX_PHI_WEIGHT = 288
 
+# Deepest parenthesis nesting `kpet phi --poly` accepts: the parser spends four
+# frames a level, so about 250 levels exhaust Python's recursion limit.
+MAX_PHI_NESTING = 100
+
 
 def max_phi_degree(n: int) -> int:
     """Largest total degree `kpet phi --n n` accepts."""
@@ -60,7 +64,7 @@ MAX_QUANTIZE_N = 6
 # build every case (one per trial and n) before the first one runs, so an
 # absurd count would exhaust memory instead of running.  At the limit,
 # `kpet verify toda-roundtrip --trials 1000` (4,000 cases over n = 2..5) takes
-# about 20 s in 24 MB (Python 3.11, one core), and
+# about 13 s in 25 MB (Python 3.11, one core), and
 # `kpet verify d-recursions --trials 1000` about 3 s.
 MAX_TRIALS = 1000
 
@@ -92,15 +96,14 @@ MAX_KLR_WEIGHT = 10
 # `groth 123549876` takes 10 s, and the identity of length 50 overflows.
 MAX_GROTH_N = 8
 
-# Largest permutation length `kpet lambda-map` accepts: it takes cycle powers
-# by repeated composition, O(n^3).  The slowest input of length 100 (every
-# exponent at its largest) takes about 0.3 s, length 200 1.7 s, and a random
-# permutation of length 1000 47 s.
-MAX_LAMBDA_MAP_N = 100
+# Largest permutation length `kpet lambda-map` accepts: its partition can have
+# n^2 / 2 parts.  With start-up, the slowest inputs of length 400 (every
+# exponent at its largest, or random) take about 0.25 s, 500 0.35 s, 1000 1 s.
+MAX_LAMBDA_MAP_N = 400
 
 # Largest |mu| `kpet kconj` accepts: the (k+1)-core can have |mu|^2 / 2 cells.
-# The slowest input of size 100, 1,...,1 with --k 1, takes about 0.35 s; size
-# 200 takes 1.1 s, and 800 ones with --k 2 20 s.
+# With start-up, the slowest input of size 100, 1,...,1 with --k 1, takes
+# about 0.12 s; 200 ones 0.15 s, 800 with --k 2 0.3 s, 1000 with --k 1 0.6 s.
 MAX_KCONJ_WEIGHT = 100
 
 
@@ -151,6 +154,7 @@ def _tokenize(text: str):
 class _Parser:
     """Grammar: expr := term (('+'|'-') term)*; term := factor ('*' factor)*;
     factor := ('-')* atom ('^' int)?; atom := name | int ('/' int)? | '(' expr ')'.
+    Parentheses nest at most MAX_PHI_NESTING deep.
 
     Every product and power is checked against max_degree and, through the
     Phi_n context ctx, against the predicted size of its image before it is
@@ -163,6 +167,7 @@ class _Parser:
         self.vars = variables
         self.max_degree = max_degree
         self.ctx = ctx
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -253,8 +258,14 @@ class _Parser:
                 raise ExprError(f"variable {tok[1]!r} out of range", tok[2])
             return Poly.variable(self.vars, tok[1])
         if tok[0] == "(":
+            self.depth += 1
+            if self.depth > MAX_PHI_NESTING:
+                raise ExprError(
+                    f"parentheses nest above the limit {MAX_PHI_NESTING}", tok[2]
+                )
             value = self.expr()
             self.expect(")")
+            self.depth -= 1
             return value
         raise ExprError(f"unexpected token {tok[1]!r}", tok[2])
 

@@ -61,22 +61,6 @@ class RingMatrix:
     def __repr__(self):
         return f"RingMatrix({[list(r) for r in self.rows]})"
 
-    def __add__(self, other):
-        return RingMatrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ]
-        )
-
-    def __sub__(self, other):
-        return RingMatrix(
-            [
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ]
-        )
-
     def __mul__(self, other):
         if isinstance(other, RingMatrix):
             if self.ncols != other.nrows:

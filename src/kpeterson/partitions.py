@@ -233,12 +233,16 @@ class Permutation:
         return Permutation(inv)
 
     def __pow__(self, k: int) -> "Permutation":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = Permutation.identity(self.n)
-        for _ in range(k):
-            result = result * self
-        return result
+        """w^k for any integer k in O(n): each cycle is walked once."""
+        im, result = self.images, [0] * len(self.images)
+        for start in im:
+            if not result[start - 1]:
+                cycle = [start]
+                while im[cycle[-1] - 1] != start:
+                    cycle.append(im[cycle[-1] - 1])
+                for pos, v in enumerate(cycle):
+                    result[v - 1] = cycle[(pos + k) % len(cycle)]
+        return Permutation(result)
 
     @property
     def length(self) -> int:

@@ -308,9 +308,10 @@ def bounded_to_core(mu: Partition, k: int) -> Partition:
     if mu.parts and mu.parts[0] > k:
         raise ValueError("not k-bounded")
     rows: list = []  # lengths, bottom row first
+    heights: list = []  # heights[j - 1]: the placed rows that reach column j
 
     def leg(j):
-        return sum(1 for r in rows if r >= j)
+        return heights[j - 1] if j <= len(heights) else 0
 
     for part in reversed(mu.parts):
         shift = max(0, (rows[-1] if rows else 0) - part)
@@ -322,21 +323,20 @@ def bounded_to_core(mu: Partition, k: int) -> Partition:
                 break
             shift += 1
         rows.append(length)
+        # rows grow bottom-up, so the new row reaches every occupied column
+        heights = [h + 1 for h in heights] + [1] * (length - len(heights))
     return Partition(reversed(rows))
 
 
 def core_to_bounded(core: Partition, k: int) -> Partition:
-    """Inverse direction: count the cells of hook length at most k per row."""
-    parts = []
-    ell = len(core)
-    for i in range(1, ell + 1):
-        count = 0
-        for j in range(1, core.part(i) + 1):
-            below = sum(1 for r in range(i + 1, ell + 1) if core.part(r) >= j)
-            if (core.part(i) - j) + below + 1 <= k:
-                count += 1
-        parts.append(count)
-    return Partition(parts)
+    """Inverse direction: count the cells of hook length at most k per row.
+    Cell (i, j) has hook (core_i - j) + (core'_j - i) + 1, read off the
+    column heights core'."""
+    heights = conjugate(core)
+    return Partition(
+        sum(1 for j in range(1, row + 1) if (row - j) + (heights.part(j) - i) + 1 <= k)
+        for i, row in enumerate(core.parts, 1)
+    )
 
 
 def k_conjugate(mu: Partition, k: int) -> Partition:

@@ -413,26 +413,16 @@ def _quantization_chain_cases(nn, d, lam):
 
 def _suite_prop_6_chain(n, trials, rng):
     cases = []
-    sweep = []
-    for nn in _ns(n, (3, 4)):
-        if nn <= 4:
-            for d in range(1, nn):
-                for lam in partitions_in_rectangle(d, nn - d):
-                    sweep.append((nn, d, lam))
-    if n in (None, 5):
-        pool = [
-            (5, d, lam)
-            for d in range(1, 5)
-            for lam in partitions_in_rectangle(d, 5 - d)
-        ]
-        rng.shuffle(pool)
-        sweep.extend(sorted(pool[:20], key=lambda t: (t[1], t[2].parts)))
-    for nn, d, lam in sweep:
-        quantize_side, image_side, skew_side = _quantization_chain_cases(nn, d, lam)
-        tag = f"n{nn}-d{d}-[{lam.to_text()}]"
-        cases.append(_case(f"{tag}-quantize", quantize_side))
-        cases.append(_case(f"{tag}-image", image_side))
-        cases.append(_case(f"{tag}-skew", skew_side))
+    for nn in _ns(n, (3, 4, 5)):
+        for d in range(1, nn):
+            for lam in partitions_in_rectangle(d, nn - d):
+                quantize_side, image_side, skew_side = _quantization_chain_cases(
+                    nn, d, lam
+                )
+                tag = f"n{nn}-d{d}-[{lam.to_text()}]"
+                cases.append(_case(f"{tag}-quantize", quantize_side))
+                cases.append(_case(f"{tag}-image", image_side))
+                cases.append(_case(f"{tag}-skew", skew_side))
     return cases
 
 

@@ -4,15 +4,15 @@ A point of the phase space is (z, Q) with z_1...z_n = 1; its Lax matrix is
 L = A B^{-1} with A upper bidiagonal (z_i diagonal, -1 superdiagonal) and B
 unipotent lower bidiagonal (-Q_i z_i subdiagonal).  The spectral invariants
 F_i, the companion matrix of the common characteristic polynomial, the T/S
-determinant functions, and the Gauss and RU decompositions that realize the
+tau-functions, and the Gauss and RU decompositions that realize the
 correspondence between Lax matrices and polynomial classes phi all live
 here.
 
-Each matrix has one construction over any coefficient ring: the Lax matrix
-and the characteristic minor take their z and Q entries as exact rationals
-at a point or as z/Q polynomials, and the T/S determinants take a class phi
-with rational or symmetric-function coordinates.  T/S use one coordinate
-map, remainders modulo the characteristic polynomial, valid for every gamma.
+Each construction reads its matrix's structure, over any coefficient ring:
+the characteristic minor is a continuant in z and Q, taken as exact rationals
+at a point or as z/Q polynomials, and T/S are minors of one matrix of
+remainders modulo the characteristic polynomial (valid for every gamma) of a
+class phi with rational or symmetric-function coordinates.
 """
 
 from __future__ import annotations
@@ -245,20 +245,14 @@ def _lax_ab(z, Q):
 
 def _char_minor(z, Q, variables) -> Poly:
     """Delta_{1,1}(zeta*B - A) in the polynomial ring of `variables`, which
-    holds zeta and every variable of the entries z_i, Q_i."""
-    n = len(z)
+    holds zeta and every variable of the entries z_i, Q_i: the continuant
+    D_k = (zeta - z_k) D_{k-1} + zeta Q_{k-1} z_{k-1} D_{k-2} of its
+    tridiagonal rows and columns 2..n (superdiagonal 1)."""
     zeta = Poly.variable(variables, "zeta")
-    zero = Poly.zero(variables)
-    rows = [[zero] * (n - 1) for _ in range(n - 1)]
-    for k in range(n - 1):  # row and column k hold index k + 2 of zeta*B - A
-        rows[k][k] = zeta - z[k + 1]
-        if k + 1 < n - 1:
-            rows[k][k + 1] = zero + 1
-        if k:
-            rows[k][k - 1] = -(zeta * (Q[k] * z[k]))
-    if not rows:
-        return Poly.const(variables, 1)
-    return RingMatrix(rows).det()
+    prev, cur = Poly.zero(variables), Poly.const(variables, 1)
+    for k in range(1, len(z)):
+        prev, cur = cur, zeta * (cur + prev * (Q[k - 1] * z[k - 1])) - cur * z[k]
+    return cur
 
 
 def _point_entries(pt: TodaPoint):
@@ -335,7 +329,10 @@ def phi_of_companion(phi: TruncSeriesPhi, params: SpectralParams) -> RingMatrix:
     if params.n != n:
         raise ValueError("size mismatch")
     coeffs = phi.to_zeta_coeffs()
-    last = [(j, r) for j, r in enumerate(companion_matrix(params).rows[-1]) if r]
+    # C_gamma's last row: (-1)^{i-1} gamma_i in column n - i (0-based)
+    last = [
+        (n - i, rat(g) * (-1) ** (i - 1)) for i, g in enumerate(params.gamma, 1) if g
+    ]
     zero = coeffs[0] * 0
     X = [[coeffs[-1] if i == j else zero for j in range(n)] for i in range(n)]
     for a in reversed(coeffs[:-1]):
@@ -364,31 +361,26 @@ def _poly_mod(coeffs, modulus):
 
 
 def ts_functions(phi: TruncSeriesPhi, params: SpectralParams):
-    """The tau-function determinants T_1..T_n, S_1..S_n of phi.
-
-    Columns are the coordinates of phi*zeta^j (j < i), padded with the
-    coordinates of basis powers, under the remainder map modulo the
-    characteristic polynomial (admissible for every gamma: basis determinant
-    1).  Rescaling phi by a constant c multiplies T_i and S_i by c^i.
+    """The tau-functions T_1..T_n, S_1..S_n of phi, as minors of one matrix:
+    row j of B is the remainder of phi*zeta^j modulo the characteristic
+    polynomial (a coordinate map with basis determinant 1 for every gamma),
+    S_i = xi^{1..i}_{1..i}(B) and T_i = (-1)^{n-i} xi^{1..i-1,n}_{1..i}(B).
+    Rescaling phi by a constant c multiplies T_i and S_i by c^i.
     """
     n = phi.n
     if params.n != n:
         raise ValueError("size mismatch")
     zero = phi.c[0] * 0
-    one = zero + 1
     modulus = params.char_poly_coeffs()
-    cur = phi.to_zeta_coeffs()
-    b = []
-    for _ in range(n):
-        b.append(cur)
-        cur = _poly_mod([zero] + cur, modulus)
-    a = [[one if k == j else zero for k in range(n)] for j in range(n)]
-
-    def det_of(columns):
-        return RingMatrix([[col[k] for col in columns] for k in range(n)]).det()
-
-    T = [det_of(b[:i] + a[i - 1 : n - 1]) for i in range(1, n + 1)]
-    S = [det_of(b[:i] + a[i : n]) for i in range(1, n + 1)]
+    rows = [phi.to_zeta_coeffs()]
+    for _ in range(n - 1):
+        rows.append(_poly_mod([zero] + rows[-1], modulus))
+    B = RingMatrix(rows)
+    T = [
+        B.minor(range(1, i + 1), [*range(1, i), n]) * (-1) ** (n - i)
+        for i in range(1, n + 1)
+    ]
+    S = [B.minor(range(1, i + 1), range(1, i + 1)) for i in range(1, n + 1)]
     return T, S
 
 
@@ -533,6 +525,8 @@ def minor_identities(X: RingMatrix, T, S) -> bool:
 
 # -- sampling ------------------------------------------------------------------------
 
+_MAX_TRIES = 10000  # rejection-sampling attempts; the loci are dense
+
 
 def _random_rational(rng, allow_zero=False):
     num = rng.randint(-9, 9)
@@ -541,12 +535,12 @@ def _random_rational(rng, allow_zero=False):
     return Rational(num, rng.randint(1, 9))
 
 
-def random_unipotent_point(n: int, rng, max_tries: int = 10000) -> TodaPoint:
+def random_unipotent_point(n: int, rng) -> TodaPoint:
     """A random rational point whose spectral invariants are the binomial
     coefficients (characteristic polynomial (zeta-1)^n), built through beta
     from a random polynomial class."""
     uni = SpectralParams.unipotent(n)
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         coeffs = [_random_rational(rng, allow_zero=True) for _ in range(n - 1)]
         coeffs.append(Rational(1))
         phi = TruncSeriesPhi(n, coeffs)
@@ -557,13 +551,13 @@ def random_unipotent_point(n: int, rng, max_tries: int = 10000) -> TodaPoint:
     raise RuntimeError("sampling failed; the locus should be dense")
 
 
-def random_z_point(n: int, rng, max_tries: int = 10000) -> TodaPoint:
+def random_z_point(n: int, rng) -> TodaPoint:
     """A random rational point of the open locus: non-zero z with product 1,
     non-zero Q, and non-vanishing trailing minors of L (condition Z_3).
 
     The conditions cut out a dense open set, so rejection sampling is
     cheap."""
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         z = [_random_rational(rng) for _ in range(n - 1)]
         prod = Rational(1)
         for v in z:

@@ -115,8 +115,8 @@ def test_criterion_07_d_recursions_and_lattice_identity():
 
 def test_criterion_08_quantization_chain():
     report, elapsed, failures = _run("prop-6-chain")
-    # n=3: 6 shapes, n=4: 14 shapes, n=5: 20 sampled shapes; three identities each
-    ok = not failures and len(report.cases) == 3 * (6 + 14 + 20)
+    # n=3: 6 shapes, n=4: 14 shapes, n=5: all 30 shapes; three identities each
+    ok = not failures and len(report.cases) == 3 * (6 + 14 + 30)
     _verdict(
         "criterion-8 (quantized Schur chain)",
         ok,

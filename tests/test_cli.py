@@ -16,6 +16,7 @@ from kpeterson.cli import (
     MAX_LAMBDA_MAP_N,
     MAX_PHI_CELLS,
     MAX_PHI_N,
+    MAX_PHI_NESTING,
     MAX_QUANTIZE_N,
     MAX_TRIALS,
     main,
@@ -23,6 +24,7 @@ from kpeterson.cli import (
     parse_phi_expr,
 )
 from kpeterson.partitions import Partition
+from kpeterson.peterson import phi_apply
 from kpeterson.polynomials import Poly
 from kpeterson.scalars import Rational
 from kpeterson.symfunc import SymFunc
@@ -40,6 +42,10 @@ def _ones(count):
 
 def _identity(n):
     return ",".join(str(v) for v in range(1, n + 1))
+
+
+def _nested(depth):
+    return "(" * depth + "x1" + ")" * depth
 
 
 class TestCompute:
@@ -301,6 +307,8 @@ class TestAbsurdInput:
             (("kconj", "100000", "--k", "100000"), MAX_KCONJ_WEIGHT),
             (("verify", "d-recursions", "--trials", "1000000000"), MAX_TRIALS),
             (("toda-roundtrip", "--n", "3", "--trials", "1000000000"), MAX_TRIALS),
+            (("phi", "--n", "3", "--poly", _nested(MAX_PHI_NESTING + 1)), MAX_PHI_NESTING),
+            (("phi", "--n", "3", "--poly", _nested(10_000)), MAX_PHI_NESTING),
         ],
     )
     def test_refused_at_the_check(self, capsys, argv, limit):
@@ -311,6 +319,15 @@ class TestAbsurdInput:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert f"above the limit {limit}" in err
         assert elapsed < 1.0
+
+    def test_nesting_at_limit_answers(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "phi_apply", phi_apply)
+        code, out, err = run_cli(
+            capsys, "phi", "--n", "3", "--poly", _nested(MAX_PHI_NESTING)
+        )
+        assert code == 0 and err == ""
+        _, expected, _ = run_cli(capsys, "phi", "--n", "3", "--poly", "x1")
+        assert out == expected
 
 
 class TestVerify:

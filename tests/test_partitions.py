@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -83,6 +85,20 @@ class TestPermutation:
         w = Permutation([3, 1, 4, 2])
         assert (w * w.inverse()).is_identity()
         assert (w.inverse() * w).is_identity()
+
+    def test_power_matches_repeated_product(self):
+        rng = random.Random(107)
+        for n in range(1, 13):
+            for _ in range(10):
+                images = list(range(1, n + 1))
+                rng.shuffle(images)
+                w = Permutation(images)
+                k = rng.randint(-2 * n, 2 * n)
+                factor = w if k >= 0 else w.inverse()
+                expected = Permutation.identity(n)
+                for _ in range(abs(k)):
+                    expected = expected * factor
+                assert w**k == expected, (w, k)
 
     def test_cycle(self):
         assert Permutation.cycle(4, 0).images == (2, 3, 4, 1)

@@ -297,6 +297,38 @@ class TestLambdaMap:
             assert len(seen) == math.factorial(n - 1)
 
 
+def reference_bounded_to_core(mu, k):
+    """The (k+1)-core by recounting each leg over every placed row."""
+    rows = []
+    for part in reversed(mu.parts):
+        shift = max(0, (rows[-1] if rows else 0) - part)
+        while True:
+            length = part + shift
+            leg_in = sum(1 for r in rows if r >= shift + 1)
+            leg_out = sum(1 for r in rows if r >= shift)
+            if (length - (shift + 1)) + leg_in + 1 <= k and (
+                shift == 0 or (length - shift) + leg_out + 1 >= k + 2
+            ):
+                break
+            shift += 1
+        rows.append(length)
+    return Partition(reversed(rows))
+
+
+def reference_core_to_bounded(core, k):
+    """Cells of hook at most k per row, counting the rows below each cell."""
+    ell = len(core)
+    parts = []
+    for i in range(1, ell + 1):
+        count = 0
+        for j in range(1, core.part(i) + 1):
+            below = sum(1 for r in range(i + 1, ell + 1) if core.part(r) >= j)
+            if (core.part(i) - j) + below + 1 <= k:
+                count += 1
+        parts.append(count)
+    return Partition(parts)
+
+
 class TestKConjugate:
     def test_examples(self):
         assert k_conjugate(Partition([2]), 3) == Partition([1, 1])
@@ -309,6 +341,17 @@ class TestKConjugate:
             for mu in all_partitions_up_to(7, max_part=k):
                 core = bounded_to_core(mu, k)
                 assert core_to_bounded(core, k) == mu
+
+    def test_core_maps_match_leg_recount(self):
+        from kpeterson.partitions import all_partitions_up_to
+
+        for k in range(1, 6):
+            for mu in all_partitions_up_to(12, max_part=k):
+                core = bounded_to_core(mu, k)
+                assert core == reference_bounded_to_core(mu, k), (mu, k)
+                assert core_to_bounded(conjugate(core), k) == reference_core_to_bounded(
+                    conjugate(core), k
+                ), (mu, k)
 
     def test_involution(self):
         from kpeterson.partitions import all_partitions_up_to

@@ -32,7 +32,7 @@ from kpeterson.toda import (
     ru_ratio_formula,
     ts_functions,
 )
-from kpeterson.toda import char_minor_phi_symbolic, lax_matrix_symbolic
+from kpeterson.toda import _poly_mod, char_minor_phi_symbolic, lax_matrix_symbolic
 
 h = SymFunc.h
 
@@ -87,6 +87,52 @@ def zeta1_ts_functions(phi, params):
     T = [det_of(b[:i] + a[i - 1 : n - 1]) for i in range(1, n + 1)]
     S = [det_of(b[:i] + a[i:n]) for i in range(1, n + 1)]
     return T, S
+
+
+def reference_char_minor(z, Q, variables):
+    """Delta_{1,1}(zeta*B - A) as the determinant of the explicit matrix:
+    zeta*B - A is built entry by entry (diagonal zeta - z_i, superdiagonal 1,
+    subdiagonal -zeta Q_i z_i) and its (1,1) minor taken by RingMatrix.det.
+    The independent reference for the continuant of char_minor_phi."""
+    n = len(z)
+    zeta = Poly.variable(variables, "zeta")
+    zero = Poly.zero(variables)
+    rows = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = zeta - z[i]
+        if i + 1 < n:
+            rows[i][i + 1] = zero + 1
+            rows[i + 1][i] = -(zeta * (Q[i] * z[i]))
+    return RingMatrix(rows).minor(range(2, n + 1), range(2, n + 1))
+
+
+def padded_ts_functions(phi, params):
+    """T/S as full n x n determinants: the columns are the remainder
+    coordinates of phi*zeta^j (j < i), padded with unit columns e_{i-1}..e_{n-2}
+    for T_i and e_i..e_{n-1} for S_i.  The reference for the minors that
+    ts_functions reads off one matrix."""
+    n = phi.n
+    zero = phi.c[0] * 0
+    one = zero + 1
+    modulus = params.char_poly_coeffs()
+    cur = phi.to_zeta_coeffs()
+    b = []
+    for _ in range(n):
+        b.append(cur)
+        cur = _poly_mod([zero] + cur, modulus)
+    a = [[one if k == j else zero for k in range(n)] for j in range(n)]
+
+    def det_of(columns):
+        return RingMatrix([[col[k] for col in columns] for k in range(n)]).det()
+
+    T = [det_of(b[:i] + a[i - 1 : n - 1]) for i in range(1, n + 1)]
+    S = [det_of(b[:i] + a[i:n]) for i in range(1, n + 1)]
+    return T, S
+
+
+def random_params(n, rng):
+    gamma = tuple(q(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n - 1))
+    return SpectralParams(gamma + (q(1),))
 
 
 class TestInvariants:
@@ -167,6 +213,22 @@ class TestCharMinor:
         )
         assert p3 == zeta**2 + (Q2 * z2 - z2 - z3) * zeta + z2 * z3
 
+    def test_matches_explicit_determinant_at_points(self):
+        rng = random.Random(101)
+        for n in range(2, 8):
+            for _ in range(20):
+                pt = random_z_point(n, rng)
+                expected = reference_char_minor(pt.z, pt.Q, ("zeta",))
+                assert char_minor_phi(pt) == expected, (n, pt)
+
+    def test_symbolic_matches_explicit_determinant(self):
+        for n in range(1, 6):
+            variables = ("zeta",) + zq_vars(n)
+            z = [Poly.variable(variables, f"z{i}") for i in range(1, n + 1)]
+            Q = [Poly.variable(variables, f"Q{i}") for i in range(1, n)]
+            expected = reference_char_minor(z, Q, variables)
+            assert char_minor_phi_symbolic(n) == expected, n
+
     def test_n2(self):
         pt = TodaPoint(2, (q(2), q(1, 2)), (q(3),))
         poly = char_minor_phi(pt)
@@ -228,6 +290,22 @@ class TestTS:
                 classes.append(TruncSeriesPhi.symbolic_unipotent(n))
             for phi in classes:
                 assert zeta1_ts_functions(phi, uni) == ts_functions(phi, uni)
+
+    def test_minors_match_padded_determinants(self):
+        rng = random.Random(103)
+        for n in range(1, 7):
+            for _ in range(10):
+                params = random_params(n, rng)
+                phi = TruncSeriesPhi(
+                    n, [q(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+                )
+                assert ts_functions(phi, params) == padded_ts_functions(phi, params)
+
+    def test_symbolic_minors_match_padded_determinants(self):
+        for n in range(1, 7):
+            phi = TruncSeriesPhi.symbolic_unipotent(n)
+            params = SpectralParams.unipotent(n)
+            assert ts_functions(phi, params) == padded_ts_functions(phi, params), n
 
     def test_zeta_coeffs_round_trip(self):
         rng = random.Random(97)
