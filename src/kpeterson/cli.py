@@ -84,9 +84,13 @@ MAX_GDUAL_LENGTH = 7
 MAX_GDUAL_WEIGHT = 60
 
 # Largest length l(nu) and size |nu| `kpet klr` accepts: its set-valued
-# tableaux grow exponentially in both.  The slowest input timed at the limits,
-# `kpet klr '' 6,2 2,2,2,2,2`, takes about 0.7 s; `klr '' 6,2,1 3,2,2,2,2`
-# (size 11) takes 1.5 s and `klr 1 4,3,2 6,5,4,3,2,1` 2.6 s.
+# tableaux grow exponentially in both.  A sweep of every mu against every nu
+# with l(nu) <= 5 and |nu| = 10 (lambda empty, the most letters) found
+# `kpet klr '' 5,2,1 4,2,2,1,1` the slowest, at about 0.7 s; at size 11
+# `klr '' 6,2,1 3,2,2,2,2` takes 1.5 s.  The time at the limits goes to the
+# tableaux that have the full letter count, which no pruning of the walk
+# removes (pruning from below took `klr 1 4,3,2 6,5,4,3,2,1` from 2.7 s to
+# 0.4 s, but `klr '' 6,2 2,2,2,2,2` stays at 0.7 s).
 MAX_KLR_LENGTH = 5
 MAX_KLR_WEIGHT = 10
 

@@ -141,13 +141,19 @@ def _enumerate_svt(shape: Partition, max_entry: int, letters: int | None):
     """Yield cell dicts of set-valued tableaux of the given shape with
     entries in {1..max_entry}; if letters is given, with exactly that many
     letters in total.  Cells are filled column by column, left to right, top
-    to bottom, backtracking on the semistandard condition."""
+    to bottom, backtracking on the semistandard condition.  A cell in row r
+    holds at most max_entry - r + 1 letters (its entries exceed the r - 1
+    above it), so with a letter count a branch ends as soon as the cells
+    left cannot hold the letters still owed."""
     order = []
     for c in range(1, shape.part(1) + 1):
         for r in range(1, len(shape) + 1):
             if shape.part(r) >= c:
                 order.append((r, c))
     ncells = len(order)
+    room = [0] * (ncells + 1)  # room[k]: the most letters cells k.. can hold
+    for k in range(ncells - 1, -1, -1):
+        room[k] = room[k + 1] + max(0, max_entry - order[k][0] + 1)
     if max_entry < 1 or (letters is not None and letters < ncells):
         if ncells == 0 and (letters is None or letters == 0):
             yield {}
@@ -170,11 +176,12 @@ def _enumerate_svt(shape: Partition, max_entry: int, letters: int | None):
         if lo > max_entry:
             return
         remaining_cells = ncells - k - 1
-        max_size = max_entry - lo + 1
+        min_size, max_size = 1, max_entry - lo + 1
         if letters is not None:
+            min_size = max(1, letters - used - room[k + 1])
             max_size = min(max_size, letters - used - remaining_cells)
         pool = range(lo, max_entry + 1)
-        for size in range(1, max_size + 1):
+        for size in range(min_size, max_size + 1):
             for subset in _subsets_of_size(pool, size):
                 cells[(r, c)] = subset
                 yield from fill(k + 1, used + size)

@@ -1,7 +1,8 @@
 """The symmetric-function side of the Peterson map.
 
 tau_i = g_{R_i} and sigma_i = sum of g_mu over mu inside R_i are the
-denominators of the substitution homomorphism
+denominators of the substitution homomorphism (tau_i by the determinant of
+``dual_groth``, sigma_i as the D-determinant D[i..1; i-1..0])
 
     z_i |-> tau_i sigma_{i-1} / (sigma_i tau_{i-1}),
     Q_i |-> tau_{i-1} tau_{i+1} / tau_i^2,
@@ -33,7 +34,7 @@ from math import comb
 
 from .grothendieck import dual_groth
 from .matrices import RingMatrix
-from .partitions import Partition, partitions_in_rectangle
+from .partitions import Partition
 from .polynomials import Poly, grouped_product, power_table, zq_vars
 from .scalars import Rational
 from .symfunc import SymFunc, _jacobi_trudi_minor, _substitute, _times_h, p_perp, perp, schur
@@ -65,17 +66,16 @@ class TauSigmaTable:
 
 @lru_cache(maxsize=None)
 def tau_sigma(n: int) -> TauSigmaTable:
-    """tau_i = g_{R_i}, sigma_i = sum_{mu in R_i} g_mu, boundary values 1."""
+    """tau_i = g_{R_i} for the i x (n-i) rectangle R_i, and sigma_i =
+    sum_{mu in R_i} g_mu, computed as the one D-determinant D[i..1; i-1..0]
+    at level n (the tests check the sum for 2 <= n <= 8); boundary values 1."""
     if n < 2:
         raise ValueError("need n >= 2")
     tau = [SymFunc.one()]
     sigma = [SymFunc.one()]
     for i in range(1, n):
         tau.append(dual_groth(Partition.rectangle(i, n - i)))
-        total = SymFunc.zero()
-        for mu in partitions_in_rectangle(i, n - i):
-            total = total + dual_groth(mu)
-        sigma.append(total)
+        sigma.append(d_det(DSpec(tuple(range(i, 0, -1)), tuple(range(i)[::-1]), n)))
     tau.append(SymFunc.one())
     sigma.append(SymFunc.one())
     return TauSigmaTable(n, tuple(tau), tuple(sigma))

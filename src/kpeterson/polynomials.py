@@ -29,13 +29,12 @@ polynomial rings, the zeta-polynomials of the Toda layer, and (through the
 h1..h_{n-1} variable set) the symmetric-function workhorse arithmetic of
 the Peterson map.  ``Poly.substitute`` replaces variables by polynomials;
 it is the one rewrite between the z/Q and x/Q rings (x_i = 1 - z_i).
-``f_subset_sum`` builds the Toda invariants F^(m)_i in the z/Q ring only.
 """
 
 from __future__ import annotations
 
 import heapq
-from itertools import chain, combinations, zip_longest
+from itertools import chain, zip_longest
 from operator import lshift
 
 from .scalars import (
@@ -524,21 +523,3 @@ def xq_vars(n: int):
         f"Q{i}" for i in range(1, n)
     )
 
-
-def f_subset_sum(n: int, m: int, i: int) -> Poly:
-    """F^(m)_i over z1..zn, Q1..Q_{n-1}: the sum over i-subsets I of
-    {1..m} of prod_{j in I} z_j prod_{j in I, j+1 not in I} (1 - Q_j), with
-    Q_n = 0."""
-    if not (1 <= m <= n and 0 <= i):
-        raise ValueError("need 1 <= m <= n and i >= 0")
-    variables = zq_vars(n)
-    total = Poly.zero(variables)
-    for subset in combinations(range(1, m + 1), i):
-        chosen = set(subset)
-        term = Poly.const(variables, 1)
-        for j in subset:
-            term = term * Poly.variable(variables, f"z{j}")
-            if j + 1 not in chosen and j != n:
-                term = term * (1 - Poly.variable(variables, f"Q{j}"))
-        total = total + term
-    return total

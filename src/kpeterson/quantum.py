@@ -4,6 +4,9 @@ Grothendieck polynomials are built by isobaric divided differences from the
 staircase monomial; the quantization map rewrites a polynomial over the
 f-monomial basis (products of elementary symmetric polynomials in 1-x_1,
 ..., 1-x_j) and replaces each basis element by its Q-deformation F^(j)_i.
+Both come from the one table of partial invariants in ``toda``: the factors
+are that table at z = 1 - x and Q = 0, and ``fq_poly_z`` (re-exported here)
+reads it over z/Q.
 The Peterson images are the paper's D-ratios phi(F^(m)_i) = D(theta)/tau_m:
 phi(G^Q_w) sums the f-basis coordinates of G_w over the numerators D(theta),
 over the one denominator tau_1 ... tau_{n-1}, and is reduced once.  Both
@@ -23,14 +26,16 @@ from itertools import product
 from .matrices import RingMatrix
 from .partitions import Partition, conjugate
 from .peterson import LocFrac, d_plain, phi_context
-from .polynomials import Poly, f_subset_sum, grouped_product, xq_vars
+from .polynomials import Poly, grouped_product, xq_vars
 from .scalars import normalize
 from .symfunc import SymFunc
+from .toda import _f_table, fq_poly_z
 
 __all__ = [
     "groth_poly",
     "pi_op",
     "fq_poly",
+    "fq_poly_z",
     "quantize",
     "quantum_groth",
     "s_q_poly",
@@ -91,13 +96,6 @@ def groth_poly(w) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def fq_poly_z(n: int, m: int, i: int) -> Poly:
-    """F^(m)_i written in the z/Q variables; this form is a sum of plain
-    monomials, which the Peterson map evaluates fastest."""
-    return f_subset_sum(n, m, i)
-
-
-@lru_cache(maxsize=None)
 def fq_poly(n: int, m: int, i: int) -> Poly:
     """F^(m)_i over x1..xn, Q1..Q_{n-1}: fq_poly_z with z_j = 1 - x_j."""
     variables = xq_vars(n)
@@ -128,13 +126,9 @@ class QuantizeContext:
             for e in product(*[range(n - j + 1) for j in range(1, n)])
         ]
         self.stair_index = {e: i for i, e in enumerate(self.staircase)}
-        # fq_poly(n, j, i) at Q = 0 is e_i(1 - x_1, ..., 1 - x_j)
-        q_zero = {f"Q{j}": 0 for j in range(1, n)}
-        elem = [None] + [
-            [fq_poly(n, j, i).specialize(q_zero) for i in range(j + 1)]
-            for j in range(1, n)
-        ]
-        self._f_factors = elem
+        # F^(j)_i at z = 1 - x, Q = 0 is e_i(1 - x_1, ..., 1 - x_j)
+        x = [Poly.variable(self.xvars, v) for v in self.xvars]
+        self._f_factors = _f_table([1 - xj for xj in x], [0] * (n - 1))[:n]
         assert len(self.staircase) == len(self.basis)
         self.inverse = RingMatrix(self._coordinate_rows()).inverse()
         self._inverse_columns = [

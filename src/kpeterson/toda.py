@@ -3,16 +3,18 @@
 A point of the phase space is (z, Q) with z_1...z_n = 1; its Lax matrix is
 L = A B^{-1} with A upper bidiagonal (z_i diagonal, -1 superdiagonal) and B
 unipotent lower bidiagonal (-Q_i z_i subdiagonal).  The spectral invariants
-F_i, the companion matrix of the common characteristic polynomial, the T/S
-tau-functions, and the Gauss and RU decompositions that realize the
-correspondence between Lax matrices and polynomial classes phi all live
-here.
+F_i and the partial invariants F^(m)_i, the companion matrix of the common
+characteristic polynomial, the T/S tau-functions, and the Gauss and RU
+decompositions that realize the correspondence between Lax matrices and
+polynomial classes phi all live here.
 
 Each construction reads its matrix's structure, over any coefficient ring:
-the characteristic minor is a continuant in z and Q, taken as exact rationals
-at a point or as z/Q polynomials, and T/S are minors of one matrix of
-remainders modulo the characteristic polynomial (valid for every gamma) of a
-class phi with rational or symmetric-function coordinates.
+every F^(m)_i comes from one recurrence (``_f_table``), L is written entry
+by entry, and the characteristic minor is a continuant in z and Q, each
+taken as exact rationals at a point or as z/Q polynomials; the quantization
+map reads the same table at z = 1 - x, Q = 0.  T/S are minors of one matrix
+of remainders modulo the characteristic polynomial (valid for every gamma)
+of a class phi with rational or symmetric-function coordinates.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import lru_cache
 from math import comb
 
 from .matrices import RingMatrix
-from .polynomials import Poly, f_subset_sum, zq_vars
+from .polynomials import Poly, zq_vars
 from .scalars import Rational, rat, rational_from_text, rational_to_text
 from .symfunc import SymFunc
 
@@ -33,6 +35,8 @@ __all__ = [
     "DecompositionError",
     "YConditionError",
     "f_invariant",
+    "fq_poly_z",
+    "partial_invariants",
     "lax_matrix",
     "lax_to_point",
     "char_minor_phi",
@@ -199,48 +203,71 @@ def _binomial_flip(values):
 # -- spectral invariants -------------------------------------------------------
 
 
+def _f_table(z, Q):
+    """table[m][i] = F^(m)_i (0 <= i <= m <= n, table[0] = [1]) over the ring
+    of z_1..z_n, Q_1..Q_{n-1}: the sum over i-subsets I of {1..m} of
+    prod_{j in I} z_j (1 - Q_j)^[j+1 not in I], Q_n = 0.  The scan over j
+    keeps per subset size the sum with j not in I, whose factors are settled
+    (F^(j-1)), and the sum with j in I, whose 1 - Q_j waits on j + 1."""
+    zero = z[0] * 0
+    row = unsettled = [zero + 1]  # F^(j-1), and F^(j-1) at Q_{j-1} = 0
+    table = [row]
+    for zj, qj in zip(z, [*Q, 0]):
+        with_j = [zero] + [u * zj for u in unsettled]
+        row = row + [zero]
+        unsettled = [f + t for f, t in zip(row, with_j)]
+        row = [f + t * (1 - qj) for f, t in zip(row, with_j)]
+        table.append(row)
+    return table
+
+
 @lru_cache(maxsize=None)
+def _zq_table(n: int):
+    return _f_table(*_symbolic_entries(zq_vars(n), n))
+
+
+def fq_poly_z(n: int, m: int, i: int) -> Poly:
+    """F^(m)_i over z1..zn, Q1..Q_{n-1} (zero for i > m): a sum of plain
+    monomials, which the Peterson map evaluates fastest."""
+    if not (1 <= m <= n and 0 <= i):
+        raise ValueError("need 1 <= m <= n and i >= 0")
+    return _zq_table(n)[m][i] if i <= m else Poly.zero(zq_vars(n))
+
+
 def f_invariant(n: int, i: int) -> Poly:
-    """The spectral invariant F_i(z, Q) = F^(n)_i (see f_subset_sum)."""
+    """The spectral invariant F_i(z, Q) = F^(n)_i."""
     if not 1 <= i <= n:
         raise ValueError("need 1 <= i <= n")
-    return f_subset_sum(n, n, i)
+    return _zq_table(n)[n][i]
+
+
+def partial_invariants(pt: TodaPoint):
+    """The values F^(m)_i(z, Q) at a point, as ``_f_table`` indexes them."""
+    return _f_table(*_point_entries(pt))
 
 
 def gamma_of_point(pt: TodaPoint) -> SpectralParams:
-    point = _point_values(pt)
-    return SpectralParams(
-        tuple(f_invariant(pt.n, i).evaluate(point) for i in range(1, pt.n + 1))
-    )
-
-
-def _point_values(pt: TodaPoint) -> dict:
-    vals = {f"z{i}": pt.z[i - 1] for i in range(1, pt.n + 1)}
-    vals.update({f"Q{i}": pt.Q[i - 1] for i in range(1, pt.n)})
-    return vals
+    return SpectralParams(tuple(partial_invariants(pt)[pt.n][1:]))
 
 
 # -- Lax matrices ---------------------------------------------------------------
 
 
-def _lax_ab(z, Q):
-    """A and B^{-1} from ring elements z_1..z_n, Q_1..Q_{n-1}; B is unipotent
-    lower bidiagonal, so B^{-1}_{ij} = prod_{j <= k < i} Q_k z_k exactly."""
-    n = len(z)
-    zero = z[0] * 0
-    one = zero + 1
-    A = [[zero] * n for _ in range(n)]
-    binv = [[zero] * n for _ in range(n)]
+def _lax(z, Q) -> RingMatrix:
+    """L = A B^{-1} entry by entry over the ring of z and Q: with
+    P_ij = prod_{j <= k < i} Q_k z_k = B^{-1}_ij, L_ij = z_i P_ij - P_{i+1,j}
+    for i >= j (Q_n = 0), -1 on the superdiagonal and zero above it."""
+    n, zero = len(z), z[0] * 0
+    Q = [*Q, 0]
+    rows = [[zero] * n for _ in range(n)]
     for j in range(n):
-        A[j][j] = z[j]
+        p = zero + 1
+        for i in range(j, n):
+            below = p * Q[i] * z[i]
+            rows[i][j], p = z[i] * p - below, below
         if j + 1 < n:
-            A[j][j + 1] = -one
-        binv[j][j] = one
-        prod = one
-        for i in range(j + 1, n):
-            prod = prod * Q[i - 1] * z[i - 1]
-            binv[i][j] = prod
-    return RingMatrix(A), RingMatrix(binv)
+            rows[j][j + 1] = zero - 1
+    return RingMatrix(rows)
 
 
 def _char_minor(z, Q, variables) -> Poly:
@@ -267,14 +294,12 @@ def _symbolic_entries(variables, n: int):
 
 def lax_matrix(pt: TodaPoint) -> RingMatrix:
     """L = A B^{-1} at a rational point."""
-    A, binv = _lax_ab(*_point_entries(pt))
-    return A * binv
+    return _lax(*_point_entries(pt))
 
 
 def lax_matrix_symbolic(n: int) -> RingMatrix:
     """L = A B^{-1} over the z/Q polynomial ring (B^{-1} is polynomial)."""
-    A, binv = _lax_ab(*_symbolic_entries(zq_vars(n), n))
-    return A * binv
+    return _lax(*_symbolic_entries(zq_vars(n), n))
 
 
 def lax_to_point(L: RingMatrix) -> TodaPoint:

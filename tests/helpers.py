@@ -8,13 +8,14 @@ dominance peel of Schur products.
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import comb
 
 from kpeterson.grothendieck import stable_groth_vars
 from kpeterson.matrices import RingMatrix
 from kpeterson.partitions import Partition
 from kpeterson.peterson import _geom_series_coeffs
-from kpeterson.polynomials import Poly
+from kpeterson.polynomials import Poly, zq_vars
 from kpeterson.scalars import Rational, normalize
 from kpeterson.symfunc import SymFunc, _sorted_terms, _trim, schur, to_p_dict
 
@@ -239,3 +240,22 @@ def reference_d_det(theta, a, n) -> SymFunc:
     det = RingMatrix(rows).det()
     sign = (-1) ** (d * (d - 1) // 2)
     return det * sign if sign < 0 else det
+
+
+def reference_f_subset_sum(n: int, m: int, i: int) -> Poly:
+    """F^(m)_i over z1..zn, Q1..Q_{n-1} as the subset sum itself: over the
+    i-subsets I of {1..m}, prod_{j in I} z_j prod_{j in I, j+1 not in I}
+    (1 - Q_j), with Q_n = 0."""
+    if not (1 <= m <= n and 0 <= i):
+        raise ValueError("need 1 <= m <= n and i >= 0")
+    variables = zq_vars(n)
+    total = Poly.zero(variables)
+    for subset in combinations(range(1, m + 1), i):
+        chosen = set(subset)
+        term = Poly.const(variables, 1)
+        for j in subset:
+            term = term * Poly.variable(variables, f"z{j}")
+            if j + 1 not in chosen and j != n:
+                term = term * (1 - Poly.variable(variables, f"Q{j}"))
+        total = total + term
+    return total

@@ -166,12 +166,15 @@ class TestDFamily:
         assert sigma_identity_check(4, 2)
 
     def test_sigma_via_d(self):
-        for n in (3, 4):
+        for n in range(2, 9):
             for d in range(1, n):
                 lhs = d_det(
                     DSpec(tuple(range(d, 0, -1)), tuple(range(d - 1, -1, -1)), n)
                 )
-                assert lhs == tau_sigma(n).sigma[d]
+                rectangle_sum = SymFunc.zero()
+                for mu in partitions_in_rectangle(d, n - d):
+                    rectangle_sum = rectangle_sum + dual_groth(mu)
+                assert lhs == tau_sigma(n).sigma[d] == rectangle_sum, (n, d)
 
     def test_kernel_identity_has_delta_at_theta_zero(self):
         from kpeterson.peterson import kernel_value

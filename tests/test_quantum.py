@@ -121,6 +121,16 @@ class TestQuantize:
                 expected = expected * fq_poly(n, j, i)
             assert quantize(poly, n) == expected
 
+    def test_f_factors_are_fq_at_q_zero(self):
+        for n in range(2, 6):
+            q_zero = {f"Q{j}": 0 for j in range(1, n)}
+            factors = quantize_context(n)._f_factors
+            assert len(factors) == n
+            for j in range(1, n):
+                assert factors[j] == [
+                    fq_poly(n, j, i).specialize(q_zero) for i in range(j + 1)
+                ]
+
     def test_x1_at_n2(self):
         v = xq_vars(2)
         x1, Q1 = Poly.variable(v, "x1"), Poly.variable(v, "Q1")

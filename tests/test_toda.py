@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from helpers import random_rational, reference_f_subset_sum
 from kpeterson.matrices import RingMatrix
 from kpeterson.polynomials import Poly, zq_vars
 from kpeterson.scalars import Rational
@@ -19,12 +20,14 @@ from kpeterson.toda import (
     char_minor_phi,
     companion_matrix,
     f_invariant,
+    fq_poly_z,
     gamma_of_point,
     gauss_decompose,
     lax_matrix,
     lax_to_point,
     minor_formulas,
     minor_identities,
+    partial_invariants,
     phi_of_companion,
     random_unipotent_point,
     random_z_point,
@@ -32,7 +35,12 @@ from kpeterson.toda import (
     ru_ratio_formula,
     ts_functions,
 )
-from kpeterson.toda import _poly_mod, char_minor_phi_symbolic, lax_matrix_symbolic
+from kpeterson.toda import (
+    _poly_mod,
+    _symbolic_entries,
+    char_minor_phi_symbolic,
+    lax_matrix_symbolic,
+)
 
 h = SymFunc.h
 
@@ -62,6 +70,39 @@ def reference_phi_of_companion(phi, params):
                 if power.rows[i][j]:
                     rows[i][j] = rows[i][j] + coeffs[k] * power.rows[i][j]
     return RingMatrix(rows)
+
+
+def random_point(n, rng):
+    """A rational point with z_1...z_n = 1 and any Q, zeros included."""
+    z = [random_rational(rng, allow_zero=False) for _ in range(n - 1)]
+    prod = Rational(1)
+    for v in z:
+        prod *= v
+    Q = tuple(rng.choice((q(0), q(1), random_rational(rng))) for _ in range(n - 1))
+    return TodaPoint(n, tuple(z) + (1 / prod,), Q)
+
+
+def reference_lax(z, Q):
+    """A B^{-1} as a matrix product, over the ring of z and Q.  B^{-1} is
+    the rational inverse of B at a point; symbolically it is the closed form
+    prod_{j <= k < i} Q_k z_k, checked here against B B^{-1} = 1."""
+    n = len(z)
+    zero = z[0] * 0
+    one = zero + 1
+    A = [[zero] * n for _ in range(n)]
+    B = [[zero] * n for _ in range(n)]
+    binv = [[zero] * n for _ in range(n)]
+    for j in range(n):
+        A[j][j], B[j][j], binv[j][j] = z[j], one, one
+        if j + 1 < n:
+            A[j][j + 1] = -one
+            B[j + 1][j] = -(Q[j] * z[j])
+        for i in range(j + 1, n):
+            binv[i][j] = binv[i - 1][j] * Q[i - 1] * z[i - 1]
+    if isinstance(zero, Poly):
+        assert RingMatrix(B) * RingMatrix(binv) == RingMatrix.identity(n, one, zero)
+        return RingMatrix(A) * RingMatrix(binv)
+    return RingMatrix(A) * RingMatrix(B).inverse()
 
 
 def zeta1_ts_functions(phi, params):
@@ -164,8 +205,53 @@ class TestInvariants:
                 expected = expected + term
             assert spec == expected
 
+    def test_table_matches_subset_sum(self):
+        for n in range(1, 9):
+            for m in range(1, n + 1):
+                for i in range(m + 2):
+                    assert fq_poly_z(n, m, i) == reference_f_subset_sum(n, m, i), (n, m, i)
+            for i in range(1, n + 1):
+                assert f_invariant(n, i) == fq_poly_z(n, n, i)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_out_of_range_indices_raise(self, n):
+        for m, i in ((0, 1), (n + 1, 1), (1, -1)):
+            with pytest.raises(ValueError):
+                fq_poly_z(n, m, i)
+            with pytest.raises(ValueError):
+                reference_f_subset_sum(n, m, i)
+        for i in (0, n + 1):
+            with pytest.raises(ValueError):
+                f_invariant(n, i)
+
+    def test_partial_invariants_match_evaluation(self):
+        rng = random.Random(18)
+        for n in range(2, 8):
+            for _ in range(20):
+                pt = random_point(n, rng)
+                vals = point_values(pt)
+                table = partial_invariants(pt)
+                assert [len(row) for row in table] == list(range(1, n + 2))
+                for m in range(1, n + 1):
+                    for i in range(m + 1):
+                        expected = reference_f_subset_sum(n, m, i).evaluate(vals)
+                        assert table[m][i] == expected, (pt, m, i)
+                assert gamma_of_point(pt).gamma == tuple(table[n][1:])
+
 
 class TestLax:
+    def test_entries_match_product_at_points(self):
+        rng = random.Random(181)
+        for n in range(1, 7):
+            for _ in range(10):
+                pt = random_point(n, rng)
+                assert lax_matrix(pt) == reference_lax(pt.z, pt.Q), pt
+
+    def test_entries_match_product_symbolically(self):
+        for n in range(1, 7):
+            entries = _symbolic_entries(zq_vars(n), n)
+            assert lax_matrix_symbolic(n) == reference_lax(*entries)
+
     def test_inverse_matches_closed_form_n2(self):
         pt = TodaPoint(2, (q(2), q(1, 2)), (q(3),))
         M = lax_matrix(pt).inverse()
