@@ -64,7 +64,7 @@ MAX_QUANTIZE_N = 6
 # build every case (one per trial and n) before the first one runs, so an
 # absurd count would exhaust memory instead of running.  At the limit,
 # `kpet verify toda-roundtrip --trials 1000` (4,000 cases over n = 2..5) takes
-# about 13 s in 25 MB (Python 3.11, one core), and
+# about 8-9 s in 25 MB (Python 3.11, one core), and
 # `kpet verify d-recursions --trials 1000` about 3 s.
 MAX_TRIALS = 1000
 
@@ -102,7 +102,8 @@ MAX_GROTH_N = 8
 
 # Largest permutation length `kpet lambda-map` accepts: its partition can have
 # n^2 / 2 parts.  With start-up, the slowest inputs of length 400 (every
-# exponent at its largest, or random) take about 0.25 s, 500 0.35 s, 1000 1 s.
+# exponent at its largest, or random) take about 0.25-0.3 s, of which
+# `lambda_map` is 0.08 s; at length 1000 `lambda_map` takes 0.55 s.
 MAX_LAMBDA_MAP_N = 400
 
 # Largest |mu| `kpet kconj` accepts: the (k+1)-core can have |mu|^2 / 2 cells.

@@ -3,25 +3,32 @@
 Entries only need +, -, * (with each other and with ints) and, for the
 fraction-free path, an exact __truediv__.  Determinants: memoized cofactor
 expansion (one minor per subset of columns, no division) for every ring but
-the rationals.  A rational determinant is computed in ``int``: each row is
-scaled by the lcm of its denominators, fraction-free Bareiss runs on the
-integer rows with exact ``//``, and the result is the ``Fraction``
-det / (product of the scales).  The same Bareiss loop, dividing with ``/``,
-is ``_det_bareiss``, the division-based reference for the cofactor
-expansion over any ring with exact division.
+the rationals.
 
-``inverse`` and ``solve`` (rational entries) share one Gauss-Jordan
-elimination over sparse rows whose integral entries stay ``int``
-(``scalars.normalize``); it prefers unit pivots, so the integral 720x720
-f-monomial matrix of the quantization map is inverted without a Fraction.
+A matrix of ``int``/``Fraction`` entries is computed in ``int``: each row
+(or column) is scaled by the lcm of its denominators, the arithmetic runs
+on the integers, and each output entry is one division at the end.  That
+holds for the determinant (fraction-free Bareiss with exact ``//``, a
+``Fraction`` det / (product of the scales)), for products (``int`` dot
+products of scaled rows and columns), for the leading minors
+xi^{1..i}_{1..i} and xi^{1..i-1,n}_{1..i} (one Bareiss pass, whose
+intermediate entries are those minors), and for ``inverse`` and ``solve``.
+Those two share one Gauss-Jordan elimination over sparse ``int`` rows that
+prefers unit pivots, so the integral 720x720 f-monomial matrix of the
+quantization map is inverted by subtraction alone.  Products, inverses and
+solutions are normalized (``int`` where integral); determinants and minors
+are ``Fraction``.  The Bareiss loop dividing with ``/`` is
+``_det_bareiss``, the division-based reference for the cofactor expansion
+over any ring with exact division.
 """
 
 from __future__ import annotations
 
-from math import lcm
-from operator import floordiv, truediv
+from itertools import chain
+from math import gcd, lcm
+from operator import floordiv, mul, truediv
 
-from .scalars import Rational, exact_quotient, normalize, rat
+from .scalars import Rational, clear_denominators, exact_quotient, is_rational, rat
 
 __all__ = ["RingMatrix"]
 
@@ -65,6 +72,8 @@ class RingMatrix:
         if isinstance(other, RingMatrix):
             if self.ncols != other.nrows:
                 raise ValueError("dimension mismatch")
+            if _is_rational(self.rows) and _is_rational(other.rows):
+                return RingMatrix(_mul_rational(self.rows, other.rows))
             cols = list(zip(*other.rows))
             return RingMatrix(
                 [
@@ -87,6 +96,40 @@ class RingMatrix:
             raise ValueError("non-square minor selection")
         return self.submatrix(row_idx, col_idx).det()
 
+    def leading_minors(self):
+        """(P, E) with P[i-1] = xi^{1..i}_{1..i} and
+        E[i-1] = xi^{1..i-1,n}_{1..i} for i = 1..n, of a square matrix.
+
+        Rational entries take one fraction-free Bareiss pass, without row
+        exchanges, over the rows scaled to ``int``: after i - 1 steps, entry
+        (i, j) of the elimination is xi^{1..i-1,j}_{1..i} times the scales of
+        rows 1..i.  After a vanishing leading minor, and for every other
+        ring, each minor is taken by ``minor``.
+        """
+        n = self.nrows
+        if n != self.ncols:
+            raise ValueError("leading minors of a non-square matrix")
+        principal, last = [], []
+        if _is_rational(self.rows):
+            rows = [clear_denominators(row) for row in self.rows]
+            scale, prev = 1, 1
+            for k, (pivot_row, s) in enumerate(rows):
+                scale *= s
+                pivot = pivot_row[k]
+                principal.append(Rational(pivot, scale))
+                last.append(Rational(pivot_row[n - 1], scale))
+                if not pivot:
+                    break
+                for row, _ in rows[k + 1:]:
+                    f = row[k]
+                    for j in range(k + 1, n):
+                        row[j] = (pivot * row[j] - f * pivot_row[j]) // prev
+                prev = pivot
+        for i in range(len(principal) + 1, n + 1):
+            principal.append(self.minor(range(1, i + 1), range(1, i + 1)))
+            last.append(self.minor(range(1, i + 1), [*range(1, i), n]))
+        return principal, last
+
     # -- determinants -----------------------------------------------------
 
     def det(self):
@@ -96,7 +139,7 @@ class RingMatrix:
             raise ValueError("determinant of a non-square matrix")
         if self.nrows == 0:
             return Rational(1)
-        if all(isinstance(x, (int, Rational)) for row in self.rows for x in row):
+        if _is_rational(self.rows):
             return _det_rational(self.rows)
         return self._det_cofactor()
 
@@ -136,7 +179,7 @@ class RingMatrix:
 
     def inverse(self):
         """Inverse over the rationals (sparse Gauss-Jordan); entries are
-        ``int`` where integral, as ``scalars.normalize`` gives them."""
+        ``int`` where integral."""
         n = self.nrows
         return RingMatrix(
             self._gauss_jordan([[int(i == j) for j in range(n)] for i in range(n)])
@@ -147,26 +190,31 @@ class RingMatrix:
         return [row[0] for row in self._gauss_jordan([[b] for b in rhs])]
 
     def _gauss_jordan(self, rhs_rows):
-        """Reduce the augmented matrix [self | rhs_rows] to [I | X] over the
-        rationals and return the rows of X, normalized.
+        """Reduce the augmented matrix [self | rhs_rows] to diagonal form over
+        the rationals and return the rows of X = self^{-1} rhs_rows,
+        normalized.
 
-        Each augmented row is a sparse {column: value} dict whose values are
-        ``int`` while they are integral.  Column by column, the pivot row is
-        chosen among the unplaced rows with a non-zero entry in that column:
-        one whose entry is +-1 if there is one, then the one with the fewest
-        non-zeros, then the lowest index.  A unit pivot keeps an integer row
-        integral.  Eliminating a column touches only the non-zero columns of
-        the pivot row.  X is unique, so the pivot order does not change the
-        answer.
+        Each augmented row is an equation, so it is scaled to ``int`` by the
+        lcm of its denominators and kept as a sparse {column: int} dict.
+        Column by column, the pivot row is chosen among the unplaced rows
+        with a non-zero entry in that column: one whose entry is +-1 if there
+        is one, then the one with the fewest non-zeros, then the lowest
+        index.  A unit pivot row is made 1 at the pivot and subtracted f
+        times from each other row with entry f in that column, touching only
+        the pivot row's non-zero columns.  A non-unit pivot p replaces such a
+        row by p * row - f * pivot row, divided by the gcd of its entries.
+        In the end the row of each column c holds some d at c, and d * X_c on
+        the right, so each entry of X is one division.  X is unique, so the
+        pivot order does not change the answer.
         """
         n = self.nrows
         if n != self.ncols:
             raise ValueError("Gauss-Jordan elimination needs a square matrix")
         aug = []
         for row, extra in zip(self.rows, rhs_rows):
-            entries = {j: normalize(x) for j, x in enumerate(row) if x}
-            entries.update((n + k, normalize(b)) for k, b in enumerate(extra) if b)
-            aug.append(entries)
+            entries = [(j, x) for j, x in enumerate(chain(row, extra)) if x]
+            s = lcm(*(x.denominator for _, x in entries))
+            aug.append({j: x.numerator * (s // x.denominator) for j, x in entries})
         unplaced = set(range(n))
         pivot_rows = [None] * n
         for col in range(n):
@@ -183,23 +231,54 @@ class RingMatrix:
             unplaced.discard(r)
             pivot = aug[r]
             p = pivot[col]
-            if p != 1:
-                pivot = {j: exact_quotient(v, p) for j, v in pivot.items()}
-                aug[r] = pivot
+            if p == -1:
+                for j in pivot:
+                    pivot[j] = -pivot[j]
+                p = 1
             pivot_rows[col] = pivot
             for other in aug:
                 factor = other.get(col)
-                if factor and other is not pivot:
-                    for j, v in pivot.items():
-                        value = other.get(j, 0) - factor * v
-                        if type(value) is not int:
-                            value = normalize(value)
-                        if value:
-                            other[j] = value
-                        else:
-                            del other[j]
+                if not factor or other is pivot:
+                    continue
+                if p != 1:
+                    for j in other:
+                        other[j] *= p
+                for j, v in pivot.items():
+                    value = other.get(j, 0) - factor * v
+                    if value:
+                        other[j] = value
+                    else:
+                        del other[j]
+                if p != 1:
+                    g = gcd(*other.values())
+                    if g > 1:
+                        for j in other:
+                            other[j] //= g
         width = len(rhs_rows[0]) if rhs_rows else 0
-        return [[row.get(n + k, 0) for k in range(width)] for row in pivot_rows]
+        out = []
+        for col, row in enumerate(pivot_rows):
+            d = row[col]
+            values = [row.get(n + k, 0) for k in range(width)]
+            out.append(values if d == 1 else [exact_quotient(v, d) for v in values])
+        return out
+
+
+def _is_rational(rows) -> bool:
+    return is_rational(chain.from_iterable(rows))
+
+
+def _mul_rational(a_rows, b_rows):
+    """The rows of A * B for int/Fraction entries: A's rows and B's columns
+    are scaled to ``int``, so each entry is one ``int`` dot product and one
+    division, normalized."""
+    cols = [clear_denominators(col) for col in zip(*b_rows)]
+    out = []
+    for row in a_rows:
+        row, s = clear_denominators(row)
+        out.append(
+            [exact_quotient(sum(map(mul, row, col)), s * t) for col, t in cols]
+        )
+    return out
 
 
 def _det_rational(rows):
@@ -208,8 +287,8 @@ def _det_rational(rows):
     int_rows = []
     scale = 1
     for row in rows:
-        s = lcm(*(x.denominator for x in row))
-        int_rows.append([x.numerator * (s // x.denominator) for x in row])
+        int_row, s = clear_denominators(row)
+        int_rows.append(int_row)
         scale *= s
     return Rational(_bareiss(int_rows, floordiv), scale)
 

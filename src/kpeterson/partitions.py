@@ -174,6 +174,14 @@ class Permutation:
             raise ValueError(f"not a permutation of 1..{len(images)}: {images}")
         object.__setattr__(self, "images", images)
 
+    @classmethod
+    def _built(cls, images) -> "Permutation":
+        """A permutation from images that this class computed from valid
+        permutations, so they are not checked again."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "images", tuple(images))
+        return w
+
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
 
@@ -186,20 +194,22 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(range(1, n + 1))
+        return cls._built(range(1, n + 1))
 
     @classmethod
     def longest(cls, n: int) -> "Permutation":
-        return cls(range(n, 0, -1))
+        return cls._built(range(n, 0, -1))
 
     @classmethod
     def cycle(cls, n: int, i: int) -> "Permutation":
         """The cyclic permutation (i+1, i+2, ..., n), fixing 1..i."""
+        if not 0 <= i < n:
+            raise ValueError(f"need 0 <= i < n, got i = {i}, n = {n}")
         images = list(range(1, n + 1))
         for j in range(i + 1, n):
             images[j - 1] = j + 1
         images[n - 1] = i + 1
-        return cls(images)
+        return cls._built(images)
 
     def to_text(self) -> str:
         if len(self.images) <= 9:
@@ -224,13 +234,13 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Function composition: (self * other)(i) = self(other(i))."""
-        return Permutation(self.images[v - 1] for v in other.images)
+        return Permutation._built([self.images[v - 1] for v in other.images])
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
         for pos, v in enumerate(self.images, start=1):
             inv[v - 1] = pos
-        return Permutation(inv)
+        return Permutation._built(inv)
 
     def __pow__(self, k: int) -> "Permutation":
         """w^k for any integer k in O(n): each cycle is walked once."""
@@ -242,7 +252,7 @@ class Permutation:
                     cycle.append(im[cycle[-1] - 1])
                 for pos, v in enumerate(cycle):
                     result[v - 1] = cycle[(pos + k) % len(cycle)]
-        return Permutation(result)
+        return Permutation._built(result)
 
     @property
     def length(self) -> int:

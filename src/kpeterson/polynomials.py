@@ -19,9 +19,9 @@ Poly base marks a power slot, which ``grouped_product`` runs by Horner's rule
 (multiplying by the base itself, not by a cached higher power); the power
 slots are those of substitution by polynomials and of the Phi_n image.
 Tables whose entries are not powers (the quantization map, the f-basis
-columns and the D(theta) numerators of phi(G^Q_w)) and the powers of a
-number (evaluation at a point) are indexed slots, each group sum multiplied
-by its own entry.
+columns and the D(theta) numerators of phi(G^Q_w)) and evaluation at a
+point (integer tables p^e q^(D-e) for a value p/q, one division at the end)
+are indexed slots, each group sum multiplied by its own entry.
 
 A Poly has a fixed, ordered variable tuple and a term map from exponent
 vectors to non-zero coefficients.  This one type backs the z/Q and x/Q
@@ -180,8 +180,8 @@ def grouped_product(parts: dict, tables, zero):
     missing, never by a higher power of a group sum.  Any other table is an
     indexed slot: each S_e is multiplied by its own entry and the products
     are added.  That covers a list lookup or a cached function, whose
-    entries need not be powers, and a ``power_table`` of a number
-    (evaluation at a point), where Horner's rule was not faster.  An entry
+    entries need not be powers, and a ``power_table`` of a number (a
+    variable substituted by a number), where Horner's rule was not faster.  An entry
     equal to one is not multiplied.  Parts and entries are Polys or numbers,
     and every key has one slot per table.  The result has the type of `zero`
     (a Poly in its ring, or a number), and is `zero` for no parts.
@@ -438,9 +438,23 @@ class Poly:
         )
 
     def evaluate(self, point: dict):
-        """Evaluate at Rational values for all variables."""
-        tables = [power_table(rat(point[v])) for v in self.vars]
-        return grouped_product(self.terms, tables, Rational(0))
+        """Evaluate at Rational values for all variables, in ``int``: with
+        x_j = p_j / q_j and D_j the degree in x_j, the sum of
+        c * prod_j p_j^e_j q_j^(D_j - e_j) over prod_j q_j^D_j, grouped on
+        the variables that occur."""
+        values = [point[v] for v in self.vars]
+        tops = [max(column) for column in zip(*self.terms)]
+        used = [i for i, top in enumerate(tops) if top]
+        tables, denominator = [], 1
+        for i in used:
+            p, q = values[i].numerator, values[i].denominator
+            powers = [q ** tops[i]]
+            for _ in range(tops[i]):
+                powers.append(powers[-1] // q * p)
+            tables.append(powers.__getitem__)
+            denominator *= powers[0]
+        parts = {tuple([e[i] for i in used]): c for e, c in self.terms.items()}
+        return Rational(grouped_product(parts, tables, 0), denominator)
 
     def coeff_list(self, name: str):
         """Coefficients [c0, c1, ...] of a univariate polynomial."""

@@ -9,22 +9,27 @@ integral value as an ``int`` (integer arithmetic is several times faster than
 ``Fraction`` arithmetic, and every tau/sigma factor and Phi_n numerator has
 integer coefficients) and keeps a ``Fraction`` only when it is not integral.
 ``exact_quotient`` divides two such coefficients without ever producing a
-float.  The Gauss-Jordan elimination behind ``RingMatrix.inverse`` and
-``solve`` keeps its entries the same way, so an integral inverse (such as
-the quantization map's) is all ``int``.  Toda points and their matrices
-keep ``Fraction`` entries, but a rational ``RingMatrix.det`` clears the
-denominators of each row and eliminates in ``int``, returning a ``Fraction``.
+float.  ``clear_denominators`` scales a row of such values to ``int`` by the
+lcm of their denominators.  Toda points are ``Fraction`` tuples, but the
+rational matrix layer (``RingMatrix`` determinants, products, leading
+minors, ``inverse`` and ``solve``) and phi(C_gamma) clear each row and
+compute on the integers, with one division per result: a determinant or
+minor is a ``Fraction``, and a matrix entry is normalized, so an integral
+inverse (such as the quantization map's) is all ``int``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Rational
+from math import lcm
 
 __all__ = [
     "Rational",
     "rat",
     "normalize",
     "exact_quotient",
+    "is_rational",
+    "clear_denominators",
     "rational_from_text",
     "rational_to_text",
 ]
@@ -61,6 +66,21 @@ def exact_quotient(a, b):
         q, r = divmod(a, b)
         return Rational(a, b) if r else q
     return normalize(Rational(a) / b)
+
+
+def is_rational(values) -> bool:
+    """Whether every value is an int or a Rational."""
+    return all(isinstance(x, (int, Rational)) for x in values)
+
+
+def clear_denominators(values):
+    """(values * s as ints, s), with s the lcm of the denominators.
+
+    >>> clear_denominators([Rational(1, 2), 3, Rational(-2, 3)])
+    ([3, 18, -4], 6)
+    """
+    s = lcm(*(x.denominator for x in values))
+    return [x.numerator * (s // x.denominator) for x in values], s
 
 
 def rational_from_text(text: str):

@@ -10,22 +10,37 @@ polynomial classes phi all live here.
 
 Each construction reads its matrix's structure, over any coefficient ring:
 every F^(m)_i comes from one recurrence (``_f_table``), L is written entry
-by entry, and the characteristic minor is a continuant in z and Q, each
-taken as exact rationals at a point or as z/Q polynomials; the quantization
-map reads the same table at z = 1 - x, Q = 0.  T/S are minors of one matrix
-of remainders modulo the characteristic polynomial (valid for every gamma)
-of a class phi with rational or symmetric-function coordinates.
+by entry, and the characteristic minor is a continuant on zeta-coefficient
+lists in z and Q, each taken as exact rationals at a point or as z/Q
+polynomials; the quantization map reads the same table at z = 1 - x, Q = 0.
+T/S are the leading minors of one matrix of remainders modulo the
+characteristic polynomial (valid for every gamma) of a class phi with
+rational or symmetric-function coordinates, read off one fraction-free
+elimination (``RingMatrix.leading_minors``).  phi(C_gamma) runs Horner's
+scheme on the integral matrix s C_gamma, and beta finds L = U C_gamma U^{-1}
+from L U = U C_gamma by substitution, since U is triangular with a +-1
+diagonal: neither inverts a matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 from math import comb
 
 from .matrices import RingMatrix
 from .polynomials import Poly, zq_vars
-from .scalars import Rational, rat, rational_from_text, rational_to_text
+from .scalars import (
+    Rational,
+    clear_denominators,
+    exact_quotient,
+    is_rational,
+    normalize,
+    rat,
+    rational_from_text,
+    rational_to_text,
+)
 from .symfunc import SymFunc
 
 __all__ = [
@@ -138,7 +153,7 @@ class TruncSeriesPhi:
     c_0..c_{n-1} with phi = sum (-1)^i c_i (zeta-1)^i.  Coefficients are
     Rational or SymFunc."""
 
-    __slots__ = ("n", "c")
+    __slots__ = ("n", "c", "_zeta")
 
     def __init__(self, n: int, c):
         c = tuple(c)
@@ -146,6 +161,7 @@ class TruncSeriesPhi:
             raise ValueError("need exactly n coordinates")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "c", c)
+        object.__setattr__(self, "_zeta", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncSeriesPhi is immutable")
@@ -163,12 +179,16 @@ class TruncSeriesPhi:
     @classmethod
     def from_zeta_coeffs(cls, n: int, coeffs) -> "TruncSeriesPhi":
         """From ascending coefficients of phi(zeta), degree <= n-1."""
-        coeffs = list(coeffs)
-        return cls(n, _binomial_flip((coeffs + [0] * (n - len(coeffs)))[:n]))
+        coeffs = (list(coeffs) + [0] * n)[:n]
+        phi = cls(n, _binomial_flip(coeffs))
+        object.__setattr__(phi, "_zeta", tuple(coeffs))
+        return phi
 
     def to_zeta_coeffs(self):
-        """Ascending coefficients of phi(zeta)."""
-        return _binomial_flip(self.c)
+        """Ascending coefficients of phi(zeta), flipped once per object."""
+        if self._zeta is None:
+            object.__setattr__(self, "_zeta", tuple(_binomial_flip(self.c)))
+        return list(self._zeta)
 
     @classmethod
     def symbolic_unipotent(cls, n: int) -> "TruncSeriesPhi":
@@ -270,15 +290,18 @@ def _lax(z, Q) -> RingMatrix:
     return RingMatrix(rows)
 
 
-def _char_minor(z, Q, variables) -> Poly:
-    """Delta_{1,1}(zeta*B - A) in the polynomial ring of `variables`, which
-    holds zeta and every variable of the entries z_i, Q_i: the continuant
+def _char_minor(z, Q):
+    """The ascending zeta-coefficients of Delta_{1,1}(zeta*B - A), over the
+    ring of the entries z_i, Q_i: the continuant
     D_k = (zeta - z_k) D_{k-1} + zeta Q_{k-1} z_{k-1} D_{k-2} of its
-    tridiagonal rows and columns 2..n (superdiagonal 1)."""
-    zeta = Poly.variable(variables, "zeta")
-    prev, cur = Poly.zero(variables), Poly.const(variables, 1)
+    tridiagonal rows and columns 2..n (superdiagonal 1), on coefficient
+    lists."""
+    zero = z[0] * 0
+    prev, cur = [], [zero + 1]
     for k in range(1, len(z)):
-        prev, cur = cur, zeta * (cur + prev * (Q[k - 1] * z[k - 1])) - cur * z[k]
+        w = Q[k - 1] * z[k - 1]
+        shifted = [zero] + [c + w * p for c, p in zip_longest(cur, prev, fillvalue=zero)]
+        prev, cur = cur, [t - z[k] * c for t, c in zip_longest(shifted, cur, fillvalue=zero)]
     return cur
 
 
@@ -322,13 +345,17 @@ def lax_to_point(L: RingMatrix) -> TodaPoint:
 def char_minor_phi(pt: TodaPoint) -> Poly:
     """The (1,1) minor Delta_{1,1} of zeta*B - A, a monic polynomial of
     degree n-1 in zeta."""
-    return _char_minor(*_point_entries(pt), ("zeta",))
+    coeffs = _char_minor(*_point_entries(pt))
+    return Poly(("zeta",), {(e,): normalize(c) for e, c in enumerate(coeffs) if c})
 
 
 def char_minor_phi_symbolic(n: int) -> Poly:
     """Delta_{1,1} over the symbolic z/Q polynomial ring with zeta."""
-    variables = ("zeta",) + zq_vars(n)
-    return _char_minor(*_symbolic_entries(variables, n), variables)
+    coeffs = _char_minor(*_symbolic_entries(zq_vars(n), n))
+    return Poly(
+        ("zeta",) + zq_vars(n),
+        {(e, *exps): c for e, poly in enumerate(coeffs) for exps, c in poly.terms.items()},
+    )
 
 
 # -- companion matrix and T/S determinants ----------------------------------------
@@ -337,37 +364,60 @@ def char_minor_phi_symbolic(n: int) -> Poly:
 def companion_matrix(params: SpectralParams) -> RingMatrix:
     """C_gamma = J + sum (-1)^{i-1} gamma_i E_{n, n-i+1}."""
     n = params.n
-    rows = [[Rational(0)] * n for _ in range(n)]
+    rows = [[Rational(0)] * n for _ in range(n - 1)]
     for i in range(n - 1):
         rows[i][i + 1] = Rational(1)
-    for i in range(1, n + 1):
-        rows[n - 1][n - i] = rat(params.gamma[i - 1]) * (-1) ** (i - 1)
-    return RingMatrix(rows)
+    return RingMatrix(rows + [_companion_last_row(params)])
+
+
+def _companion_last_row(params: SpectralParams):
+    """C_gamma's last row: (-1)^{i-1} gamma_i in column n - i + 1."""
+    n = params.n
+    row = [Rational(0)] * n
+    for i, g in enumerate(params.gamma, 1):
+        row[n - i] = rat(g) * (-1) ** (i - 1)
+    return row
 
 
 def phi_of_companion(phi: TruncSeriesPhi, params: SpectralParams) -> RingMatrix:
     """phi(C_gamma), over the coefficient ring of phi, by Horner's scheme
-    X <- X C_gamma + a_k I from the top zeta-coefficient down.  Right
-    multiplication by C_gamma shifts the columns one place right and adds
-    the last column times C_gamma's last row, so a step costs O(n^2)."""
+    X <- X C + s^(d-k) a_k I from the top zeta-coefficient a_d down, where
+    C = s C_gamma is integral (s the lcm of the denominators of gamma), so X
+    ends as s^d phi(C_gamma).  Right multiplication by C shifts the columns
+    one place right, times s, and adds the last column times C's last row,
+    so a step costs O(n^2).  Rational coefficients are scaled to ``int``
+    first, so that X stays integral and each entry is one division."""
     n = phi.n
     if params.n != n:
         raise ValueError("size mismatch")
     coeffs = phi.to_zeta_coeffs()
-    # C_gamma's last row: (-1)^{i-1} gamma_i in column n - i (0-based)
-    last = [
-        (n - i, rat(g) * (-1) ** (i - 1)) for i, g in enumerate(params.gamma, 1) if g
-    ]
+    rational = is_rational(coeffs)
+    t = 1
+    if rational:
+        coeffs, t = clear_denominators(coeffs)
+    last, s = clear_denominators(_companion_last_row(params))
+    last = [(j, r) for j, r in enumerate(last) if r]  # C's last row
     zero = coeffs[0] * 0
     X = [[coeffs[-1] if i == j else zero for j in range(n)] for i in range(n)]
+    power = 1  # s^(d-k)
     for a in reversed(coeffs[:-1]):
+        if s != 1:
+            power *= s
+            a = a * power
         for i, row in enumerate(X):
             tail = row.pop()
             row.insert(0, zero)
+            if s != 1:
+                row[:] = [x * s for x in row]
             if tail:
                 for j, r in last:
                     row[j] = row[j] + tail * r
             row[i] = row[i] + a
+    if rational:
+        t *= power
+        X = [[exact_quotient(x, t) for x in row] for row in X]
+    elif power != 1:
+        X = [[x * Rational(1, power) for x in row] for row in X]
     return RingMatrix(X)
 
 
@@ -400,13 +450,8 @@ def ts_functions(phi: TruncSeriesPhi, params: SpectralParams):
     rows = [phi.to_zeta_coeffs()]
     for _ in range(n - 1):
         rows.append(_poly_mod([zero] + rows[-1], modulus))
-    B = RingMatrix(rows)
-    T = [
-        B.minor(range(1, i + 1), [*range(1, i), n]) * (-1) ** (n - i)
-        for i in range(1, n + 1)
-    ]
-    S = [B.minor(range(1, i + 1), range(1, i + 1)) for i in range(1, n + 1)]
-    return T, S
+    S, last = RingMatrix(rows).leading_minors()
+    return [t * (-1) ** (n - i) for i, t in enumerate(last, 1)], S
 
 
 # -- decompositions ----------------------------------------------------------------
@@ -482,8 +527,7 @@ def ru_ratio_formula(X: RingMatrix, i: int):
 def alpha(pt: TodaPoint) -> TruncSeriesPhi:
     """The polynomial class [Delta_{1,1}] of a Toda point (monic, degree
     n-1)."""
-    poly = char_minor_phi(pt)
-    coeffs = poly.coeff_list("zeta")
+    coeffs = _char_minor(*_point_entries(pt))
     assert len(coeffs) == pt.n and coeffs[-1] == 1
     return TruncSeriesPhi.from_zeta_coeffs(pt.n, coeffs)
 
@@ -513,10 +557,34 @@ def beta_full(phi: TruncSeriesPhi, params: SpectralParams) -> BetaData:
         if not S[i - 1]:
             raise YConditionError(f"Y3[{i}]")
     R, U = ru_decompose(X)
-    C = companion_matrix(params)
-    L = U * C * U.inverse()
+    L = _conjugate_companion(U, params)
     point = lax_to_point(L)
     return BetaData(point, L, R, U, tuple(T), tuple(S), X)
+
+
+def _conjugate_companion(U: RingMatrix, params: SpectralParams) -> RingMatrix:
+    """L = U C_gamma U^{-1} for U lower triangular with a +-1 diagonal, row
+    by row from L U = U C_gamma, substituting from the last column:
+    L_ij = U_jj (M_ij - sum_{k > j} L_ik U_kj) with M = U C_gamma, which is
+    U shifted one column right plus U_nn times C_gamma's last row in row n.
+    U_jj = 1 / U_jj, so nothing is divided."""
+    n = U.nrows
+    u = U.rows
+    last = _companion_last_row(params)
+    rows = []
+    for i in range(n):
+        shifted = [0, *u[i][:-1]]
+        if i == n - 1:
+            shifted = [m + u[i][i] * c for m, c in zip(shifted, last)]
+        row = [0] * n
+        for j in range(n - 1, -1, -1):
+            total = shifted[j]
+            for k in range(j + 1, n):
+                if row[k] and u[k][j]:
+                    total -= row[k] * u[k][j]
+            row[j] = total if u[j][j] > 0 else -total
+        rows.append(row)
+    return RingMatrix(rows)
 
 
 def beta(phi: TruncSeriesPhi, params: SpectralParams) -> TodaPoint:
@@ -536,16 +604,11 @@ def minor_identities(X: RingMatrix, T, S) -> bool:
     """The identities of ``minor_formulas`` for a built X = phi(C) and the
     T/S functions of the same phi (as kept in ``BetaData``)."""
     n = X.nrows
-    for i in range(1, n + 1):
-        rows = list(range(1, i)) + [i]
-        cols = list(range(1, i)) + [n]
-        expected_t = X.minor(rows, cols) * ((-1) ** (n - i))
-        if not T[i - 1] == expected_t:
-            return False
-        principal = list(range(1, i + 1))
-        if not S[i - 1] == X.minor(principal, principal):
-            return False
-    return True
+    principal, last = X.leading_minors()
+    return all(
+        T[i - 1] == t * (-1) ** (n - i) and S[i - 1] == p
+        for i, (p, t) in enumerate(zip(principal, last), 1)
+    )
 
 
 # -- sampling ------------------------------------------------------------------------

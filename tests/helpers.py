@@ -15,8 +15,8 @@ from kpeterson.grothendieck import stable_groth_vars
 from kpeterson.matrices import RingMatrix
 from kpeterson.partitions import Partition
 from kpeterson.peterson import _geom_series_coeffs
-from kpeterson.polynomials import Poly, zq_vars
-from kpeterson.scalars import Rational, normalize
+from kpeterson.polynomials import Poly, grouped_product, power_table, zq_vars
+from kpeterson.scalars import Rational, exact_quotient, normalize, rat
 from kpeterson.symfunc import SymFunc, _sorted_terms, _trim, schur, to_p_dict
 
 
@@ -259,3 +259,112 @@ def reference_f_subset_sum(n: int, m: int, i: int) -> Poly:
                 term = term * (1 - Poly.variable(variables, f"Q{j}"))
         total = total + term
     return total
+
+
+# -- the Fraction routines that the int paths of the rational matrix layer
+# -- replaced, kept as references
+
+
+def reference_sparse_gauss_jordan(rows, rhs_rows):
+    """X = rows^{-1} rhs_rows by the sparse Gauss-Jordan elimination over
+    Fraction values (integral ones kept ``int``): unit pivots first, then
+    the sparsest row, then the lowest index; a non-unit pivot row is divided
+    through by its pivot."""
+    n = len(rows)
+    aug = []
+    for row, extra in zip(rows, rhs_rows):
+        entries = {j: normalize(x) for j, x in enumerate(row) if x}
+        entries.update((n + k, normalize(b)) for k, b in enumerate(extra) if b)
+        aug.append(entries)
+    unplaced = set(range(n))
+    pivot_rows = [None] * n
+    for col in range(n):
+        best = None
+        for r in unplaced:
+            p = aug[r].get(col)
+            if p:
+                key = (p != 1 and p != -1, len(aug[r]), r)
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            raise ZeroDivisionError("singular matrix")
+        r = best[2]
+        unplaced.discard(r)
+        pivot = aug[r]
+        p = pivot[col]
+        if p != 1:
+            pivot = {j: exact_quotient(v, p) for j, v in pivot.items()}
+            aug[r] = pivot
+        pivot_rows[col] = pivot
+        for other in aug:
+            factor = other.get(col)
+            if factor and other is not pivot:
+                for j, v in pivot.items():
+                    value = normalize(other.get(j, 0) - factor * v)
+                    if value:
+                        other[j] = value
+                    else:
+                        del other[j]
+    width = len(rhs_rows[0]) if rhs_rows else 0
+    return [[row.get(n + k, 0) for k in range(width)] for row in pivot_rows]
+
+
+def reference_matmul(a_rows, b_rows):
+    """A * B by one dot product per entry, in the entries' own arithmetic."""
+    out = []
+    for row in a_rows:
+        out_row = []
+        for col in zip(*b_rows):
+            total = row[0] * col[0]
+            for x, y in zip(row[1:], col[1:]):
+                total = total + x * y
+            out_row.append(total)
+        out.append(out_row)
+    return out
+
+
+def reference_conjugate(U, C):
+    """U * C * U^{-1} by two dot-product matrix products, with U^{-1} from
+    the Fraction Gauss-Jordan elimination."""
+    n = len(U)
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    return reference_matmul(
+        reference_matmul(U, C), reference_sparse_gauss_jordan(U, eye)
+    )
+
+
+def reference_ts_functions(phi, params):
+    """T_i = (-1)^{n-i} xi^{1..i-1,n}_{1..i}(B) and S_i = xi^{1..i}_{1..i}(B),
+    one ``RingMatrix.minor`` each, with row j of B the remainder of
+    phi * zeta^j modulo the characteristic polynomial."""
+    from kpeterson.toda import _poly_mod
+
+    n = phi.n
+    zero = phi.c[0] * 0
+    modulus = params.char_poly_coeffs()
+    rows = [phi.to_zeta_coeffs()]
+    for _ in range(n - 1):
+        rows.append(_poly_mod([zero] + rows[-1], modulus))
+    B = RingMatrix(rows)
+    T = [
+        B.minor(range(1, i + 1), [*range(1, i), n]) * (-1) ** (n - i)
+        for i in range(1, n + 1)
+    ]
+    S = [B.minor(range(1, i + 1), range(1, i + 1)) for i in range(1, n + 1)]
+    return T, S
+
+
+def reference_continuant(z, Q, variables) -> Poly:
+    """Delta_{1,1}(zeta*B - A) as a Poly over `variables` (zeta and every
+    variable of z and Q), by the continuant run on Polys in zeta."""
+    zeta = Poly.variable(variables, "zeta")
+    prev, cur = Poly.zero(variables), Poly.const(variables, 1)
+    for k in range(1, len(z)):
+        prev, cur = cur, zeta * (cur + prev * (Q[k - 1] * z[k - 1])) - cur * z[k]
+    return cur
+
+
+def reference_evaluate(poly: Poly, point: dict):
+    """poly at a point by grouped_product over cached Fraction powers."""
+    tables = [power_table(rat(point[v])) for v in poly.vars]
+    return grouped_product(poly.terms, tables, Rational(0))

@@ -1,9 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_matmul, reference_sparse_gauss_jordan
 from kpeterson.matrices import RingMatrix
 from kpeterson.polynomials import Poly
 from kpeterson.scalars import Rational
@@ -81,6 +82,99 @@ def test_solve_matches_reference(system):
             RingMatrix(rows).solve(rhs)
     else:
         assert RingMatrix(rows).solve(rhs) == [row[0] for row in expected]
+
+
+def _integral_entries_are_int(rows):
+    return all(type(x) is int for row in rows for x in row if x.denominator == 1)
+
+
+@settings(max_examples=300)
+@given(square_systems())
+@example(([[0, 0], [1, 2]], [1, 1]))  # singular
+@example(([[0, 1], [1, 0]], [2, 3]))  # zero leading minor
+@example(([[2, 3], [3, 5]], [1, 0]))  # non-unit pivots, integral inverse
+@example(([[Rational(1, 2), Rational(2, 3)], [Rational(3, 4), 2]], [1, Rational(-1, 5)]))
+def test_int_elimination_matches_fraction_elimination(system):
+    # The int Gauss-Jordan (rows scaled to int, p * row - f * pivot row made
+    # primitive by its gcd) against the Fraction one it replaced, which
+    # divides each pivot row through.
+    rows, rhs = system
+    n = len(rows)
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    for rhs_rows, run in (
+        (eye, lambda m: m.inverse().rows),
+        ([[b] for b in rhs], lambda m: [[x] for x in m.solve(rhs)]),
+    ):
+        try:
+            expected = reference_sparse_gauss_jordan(rows, rhs_rows)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                run(RingMatrix(rows))
+            continue
+        got = run(RingMatrix(rows))
+        assert [list(r) for r in got] == expected
+        assert _integral_entries_are_int(got)
+
+
+def test_integral_inverse_with_non_unit_pivots_stays_int():
+    m = RingMatrix([[2, 3, 0], [3, 5, 0], [0, 0, -1]])
+    inv = m.inverse()
+    assert inv.rows == ((5, -3, 0), (-3, 2, 0), (0, 0, -1))
+    assert all(type(x) is int for row in inv.rows for x in row)
+
+
+@st.composite
+def product_pairs(draw):
+    n, k, m = (draw(st.integers(1, 7)) for _ in range(3))
+    a = draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=n, max_size=n))
+    b = draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=k, max_size=k))
+    return a, b
+
+
+@settings(max_examples=300)
+@given(product_pairs())
+def test_int_product_matches_dot_products(pair):
+    a, b = pair
+    got = (RingMatrix(a) * RingMatrix(b)).rows
+    assert [list(r) for r in got] == reference_matmul(a, b)
+    assert _integral_entries_are_int(got)
+
+
+def test_product_over_other_rings_keeps_dot_products():
+    variables = ("a", "b")
+    x, y = (Poly.variable(variables, v) for v in variables)
+    m = RingMatrix([[x, 1], [y, x * y]])
+    assert (m * m).rows == tuple(map(tuple, reference_matmul(m.rows, m.rows)))
+
+
+def _per_minor(rows):
+    m, n = RingMatrix(rows), len(rows)
+    principal = [m.minor(range(1, i + 1), range(1, i + 1)) for i in range(1, n + 1)]
+    last = [m.minor(range(1, i + 1), [*range(1, i), n]) for i in range(1, n + 1)]
+    return principal, last
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 7).flatmap(
+    lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+))
+@example([[0, 1, 2], [1, 0, 3], [Rational(1, 2), 4, 5]])  # zero leading minor
+@example([[1, 2, 3], [2, 4, Rational(7, 3)], [5, 1, 0]])  # zero second leading minor
+def test_leading_minors_match_minors(rows):
+    # One Bareiss pass reads every xi^{1..i}_{1..i} and xi^{1..i-1,n}_{1..i};
+    # a vanishing leading minor hands the rest to minor().
+    got = RingMatrix(rows).leading_minors()
+    assert got == _per_minor(rows)
+    assert all(type(x) is Rational for part in got for x in part)
+
+
+def test_leading_minors_over_polynomials():
+    variables = ("a", "b", "c")
+    a, b, c = (Poly.variable(variables, v) for v in variables)
+    rows = [[a, b, 1], [c, a * b, b], [1, c, a]]
+    assert RingMatrix(rows).leading_minors() == _per_minor(rows)
+    with pytest.raises(ValueError):
+        RingMatrix([[1, 2]]).leading_minors()
 
 
 def test_minor_examples():

@@ -103,6 +103,31 @@ class TestPermutation:
     def test_cycle(self):
         assert Permutation.cycle(4, 0).images == (2, 3, 4, 1)
         assert Permutation.cycle(4, 2).images == (1, 2, 4, 3)
+        for n, i in ((4, 4), (4, -1), (0, 0)):
+            with pytest.raises(ValueError):
+                Permutation.cycle(n, i)
+
+    def test_built_permutations_pass_validation(self):
+        # products, powers, inverses, cycles, identity and longest skip the
+        # check; each must be what validated construction accepts
+        rng = random.Random(109)
+        for n in range(1, 9):
+            images = list(range(1, n + 1))
+            rng.shuffle(images)
+            w = Permutation(images)
+            built = [
+                w * w,
+                w ** rng.randint(-n, n),
+                w.inverse(),
+                Permutation.cycle(n, rng.randrange(n)),
+                Permutation.identity(n),
+                Permutation.longest(n),
+            ]
+            for v in built:
+                assert Permutation(v.images) == v and type(v.images) is tuple
+        for bad in ([2, 3], [0, 1], ["1", "1"], [1, 2, 2]):
+            with pytest.raises(ValueError):
+                Permutation(bad)
 
     def test_reduced_word_reconstructs(self):
         for w in all_permutations(4):

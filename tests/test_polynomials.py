@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import reference_evaluate
 from kpeterson.polynomials import Poly
 from kpeterson.scalars import Rational
 
@@ -50,6 +51,33 @@ def test_evaluation_is_a_homomorphism(a, b):
     point = {"x1": Rational(2, 3), "x2": Rational(-1, 2), "x3": Rational(5)}
     assert (a * b).evaluate(point) == a.evaluate(point) * b.evaluate(point)
     assert (a + b).evaluate(point) == a.evaluate(point) + b.evaluate(point)
+
+
+values = st.one_of(
+    st.integers(-4, 4),
+    st.builds(Rational, st.integers(-6, 6), st.integers(1, 5)),
+)
+fraction_polys = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),
+    st.builds(Rational, st.integers(-6, 6).filter(bool), st.integers(1, 4)),
+    max_size=6,
+).map(lambda d: Poly(VARS, d))
+
+
+@given(fraction_polys, st.tuples(values, values, values))
+def test_evaluation_matches_fraction_powers(p, point):
+    # The int evaluation (one division by prod q_j^D_j at the end) against
+    # the sum over cached Fraction powers; ints and zeros among the values.
+    point = dict(zip(VARS, point))
+    got = p.evaluate(point)
+    assert got == reference_evaluate(p, point) and type(got) is Rational
+
+
+def test_evaluation_reads_every_variable():
+    x1 = Poly.variable(VARS, "x1")
+    with pytest.raises(KeyError):
+        (x1 + 1).evaluate({"x1": 1, "x2": 2})
+    assert Poly.zero(VARS).evaluate(dict.fromkeys(VARS, 3)) == 0
 
 
 def test_specialize_drops_variables():

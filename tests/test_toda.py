@@ -1,12 +1,19 @@
+import hashlib
 import random
 from math import comb
 
 import pytest
 
-from helpers import random_rational, reference_f_subset_sum
+from helpers import (
+    random_rational,
+    reference_conjugate,
+    reference_continuant,
+    reference_f_subset_sum,
+    reference_ts_functions,
+)
 from kpeterson.matrices import RingMatrix
 from kpeterson.polynomials import Poly, zq_vars
-from kpeterson.scalars import Rational
+from kpeterson.scalars import Rational, rational_to_text
 from kpeterson.symfunc import SymFunc
 from kpeterson.toda import (
     DecompositionError,
@@ -36,6 +43,8 @@ from kpeterson.toda import (
     ts_functions,
 )
 from kpeterson.toda import (
+    _char_minor,
+    _conjugate_companion,
     _poly_mod,
     _symbolic_entries,
     char_minor_phi_symbolic,
@@ -252,6 +261,35 @@ class TestLax:
             entries = _symbolic_entries(zq_vars(n), n)
             assert lax_matrix_symbolic(n) == reference_lax(*entries)
 
+    def test_conjugation_matches_products(self):
+        # L = U C U^{-1} by substitution from L U = U C, against two dot-product
+        # matrix products and the Fraction inverse, for any lower triangular
+        # U with diagonal (-1)^{i-1}.
+        rng = random.Random(191)
+        for n in range(1, 8):
+            for _ in range(10):
+                U = [
+                    [
+                        (-1) ** i if i == j else random_rational(rng) if j < i else 0
+                        for j in range(n)
+                    ]
+                    for i in range(n)
+                ]
+                params = random_params(n, rng)
+                expected = reference_conjugate(U, companion_matrix(params).rows)
+                got = _conjugate_companion(RingMatrix(U), params)
+                assert [list(row) for row in got.rows] == expected
+
+    def test_beta_lax_matches_conjugation(self):
+        rng = random.Random(193)
+        for n in range(2, 7):
+            for sample in (random_z_point, random_unipotent_point):
+                pt = sample(n, rng)
+                params = gamma_of_point(pt)
+                bd = beta_full(alpha(pt), params)
+                expected = reference_conjugate(bd.U.rows, companion_matrix(params).rows)
+                assert [list(row) for row in bd.L.rows] == expected
+
     def test_inverse_matches_closed_form_n2(self):
         pt = TodaPoint(2, (q(2), q(1, 2)), (q(3),))
         M = lax_matrix(pt).inverse()
@@ -313,6 +351,21 @@ class TestCharMinor:
             z = [Poly.variable(variables, f"z{i}") for i in range(1, n + 1)]
             Q = [Poly.variable(variables, f"Q{i}") for i in range(1, n)]
             expected = reference_char_minor(z, Q, variables)
+            assert char_minor_phi_symbolic(n) == expected, n
+
+    def test_coefficient_lists_match_poly_continuant(self):
+        rng = random.Random(107)
+        for n in range(1, 8):
+            for _ in range(20):
+                pt = random_point(n, rng)
+                expected = reference_continuant(pt.z, pt.Q, ("zeta",))
+                assert _char_minor(pt.z, pt.Q) == [
+                    expected.terms.get((e,), 0) for e in range(n)
+                ]
+                assert char_minor_phi(pt) == expected
+        for n in range(1, 6):
+            variables = ("zeta",) + zq_vars(n)
+            expected = reference_continuant(*_symbolic_entries(variables, n), variables)
             assert char_minor_phi_symbolic(n) == expected, n
 
     def test_n2(self):
@@ -392,6 +445,35 @@ class TestTS:
             phi = TruncSeriesPhi.symbolic_unipotent(n)
             params = SpectralParams.unipotent(n)
             assert ts_functions(phi, params) == padded_ts_functions(phi, params), n
+
+    def test_one_elimination_matches_per_minor_reference(self):
+        # T/S read off one Bareiss pass of B, against one minor each; phi with
+        # zero leading coefficients has vanishing leading minors of B.
+        rng = random.Random(109)
+        for n in range(1, 8):
+            for k in range(12):
+                params = random_params(n, rng)
+                c = [q(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+                phi = (
+                    TruncSeriesPhi.from_zeta_coeffs(n, [0] * min(k % 3, n - 1) + c)
+                    if k % 2
+                    else TruncSeriesPhi(n, c)
+                )
+                assert ts_functions(phi, params) == reference_ts_functions(phi, params)
+                X = phi_of_companion(phi, params)
+                assert minor_identities(X, *reference_ts_functions(phi, params))
+        for n in range(1, 6):
+            phi = TruncSeriesPhi.symbolic_unipotent(n)
+            params = SpectralParams.unipotent(n)
+            assert ts_functions(phi, params) == reference_ts_functions(phi, params)
+
+    def test_zeta_coeffs_are_kept_and_copied(self):
+        phi = TruncSeriesPhi(3, [q(1), q(2), q(3)])
+        coeffs = phi.to_zeta_coeffs()
+        coeffs[0] = q(99)
+        assert phi.to_zeta_coeffs() == [q(6), q(-8), q(3)]
+        from_coeffs = TruncSeriesPhi.from_zeta_coeffs(3, [q(6), q(-8), q(3)])
+        assert from_coeffs == phi and from_coeffs.to_zeta_coeffs() == [6, -8, 3]
 
     def test_zeta_coeffs_round_trip(self):
         rng = random.Random(97)
@@ -644,12 +726,13 @@ class TestSpectrum:
                 )
 
     def test_phi_of_companion_symbolic_matches_matrix_powers(self):
+        rng = random.Random(113)
         for n in range(1, 6):
             phi = TruncSeriesPhi.symbolic_unipotent(n)
-            params = SpectralParams.unipotent(n)
-            X = phi_of_companion(phi, params)
-            assert X == reference_phi_of_companion(phi, params)
-            assert all(isinstance(x, SymFunc) for row in X.rows for x in row)
+            for params in (SpectralParams.unipotent(n), random_params(n, rng)):
+                X = phi_of_companion(phi, params)
+                assert X == reference_phi_of_companion(phi, params)
+                assert all(isinstance(x, SymFunc) for row in X.rows for x in row)
 
     def test_companion_matrix_shape(self):
         params = SpectralParams(tuple(map(Rational, (5, 7, 1))))
@@ -678,3 +761,22 @@ def test_toda_point_json_roundtrip():
     pt = TodaPoint(3, (q(2), q(3), q(1, 6)), (q(-1, 2), q(5)))
     assert TodaPoint.from_json(pt.to_json()) == pt
     assert pt.to_json()["z"] == ["2", "3", "1/6"]
+
+
+def test_beta_full_pinned_digest():
+    # beta_full's point, L, R, U, T, S and X at 40 seeded points for each
+    # n = 2..6, hashed as text (a value may be an int or an integral
+    # Fraction); the digest was taken from the Fraction matrix routines.
+    digest = hashlib.sha256()
+    for n in range(2, 7):
+        rng = random.Random(4000 + n)
+        for _ in range(40):
+            pt = random_z_point(n, rng)
+            bd = beta_full(alpha(pt), gamma_of_point(pt))
+            values = [*bd.point.z, *bd.point.Q, *bd.T, *bd.S]
+            for matrix in (bd.L, bd.R, bd.U, bd.X):
+                values.extend(x for row in matrix.rows for x in row)
+            digest.update((" ".join(map(rational_to_text, values)) + "\n").encode())
+    assert digest.hexdigest() == (
+        "26c1a9a3abe947322c9ea1b56824467e0d9629df4c565b5b0d94d8801b5530ed"
+    )
