@@ -287,8 +287,11 @@ def parse_phi_expr(text: str, n: int) -> Poly:
 def _emit(args, payload, text: str):
     body = text if getattr(args, "text", False) else json.dumps(payload, indent=2)
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(body + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(body + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
     else:
         print(body)
 
@@ -395,7 +398,7 @@ def _positive_counts(args):
 
 def _perm(args, limit: int) -> Permutation:
     w = Permutation.from_text(args.w)
-    if args.n and args.n != w.n:
+    if args.n is not None and args.n != w.n:
         raise ValueError(f"--n {args.n} does not match the permutation length {w.n}")
     _bounded(w.n, limit, "permutation length")
     return w
@@ -430,6 +433,8 @@ def _dispatch(args) -> int:
     elif cmd == "gstable":
         lam = Partition.from_text(args.partition)
         _bounded(lam.weight, MAX_GSTABLE_WEIGHT, "partition size")
+        if args.d < 0:
+            raise ValueError(f"d {args.d} is negative")
         value = stable_groth_vars(lam, _bounded(args.d, MAX_GSTABLE_VARS, "d"))
         _emit(args, value.to_json(), value.to_str())
     elif cmd == "tau":

@@ -7,30 +7,38 @@ the rationals.
 
 A matrix of ``int``/``Fraction`` entries is computed in ``int``: each row
 (or column) is scaled by the lcm of its denominators, the arithmetic runs
-on the integers, and each output entry is one division at the end.  That
-holds for the determinant (fraction-free Bareiss with exact ``//``, a
-``Fraction`` det / (product of the scales)), for products (``int`` dot
-products of scaled rows and columns), for the leading minors
-xi^{1..i}_{1..i} and xi^{1..i-1,n}_{1..i} (one Bareiss pass, whose
-intermediate entries are those minors), and for ``inverse`` and ``solve``.
-Those two share one Gauss-Jordan elimination over sparse ``int`` rows that
-prefers unit pivots, so the integral 720x720 f-monomial matrix of the
-quantization map is inverted by subtraction alone.  Products, inverses and
-solutions are normalized (``int`` where integral); determinants and minors
-are ``Fraction``.  The Bareiss loop dividing with ``/`` is
-``_det_bareiss``, the division-based reference for the cofactor expansion
-over any ring with exact division.
+on the integers, and each output entry is one division at the end.  Products
+are ``int`` dot products of scaled rows and columns.  One fraction-free
+Bareiss loop, ``_bareiss``, serves the determinant (with row exchanges; a
+``Fraction`` det / (product of the scales)), the leading minors
+xi^{1..i}_{1..i} and xi^{1..i-1,n}_{1..i} (read off its pivot rows) and
+``lu`` (one pass over [s X | I] gives L, L^{-1} and V of X = L V); the last
+two make no row exchanges.  ``inverse`` and ``solve`` share one
+Gauss-Jordan elimination over sparse ``int`` rows that prefers unit pivots,
+so the integral 720x720 f-monomial matrix of the quantization map is
+inverted by subtraction alone.  Products, LU factors, inverses and solutions
+are normalized (``int`` where integral); determinants and minors are
+``Fraction``.  ``_det_bareiss`` runs the loop dividing with ``/``: the
+reference for the cofactor expansion over any ring with exact division.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import floordiv, mul, truediv
 
 from .scalars import Rational, clear_denominators, exact_quotient, is_rational, rat
 
-__all__ = ["RingMatrix"]
+__all__ = ["RingMatrix", "DecompositionError"]
+
+
+class DecompositionError(ValueError):
+    """A required minor vanished; .index names the failing condition."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
 
 
 class RingMatrix:
@@ -100,11 +108,11 @@ class RingMatrix:
         """(P, E) with P[i-1] = xi^{1..i}_{1..i} and
         E[i-1] = xi^{1..i-1,n}_{1..i} for i = 1..n, of a square matrix.
 
-        Rational entries take one fraction-free Bareiss pass, without row
-        exchanges, over the rows scaled to ``int``: after i - 1 steps, entry
-        (i, j) of the elimination is xi^{1..i-1,j}_{1..i} times the scales of
-        rows 1..i.  After a vanishing leading minor, and for every other
-        ring, each minor is taken by ``minor``.
+        Rational entries take one ``_bareiss`` pass, without row exchanges,
+        over the rows scaled to ``int``: pivot row i - 1 holds
+        xi^{1..i-1,j}_{1..i} times the scales of rows 1..i at column j.
+        After a vanishing leading minor, and for every other ring, each
+        minor is taken by ``minor``.
         """
         n = self.nrows
         if n != self.ncols:
@@ -112,23 +120,47 @@ class RingMatrix:
         principal, last = [], []
         if _is_rational(self.rows):
             rows = [clear_denominators(row) for row in self.rows]
-            scale, prev = 1, 1
-            for k, (pivot_row, s) in enumerate(rows):
+            steps, _ = _bareiss([row for row, _ in rows], floordiv, exchange=False)
+            scale = 1
+            for k, (row, s) in enumerate(rows[:steps + 1]):
                 scale *= s
-                pivot = pivot_row[k]
-                principal.append(Rational(pivot, scale))
-                last.append(Rational(pivot_row[n - 1], scale))
-                if not pivot:
-                    break
-                for row, _ in rows[k + 1:]:
-                    f = row[k]
-                    for j in range(k + 1, n):
-                        row[j] = (pivot * row[j] - f * pivot_row[j]) // prev
-                prev = pivot
+                principal.append(Rational(row[k], scale))
+                last.append(Rational(row[n - 1], scale))
         for i in range(len(principal) + 1, n + 1):
             principal.append(self.minor(range(1, i + 1), range(1, i + 1)))
             last.append(self.minor(range(1, i + 1), [*range(1, i), n]))
         return principal, last
+
+    def lu(self):
+        """Doolittle X = L V without row exchanges, for rational entries:
+        (L, L^{-1}, V) with L unit lower triangular and V upper triangular,
+        entries normalized.
+
+        One ``_bareiss`` pass over [s X | I], s the lcm of X's denominators,
+        keeps the multipliers below the diagonal.  With d_k the leading
+        minor of order k of s X (d_0 = 1) and indices from 0, row i then
+        holds d_i s V_ij from the diagonal on, d_i (L^{-1})_ij in the right
+        half and d_{j+1} L_ij below the diagonal, so each entry is one
+        division.  Raises ``DecompositionError`` at the first vanishing
+        leading minor of order k < n, with index k.
+        """
+        n = self.nrows
+        if n != self.ncols:
+            raise ValueError("LU decomposition of a non-square matrix")
+        flat, s = clear_denominators(list(chain.from_iterable(self.rows)))
+        m = [flat[i * n:(i + 1) * n] + [int(i == j) for j in range(n)] for i in range(n)]
+        steps, _ = _bareiss(m, floordiv, exchange=False)
+        if steps < n - 1:
+            raise DecompositionError(f"leading minor of order {steps + 1} vanishes", steps + 1)
+        d = [1] + [m[k][k] for k in range(n - 1)]
+        span = range(n)
+        L = [[exact_quotient(m[i][j], d[j + 1]) if j < i else int(i == j) for j in span]
+             for i in span]
+        L_inv = [[exact_quotient(m[i][n + j], d[i]) if j <= i else 0 for j in span]
+                 for i in span]
+        V = [[exact_quotient(m[i][j], s * d[i]) if j >= i else 0 for j in span]
+             for i in span]
+        return RingMatrix(L), RingMatrix(L_inv), RingMatrix(V)
 
     # -- determinants -----------------------------------------------------
 
@@ -173,7 +205,7 @@ class RingMatrix:
         """Fraction-free Bareiss over any ring whose ``/`` divides exactly
         (ints become Fractions); the division-based reference for the
         cofactor expansion."""
-        return _bareiss([[rat(x) for x in row] for row in self.rows], truediv)
+        return _det([[rat(x) for x in row] for row in self.rows], truediv)
 
     # -- field operations (rational entries) -------------------------------
 
@@ -284,43 +316,48 @@ def _mul_rational(a_rows, b_rows):
 def _det_rational(rows):
     """det of int/Fraction rows as a Fraction: each row is scaled by the lcm
     of its denominators, and Bareiss runs on the integer rows."""
-    int_rows = []
-    scale = 1
-    for row in rows:
-        int_row, s = clear_denominators(row)
-        int_rows.append(int_row)
-        scale *= s
-    return Rational(_bareiss(int_rows, floordiv), scale)
+    rows = [clear_denominators(row) for row in rows]
+    return Rational(_det([row for row, _ in rows], floordiv), prod(s for _, s in rows))
 
 
-def _bareiss(m, divide):
-    """The determinant of the square list-of-lists m (consumed), by
-    fraction-free elimination: every quotient divide(num, previous pivot) is
-    exact."""
+def _det(m, divide):
+    """The determinant of the square list-of-lists m (consumed)."""
+    steps, sign = _bareiss(m, divide)
+    d = m[-1][-1] if steps == len(m) - 1 else m[0][0] * 0
+    return -d if sign < 0 else d
+
+
+def _bareiss(m, divide, exchange=True):
+    """Fraction-free elimination on the rows m (consumed, at least as many
+    columns as rows): step k replaces each entry (i, j), i, j > k, by
+    (p m_ij - m_ik m_kj) / p', p the pivot m_kk and p' the one before, with
+    every quotient divide(num, p') exact, and leaves the multiplier m_ik in
+    place.  Counting from 0, row i ends holding at each column j >= i the
+    minor of rows 0..i and columns 0..i-1, j.
+
+    A zero pivot is swapped for a row below when ``exchange`` allows one.
+    The elimination stops before a zero pivot that stays; the result is
+    (steps taken, n - 1 in full, so rows up to that index are final; the
+    sign of the exchanges)."""
     n = len(m)
-    zero = m[0][0] * 0
     sign = 1
     prev = None  # previous pivot; None means 1
     for k in range(n - 1):
         if not m[k][k]:
-            for r in range(k + 1, n):
-                if m[r][k]:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return zero
+            swap = exchange and next((r for r in range(k + 1, n) if m[r][k]), None)
+            if not swap:
+                return k, sign
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
         pivot_row = m[k]
         pivot = pivot_row[k]
-        for i in range(k + 1, n):
-            row = m[i]
+        for row in m[k + 1:]:
             factor = row[k]
-            for j in range(k + 1, n):
+            for j in range(k + 1, len(row)):
                 num = pivot * row[j] - factor * pivot_row[j]
                 row[j] = num if prev is None else divide(num, prev)
-            row[k] = zero
         prev = pivot
-    return m[n - 1][n - 1] if sign > 0 else -m[n - 1][n - 1]
+    return n - 1, sign
 
 
 def _dot(row, col):

@@ -12,10 +12,11 @@ integer coefficients) and keeps a ``Fraction`` only when it is not integral.
 float.  ``clear_denominators`` scales a row of such values to ``int`` by the
 lcm of their denominators.  Toda points are ``Fraction`` tuples, but the
 rational matrix layer (``RingMatrix`` determinants, products, leading
-minors, ``inverse`` and ``solve``) and phi(C_gamma) clear each row and
-compute on the integers, with one division per result: a determinant or
-minor is a ``Fraction``, and a matrix entry is normalized, so an integral
-inverse (such as the quantization map's) is all ``int``.
+minors, the LU behind the Toda decompositions, ``inverse`` and ``solve``)
+and phi(C_gamma) clear their denominators and compute on the integers, with
+one division per result: a determinant or minor is a ``Fraction``, and a
+matrix entry is normalized, so an integral inverse (such as the
+quantization map's) is all ``int``.
 """
 
 from __future__ import annotations

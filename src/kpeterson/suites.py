@@ -585,16 +585,20 @@ _BUILDERS = {
     "buch-cor-5-7": (_suite_buch_cor_5_7, range(2, 8)),
 }
 SUITE_NAMES = tuple(_BUILDERS)
+# The suites whose case count --trials sets.
+_TRIAL_SUITES = ("d-recursions", "toda-roundtrip")
 
 
 def run_suite(name: str, n=None, trials=None, seed=None) -> SuiteReport:
     """Execute a named suite; the report's case order is the build order.
 
-    Raises ValueError for an unknown suite or an n the suite does not
-    accept."""
+    Raises ValueError for an unknown suite, an n the suite does not
+    accept, or trials for a suite that reads none."""
     if name not in _BUILDERS:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     build, accepted = _BUILDERS[name]
+    if trials is not None and name not in _TRIAL_SUITES:
+        raise ValueError(f"suite {name} takes no --trials")
     if n is not None and n not in accepted:
         if not accepted:
             raise ValueError(f"suite {name} takes no --n")

@@ -17,9 +17,10 @@ T/S are the leading minors of one matrix of remainders modulo the
 characteristic polynomial (valid for every gamma) of a class phi with
 rational or symmetric-function coordinates, read off one fraction-free
 elimination (``RingMatrix.leading_minors``).  phi(C_gamma) runs Horner's
-scheme on the integral matrix s C_gamma, and beta finds L = U C_gamma U^{-1}
-from L U = U C_gamma by substitution, since U is triangular with a +-1
-diagonal: neither inverts a matrix.
+scheme on the integral matrix s C_gamma.  The RU and Gauss decompositions
+are each one Doolittle LU (``RingMatrix.lu``) of X with a column moved or
+its order reversed; it gives U and U^{-1} together, so beta takes
+L = U C_gamma U^{-1} as two products.  No decomposition solves a system.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from functools import lru_cache
 from itertools import zip_longest
 from math import comb
 
-from .matrices import RingMatrix
+from .matrices import DecompositionError, RingMatrix
 from .polynomials import Poly, zq_vars
 from .scalars import (
     Rational,
@@ -69,14 +70,6 @@ __all__ = [
     "random_unipotent_point",
     "gamma_of_point",
 ]
-
-
-class DecompositionError(ValueError):
-    """A required minor vanished; .index names the failing condition."""
-
-    def __init__(self, message: str, index: int):
-        super().__init__(message)
-        self.index = index
 
 
 class YConditionError(ValueError):
@@ -459,59 +452,51 @@ def ts_functions(phi: TruncSeriesPhi, params: SpectralParams):
 
 def gauss_decompose(X: RingMatrix):
     """X = X_plus * X_minus with X_plus upper triangular and X_minus
-    unipotent lower triangular; needs the trailing principal minors
-    xi_{i+1..n}(X) non-zero (the failing index is reported)."""
+    unipotent lower triangular; needs det(X) (index 0) and the trailing
+    principal minors xi_{i+1..n}(X) (index i) non-zero, and reports the
+    smallest failing index.  With J the order reversal, J X^T J = L V is a
+    Doolittle LU, so X_plus = J V^T J and X_minus = J L^T J."""
     n = X.nrows
     if not X.det():
         raise DecompositionError("det(X) = 0", 0)
-    w = [[Rational(1) if i == j else Rational(0) for j in range(n)] for i in range(n)]
-    for j in range(n - 1):
-        block = X.submatrix(range(j + 2, n + 1), range(j + 2, n + 1))
-        rhs = [-rat(X.rows[i][j]) for i in range(j + 1, n)]
-        try:
-            sol = block.solve(rhs)
-        except ZeroDivisionError:
-            raise DecompositionError(
-                f"trailing minor xi_{{{j + 2}..{n}}} vanishes", j + 1
-            ) from None
-        for i, v in zip(range(j + 1, n), sol):
-            w[i][j] = v
-    W = RingMatrix(w)
-    return X * W, W.inverse()
+    try:
+        L, _, V = RingMatrix(_antitranspose(X.rows)).lu()
+    except DecompositionError:
+        i = next(
+            i for i in range(1, n) if not X.minor(range(i + 1, n + 1), range(i + 1, n + 1))
+        )
+        raise DecompositionError(f"trailing minor xi_{{{i + 1}..{n}}} vanishes", i) from None
+    return RingMatrix(_antitranspose(V.rows)), RingMatrix(_antitranspose(L.rows))
+
+
+def _antitranspose(rows):
+    """The rows of J M^T J, J the order reversal."""
+    return list(zip(*rows[::-1]))[::-1]
 
 
 def ru_decompose(X: RingMatrix):
-    """X = U^{-1} R with R in B*sigma (upper triangular shifted one column
-    left, only the (1,n) corner surviving in the last column) and U in
-    N_- epsilon (alternating-sign diagonal, lower triangular)."""
+    """(R, U, U^{-1}) with X = U^{-1} R, R in B*sigma (upper triangular
+    shifted one column left, only the (1,n) corner surviving in the last
+    column) and U in N_- epsilon (alternating-sign diagonal, lower
+    triangular); needs the minors xi^{1..k-1,n}_{1..k}(X), k < n, non-zero
+    (index k).  X with its column n moved first is a Doolittle LU, L V, so
+    U = epsilon L^{-1}, U^{-1} = L epsilon and R = U X."""
     n = X.nrows
     if not X[1, n]:
         raise DecompositionError("x_{1,n} = 0", 1)
-    urows = [[Rational(0)] * n for _ in range(n)]
-    urows[0][0] = Rational(1)
-    for i in range(2, n + 1):
-        cols = list(range(1, i - 1)) + [n]
-        diag = Rational((-1) ** (i - 1))
-        system = RingMatrix(
-            [[rat(X.rows[k - 1][j - 1]) for k in range(1, i)] for j in cols]
-        )
-        rhs = [-diag * rat(X.rows[i - 1][j - 1]) for j in cols]
-        try:
-            sol = system.solve(rhs)
-        except ZeroDivisionError:
-            raise DecompositionError(
-                f"minor xi^{{1..{i - 2},n}}_{{1..{i - 1}}} vanishes", i - 1
-            ) from None
-        for k, v in enumerate(sol):
-            urows[i - 1][k] = v
-        urows[i - 1][i - 1] = diag
-    U = RingMatrix(urows)
+    try:
+        L, L_inv, _ = RingMatrix([(row[-1], *row[:-1]) for row in X.rows]).lu()
+    except DecompositionError as exc:
+        k = exc.index
+        raise DecompositionError(f"minor xi^{{1..{k - 1},n}}_{{1..{k}}} vanishes", k) from None
+    U = RingMatrix([[-x if i % 2 else x for x in row] for i, row in enumerate(L_inv.rows)])
+    U_inv = RingMatrix([[-x if j % 2 else x for j, x in enumerate(row)] for row in L.rows])
     R = U * X
     for i in range(2, n + 1):
         assert not R[i, n], "RU decomposition produced a bad corner"
         for j in range(1, i - 1):
             assert not R[i, j], "RU decomposition left a nonzero below"
-    return R, U
+    return R, U, U_inv
 
 
 def ru_ratio_formula(X: RingMatrix, i: int):
@@ -556,35 +541,10 @@ def beta_full(phi: TruncSeriesPhi, params: SpectralParams) -> BetaData:
     for i in range(1, n):
         if not S[i - 1]:
             raise YConditionError(f"Y3[{i}]")
-    R, U = ru_decompose(X)
-    L = _conjugate_companion(U, params)
+    R, U, U_inv = ru_decompose(X)
+    L = U * companion_matrix(params) * U_inv
     point = lax_to_point(L)
     return BetaData(point, L, R, U, tuple(T), tuple(S), X)
-
-
-def _conjugate_companion(U: RingMatrix, params: SpectralParams) -> RingMatrix:
-    """L = U C_gamma U^{-1} for U lower triangular with a +-1 diagonal, row
-    by row from L U = U C_gamma, substituting from the last column:
-    L_ij = U_jj (M_ij - sum_{k > j} L_ik U_kj) with M = U C_gamma, which is
-    U shifted one column right plus U_nn times C_gamma's last row in row n.
-    U_jj = 1 / U_jj, so nothing is divided."""
-    n = U.nrows
-    u = U.rows
-    last = _companion_last_row(params)
-    rows = []
-    for i in range(n):
-        shifted = [0, *u[i][:-1]]
-        if i == n - 1:
-            shifted = [m + u[i][i] * c for m, c in zip(shifted, last)]
-        row = [0] * n
-        for j in range(n - 1, -1, -1):
-            total = shifted[j]
-            for k in range(j + 1, n):
-                if row[k] and u[k][j]:
-                    total -= row[k] * u[k][j]
-            row[j] = total if u[j][j] > 0 else -total
-        rows.append(row)
-    return RingMatrix(rows)
 
 
 def beta(phi: TruncSeriesPhi, params: SpectralParams) -> TodaPoint:

@@ -12,7 +12,7 @@ from itertools import combinations
 from math import comb
 
 from kpeterson.grothendieck import stable_groth_vars
-from kpeterson.matrices import RingMatrix
+from kpeterson.matrices import DecompositionError, RingMatrix
 from kpeterson.partitions import Partition
 from kpeterson.peterson import _geom_series_coeffs
 from kpeterson.polynomials import Poly, grouped_product, power_table, zq_vars
@@ -262,7 +262,8 @@ def reference_f_subset_sum(n: int, m: int, i: int) -> Poly:
 
 
 # -- the Fraction routines that the int paths of the rational matrix layer
-# -- replaced, kept as references
+# -- replaced, and the solve-based Toda decompositions that the LU replaced,
+# -- kept as references
 
 
 def reference_sparse_gauss_jordan(rows, rhs_rows):
@@ -331,6 +332,81 @@ def reference_conjugate(U, C):
     return reference_matmul(
         reference_matmul(U, C), reference_sparse_gauss_jordan(U, eye)
     )
+
+
+def reference_conjugate_companion(U, params):
+    """L = U C_gamma U^{-1} for U lower triangular with a +-1 diagonal, row
+    by row from L U = U C_gamma, substituting from the last column:
+    L_ij = U_jj (M_ij - sum_{k > j} L_ik U_kj) with M = U C_gamma, which is
+    U shifted one column right plus U_nn times C_gamma's last row in row n."""
+    from kpeterson.toda import _companion_last_row
+
+    n = len(U)
+    last = _companion_last_row(params)
+    rows = []
+    for i in range(n):
+        shifted = [0, *U[i][:-1]]
+        if i == n - 1:
+            shifted = [m + U[i][i] * c for m, c in zip(shifted, last)]
+        row = [0] * n
+        for j in range(n - 1, -1, -1):
+            total = shifted[j]
+            for k in range(j + 1, n):
+                if row[k] and U[k][j]:
+                    total -= row[k] * U[k][j]
+            row[j] = total if U[j][j] > 0 else -total
+        rows.append(row)
+    return rows
+
+
+def reference_ru_decompose(X: RingMatrix):
+    """(R, U) with X = U^{-1} R by n - 1 linear solves: row i of U solves
+    the system of the minor xi^{1..i-2,n}_{1..i-1}(X), with U_ii = (-1)^{i-1}."""
+    n = X.nrows
+    if not X[1, n]:
+        raise DecompositionError("x_{1,n} = 0", 1)
+    urows = [[Rational(0)] * n for _ in range(n)]
+    urows[0][0] = Rational(1)
+    for i in range(2, n + 1):
+        cols = list(range(1, i - 1)) + [n]
+        diag = Rational((-1) ** (i - 1))
+        system = RingMatrix(
+            [[rat(X.rows[k - 1][j - 1]) for k in range(1, i)] for j in cols]
+        )
+        rhs = [-diag * rat(X.rows[i - 1][j - 1]) for j in cols]
+        try:
+            sol = system.solve(rhs)
+        except ZeroDivisionError:
+            raise DecompositionError(
+                f"minor xi^{{1..{i - 2},n}}_{{1..{i - 1}}} vanishes", i - 1
+            ) from None
+        for k, v in enumerate(sol):
+            urows[i - 1][k] = v
+        urows[i - 1][i - 1] = diag
+    U = RingMatrix(urows)
+    return U * X, U
+
+
+def reference_gauss_decompose(X: RingMatrix):
+    """(X_plus, X_minus) with X = X_plus X_minus by n - 1 linear solves on
+    the trailing principal blocks and one inverse."""
+    n = X.nrows
+    if not X.det():
+        raise DecompositionError("det(X) = 0", 0)
+    w = [[Rational(1) if i == j else Rational(0) for j in range(n)] for i in range(n)]
+    for j in range(n - 1):
+        block = X.submatrix(range(j + 2, n + 1), range(j + 2, n + 1))
+        rhs = [-rat(X.rows[i][j]) for i in range(j + 1, n)]
+        try:
+            sol = block.solve(rhs)
+        except ZeroDivisionError:
+            raise DecompositionError(
+                f"trailing minor xi_{{{j + 2}..{n}}} vanishes", j + 1
+            ) from None
+        for i, v in zip(range(j + 1, n), sol):
+            w[i][j] = v
+    W = RingMatrix(w)
+    return X * W, W.inverse()
 
 
 def reference_ts_functions(phi, params):

@@ -134,6 +134,18 @@ class TestCompute:
         assert code == 0 and out == ""
         assert SymFunc.from_json(json.loads(path.read_text())) == SymFunc.h(2)
 
+    @pytest.mark.parametrize("make_target", [
+        lambda tmp: tmp / "missing" / "result.json",
+        lambda tmp: tmp,
+    ], ids=["missing-parent", "directory"])
+    def test_out_path_not_writable_is_usage_error(self, capsys, tmp_path, make_target):
+        target = make_target(tmp_path)
+        code, out, err = run_cli(capsys, "gdual", "2", "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert not (tmp_path / "missing").exists()
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -310,6 +322,12 @@ class TestAbsurdInput:
             (("phi", "--n", "3", "--poly", _nested(MAX_PHI_NESTING + 1)), MAX_PHI_NESTING),
             (("phi", "--n", "3", "--poly", _nested(10_000)), MAX_PHI_NESTING),
         ],
+        # Fixed ids, the ones pytest once derived from the values: a changed
+        # limit no longer renames a case.
+        ids=[f"argv{i}-{limit}" for i, limit in enumerate(
+            [7, 60, 5, 10, 5, 6, 6, 8, 8, 8, 72, 100000, 8, 8, 6, 6, 400, 100, 100,
+             1000, 1000, 100, 100]
+        )],
     )
     def test_refused_at_the_check(self, capsys, argv, limit):
         start = time.perf_counter()
@@ -319,6 +337,22 @@ class TestAbsurdInput:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert f"above the limit {limit}" in err
         assert elapsed < 1.0
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("groth", "1", "--n", "0"), "--n 0 does not match"),
+            (("qgroth", "21", "--n", "0"), "--n 0 does not match"),
+            (("gtilde", "21", "--n", "0"), "--n 0 does not match"),
+            (("lambda-map", "21", "--n", "-2"), "--n -2 does not match"),
+            (("gstable", "1", "-3"), "d -3 is negative"),
+        ],
+        ids=["groth-n-0", "qgroth-n-0", "gtilde-n-0", "lambda-map-n-negative", "gstable-d-negative"],
+    )
+    def test_refused_value(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and message in err
 
     def test_nesting_at_limit_answers(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "phi_apply", phi_apply)
@@ -401,6 +435,14 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error:")
         assert message in err
+
+    @pytest.mark.parametrize("suite", ["lambda-tables", "example-1-2", "theorem-1-5"])
+    def test_trials_for_a_suite_that_reads_none_is_usage_error(self, capsys, suite):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", suite, "--trials", "5")
+        assert code == 2 and out == ""
+        assert err == f"error: suite {suite} takes no --trials\n"
+        assert time.perf_counter() - start < 1.0
 
     def test_report_determinism(self, capsys):
         def strip(payload):

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_matmul, reference_sparse_gauss_jordan
-from kpeterson.matrices import RingMatrix
+from kpeterson.matrices import DecompositionError, RingMatrix
 from kpeterson.polynomials import Poly
 from kpeterson.scalars import Rational
 
@@ -175,6 +175,39 @@ def test_leading_minors_over_polynomials():
     assert RingMatrix(rows).leading_minors() == _per_minor(rows)
     with pytest.raises(ValueError):
         RingMatrix([[1, 2]]).leading_minors()
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 7).flatmap(
+    lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+))
+@example([[0, 1], [1, 0]])  # a zero pivot that det() would exchange away
+@example([[2, 4], [1, 2]])  # det 0 at order n: the LU still exists
+def test_lu_is_doolittle(rows):
+    # X = L V, L unit lower triangular with L^{-1} L = I, V upper
+    # triangular; or the first vanishing leading minor of order k < n.
+    m, n = RingMatrix(rows), len(rows)
+    orders = [k for k in range(1, n) if not m.minor(range(1, k + 1), range(1, k + 1))]
+    if orders:
+        with pytest.raises(DecompositionError) as err:
+            m.lu()
+        assert err.value.index == orders[0]
+        assert str(err.value) == f"leading minor of order {orders[0]} vanishes"
+        return
+    L, L_inv, V = m.lu()
+    assert L * V == m
+    assert L_inv * L == RingMatrix.identity(n)
+    for i in range(1, n + 1):
+        assert L[i, i] == 1
+        for j in range(i + 1, n + 1):
+            assert L[i, j] == 0 and L_inv[i, j] == 0 and V[j, i] == 0
+    values = [x for f in (L, L_inv, V) for row in f.rows for x in row]
+    assert all(type(x) is int or x.denominator > 1 for x in values)
+
+
+def test_lu_rejects_non_square():
+    with pytest.raises(ValueError):
+        RingMatrix([[1, 2]]).lu()
 
 
 def test_minor_examples():

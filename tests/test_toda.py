@@ -7,8 +7,12 @@ import pytest
 from helpers import (
     random_rational,
     reference_conjugate,
+    reference_conjugate_companion,
     reference_continuant,
     reference_f_subset_sum,
+    reference_gauss_decompose,
+    reference_ru_decompose,
+    reference_sparse_gauss_jordan,
     reference_ts_functions,
 )
 from kpeterson.matrices import RingMatrix
@@ -44,7 +48,6 @@ from kpeterson.toda import (
 )
 from kpeterson.toda import (
     _char_minor,
-    _conjugate_companion,
     _poly_mod,
     _symbolic_entries,
     char_minor_phi_symbolic,
@@ -262,9 +265,10 @@ class TestLax:
             assert lax_matrix_symbolic(n) == reference_lax(*entries)
 
     def test_conjugation_matches_products(self):
-        # L = U C U^{-1} by substitution from L U = U C, against two dot-product
-        # matrix products and the Fraction inverse, for any lower triangular
-        # U with diagonal (-1)^{i-1}.
+        # For any lower triangular U with diagonal (-1)^{i-1} and any R in
+        # B*sigma, ru_decompose(U^{-1} R) gives back U and U^{-1}, and
+        # U C U^{-1} as two products matches the substitution from
+        # L U = U C and the dot products with the Fraction inverse.
         rng = random.Random(191)
         for n in range(1, 8):
             for _ in range(10):
@@ -275,9 +279,24 @@ class TestLax:
                     ]
                     for i in range(n)
                 ]
+                # R with its column n moved first: upper triangular, and
+                # invertible so that the decomposition is unique
+                R = [
+                    [random_rational(rng, allow_zero=j != i) if j >= i else 0 for j in range(n)]
+                    for i in range(n)
+                ]
+                R = [row[1:] + row[:1] for row in R]
+                eye = [[int(i == j) for j in range(n)] for i in range(n)]
+                U_inv = reference_sparse_gauss_jordan(U, eye)
+                X = RingMatrix(U_inv) * RingMatrix(R)
+                got_R, got_U, got_U_inv = ru_decompose(X)
+                assert got_U == RingMatrix(U) and got_R == RingMatrix(R)
+                assert got_U_inv == RingMatrix(U_inv)
                 params = random_params(n, rng)
-                expected = reference_conjugate(U, companion_matrix(params).rows)
-                got = _conjugate_companion(RingMatrix(U), params)
+                C = companion_matrix(params)
+                expected = reference_conjugate(U, C.rows)
+                assert reference_conjugate_companion(U, params) == expected
+                got = got_U * C * got_U_inv
                 assert [list(row) for row in got.rows] == expected
 
     def test_beta_lax_matches_conjugation(self):
@@ -500,6 +519,36 @@ class TestTS:
             assert Ts[i - 1] / Ss[i - 1] == T[i - 1] / S[i - 1]
 
 
+ORDERS = [(n, k) for n in range(2, 6) for k in range(1, n + 1)]
+
+
+def one_vanishing_leading_minor(n, k, rng):
+    """The rows of L A V with L random unit lower triangular, V random upper
+    triangular with a non-zero diagonal, and A the identity with rows k and
+    k + 1 exchanged (k < n) or with its last diagonal entry 0 (k = n).  The
+    leading minors of L A V are those of A times products of V's diagonal,
+    so the one of order k vanishes and no other."""
+    A = [[int(i == j) for j in range(n)] for i in range(n)]
+    if k < n:
+        A[k - 1], A[k] = A[k], A[k - 1]
+    else:
+        A[n - 1][n - 1] = 0
+    L = [[1 if i == j else random_rational(rng) if j < i else 0 for j in range(n)] for i in range(n)]
+    V = [
+        [random_rational(rng, allow_zero=i != j) if j >= i else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    return [list(row) for row in (RingMatrix(L) * RingMatrix(A) * RingMatrix(V)).rows]
+
+
+def reference_outcome(decompose, X):
+    """decompose(X), or (index, message) of the DecompositionError it raises."""
+    try:
+        return decompose(X)
+    except DecompositionError as err:
+        return err.index, str(err)
+
+
 class TestDecompositions:
     def test_gauss_identity_and_lower(self):
         eye = RingMatrix.identity(3, Rational(1), Rational(0))
@@ -549,8 +598,8 @@ class TestDecompositions:
 
     def test_ru_hand_solved_2x2(self):
         m = RingMatrix([[q(2), q(3)], [q(5), q(7)]])
-        R, U = ru_decompose(m)
-        assert U.inverse() * R == m
+        R, U, U_inv = ru_decompose(m)
+        assert U_inv * R == m and U.inverse() == U_inv
         assert R[2, 2] == 0 and U[1, 1] == 1 and U[2, 2] == -1
         assert R[2, 1] == ru_ratio_formula(m, 1)
 
@@ -559,6 +608,82 @@ class TestDecompositions:
         with pytest.raises(DecompositionError) as err:
             ru_decompose(m)
         assert err.value.index == 1
+
+    @pytest.mark.parametrize("n, k", ORDERS, ids=[f"n{n}-k{k}" for n, k in ORDERS])
+    def test_ru_error_names_the_order(self, n, k):
+        # X with its column n moved first has exactly one vanishing leading
+        # minor, of order k; order n (det X = 0) needs no check.
+        rows = one_vanishing_leading_minor(n, k, random.Random(100 * n + k))
+        X = RingMatrix([row[1:] + row[:1] for row in rows])
+        expected = reference_outcome(reference_ru_decompose, X)
+        if k == n:
+            R, U, U_inv = ru_decompose(X)
+            assert (R, U) == expected and U_inv * U == RingMatrix.identity(n)
+            return
+        message = "x_{1,n} = 0" if k == 1 else f"minor xi^{{1..{k - 1},n}}_{{1..{k}}} vanishes"
+        assert expected == (k, message)
+        with pytest.raises(DecompositionError) as err:
+            ru_decompose(X)
+        assert (err.value.index, str(err.value)) == expected
+
+    @pytest.mark.parametrize("n, k", ORDERS, ids=[f"n{n}-k{k}" for n, k in ORDERS])
+    def test_gauss_error_names_the_index(self, n, k):
+        # J X^T J has exactly one vanishing leading minor, of order k: the
+        # trailing minor xi_{n-k+1..n}(X), index n - k (det X when k = n).
+        rows = one_vanishing_leading_minor(n, k, random.Random(100 * n + k))
+        X = RingMatrix([[rows[n - 1 - j][n - 1 - i] for j in range(n)] for i in range(n)])
+        i = n - k
+        message = "det(X) = 0" if i == 0 else f"trailing minor xi_{{{i + 1}..{n}}} vanishes"
+        assert reference_outcome(reference_gauss_decompose, X) == (i, message)
+        with pytest.raises(DecompositionError) as err:
+            gauss_decompose(X)
+        assert (err.value.index, str(err.value)) == (i, message)
+
+    def test_decompositions_match_solve_references(self):
+        # Small entries with many zeros: most draws fail some condition, often
+        # several at once, and the smallest failing index is reported.
+        rng = random.Random(107)
+        failures = set()
+        for _ in range(600):
+            n = rng.randint(1, 6)
+            rows = [
+                [rng.choice((0, 0, rng.randint(-2, 2), random_rational(rng))) for _ in range(n)]
+                for _ in range(n)
+            ]
+            X = RingMatrix(rows)
+            for decompose, reference in (
+                (ru_decompose, reference_ru_decompose),
+                (gauss_decompose, reference_gauss_decompose),
+            ):
+                got = reference_outcome(decompose, X)
+                if not isinstance(got[0], RingMatrix):
+                    failures.add((decompose.__name__, got[0]))
+                elif decompose is ru_decompose:
+                    R, U, U_inv = got
+                    assert U_inv * U == RingMatrix.identity(n)
+                    got = R, U
+                assert got == reference_outcome(reference, X)
+        assert {("ru_decompose", k) for k in range(1, 6)} <= failures
+        assert {("gauss_decompose", i) for i in range(0, 6)} <= failures
+
+    def test_decompositions_match_solve_references_at_toda_points(self):
+        # 60 points for each n = 2..5 from seed 1, as the benchmark's
+        # toda-roundtrip workload draws them in number.
+        rng = random.Random(1)
+        for n in range(2, 6):
+            for _ in range(60):
+                pt = random_z_point(n, rng)
+                params = gamma_of_point(pt)
+                bd = beta_full(alpha(pt), params)
+                R, U, U_inv = ru_decompose(bd.X)
+                assert (R, U) == reference_ru_decompose(bd.X) == (bd.R, bd.U)
+                assert U_inv * U == RingMatrix.identity(n)
+                assert [list(row) for row in bd.L.rows] == reference_conjugate_companion(
+                    U.rows, params
+                )
+                assert reference_outcome(gauss_decompose, bd.X) == reference_outcome(
+                    reference_gauss_decompose, bd.X
+                )
 
 
 class TestAlphaBeta:
