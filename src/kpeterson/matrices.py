@@ -1,9 +1,8 @@
 """Dense matrices over a generic commutative ring.
 
-Entries only need +, -, * (with each other and with ints) and, for the
-fraction-free path, an exact __truediv__.  Determinants: memoized cofactor
-expansion (one minor per subset of columns, no division) for every ring but
-the rationals.
+Entries only need +, -, * (with each other and with ints).  Determinants:
+memoized cofactor expansion (one minor per subset of columns, no division)
+for every ring but the rationals.
 
 A matrix of ``int``/``Fraction`` entries is computed in ``int``: each row
 (or column) is scaled by the lcm of its denominators, the arithmetic runs
@@ -18,17 +17,16 @@ Gauss-Jordan elimination over sparse ``int`` rows that prefers unit pivots,
 so the integral 720x720 f-monomial matrix of the quantization map is
 inverted by subtraction alone.  Products, LU factors, inverses and solutions
 are normalized (``int`` where integral); determinants and minors are
-``Fraction``.  ``_det_bareiss`` runs the loop dividing with ``/``: the
-reference for the cofactor expansion over any ring with exact division.
+``Fraction``.
 """
 
 from __future__ import annotations
 
 from itertools import chain
 from math import gcd, lcm, prod
-from operator import floordiv, mul, truediv
+from operator import mul
 
-from .scalars import Rational, clear_denominators, exact_quotient, is_rational, rat
+from .scalars import Rational, clear_denominators, exact_quotient, is_rational
 
 __all__ = ["RingMatrix", "DecompositionError"]
 
@@ -52,10 +50,6 @@ class RingMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("RingMatrix is immutable")
-
-    @classmethod
-    def identity(cls, n: int, one=1, zero=0):
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @property
     def nrows(self) -> int:
@@ -120,7 +114,7 @@ class RingMatrix:
         principal, last = [], []
         if _is_rational(self.rows):
             rows = [clear_denominators(row) for row in self.rows]
-            steps, _ = _bareiss([row for row, _ in rows], floordiv, exchange=False)
+            steps, _ = _bareiss([row for row, _ in rows], exchange=False)
             scale = 1
             for k, (row, s) in enumerate(rows[:steps + 1]):
                 scale *= s
@@ -149,7 +143,7 @@ class RingMatrix:
             raise ValueError("LU decomposition of a non-square matrix")
         flat, s = clear_denominators(list(chain.from_iterable(self.rows)))
         m = [flat[i * n:(i + 1) * n] + [int(i == j) for j in range(n)] for i in range(n)]
-        steps, _ = _bareiss(m, floordiv, exchange=False)
+        steps, _ = _bareiss(m, exchange=False)
         if steps < n - 1:
             raise DecompositionError(f"leading minor of order {steps + 1} vanishes", steps + 1)
         d = [1] + [m[k][k] for k in range(n - 1)]
@@ -200,12 +194,6 @@ class RingMatrix:
 
         result = expand(0, tuple(range(n)))
         return result if result is not None else Rational(1)
-
-    def _det_bareiss(self):
-        """Fraction-free Bareiss over any ring whose ``/`` divides exactly
-        (ints become Fractions); the division-based reference for the
-        cofactor expansion."""
-        return _det([[rat(x) for x in row] for row in self.rows], truediv)
 
     # -- field operations (rational entries) -------------------------------
 
@@ -317,23 +305,19 @@ def _det_rational(rows):
     """det of int/Fraction rows as a Fraction: each row is scaled by the lcm
     of its denominators, and Bareiss runs on the integer rows."""
     rows = [clear_denominators(row) for row in rows]
-    return Rational(_det([row for row, _ in rows], floordiv), prod(s for _, s in rows))
+    m = [row for row, _ in rows]
+    steps, sign = _bareiss(m)
+    d = sign * m[-1][-1] if steps == len(m) - 1 else 0
+    return Rational(d, prod(s for _, s in rows))
 
 
-def _det(m, divide):
-    """The determinant of the square list-of-lists m (consumed)."""
-    steps, sign = _bareiss(m, divide)
-    d = m[-1][-1] if steps == len(m) - 1 else m[0][0] * 0
-    return -d if sign < 0 else d
-
-
-def _bareiss(m, divide, exchange=True):
-    """Fraction-free elimination on the rows m (consumed, at least as many
-    columns as rows): step k replaces each entry (i, j), i, j > k, by
-    (p m_ij - m_ik m_kj) / p', p the pivot m_kk and p' the one before, with
-    every quotient divide(num, p') exact, and leaves the multiplier m_ik in
-    place.  Counting from 0, row i ends holding at each column j >= i the
-    minor of rows 0..i and columns 0..i-1, j.
+def _bareiss(m, exchange=True):
+    """Fraction-free elimination on the integer rows m (consumed, at least
+    as many columns as rows): step k replaces each entry (i, j), i, j > k,
+    by (p m_ij - m_ik m_kj) // p', p the pivot m_kk and p' the one before,
+    every quotient exact, and leaves the multiplier m_ik in place.
+    Counting from 0, row i ends holding at each column j >= i the minor of
+    rows 0..i and columns 0..i-1, j.
 
     A zero pivot is swapped for a row below when ``exchange`` allows one.
     The elimination stops before a zero pivot that stays; the result is
@@ -355,7 +339,7 @@ def _bareiss(m, divide, exchange=True):
             factor = row[k]
             for j in range(k + 1, len(row)):
                 num = pivot * row[j] - factor * pivot_row[j]
-                row[j] = num if prev is None else divide(num, prev)
+                row[j] = num if prev is None else num // prev
         prev = pivot
     return n - 1, sign
 

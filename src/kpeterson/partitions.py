@@ -279,28 +279,6 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(v == pos for pos, v in enumerate(self.images, start=1))
 
-    def reduced_word(self) -> tuple:
-        """The lexicographically smallest reduced word (left factorisation).
-
-        Returns (i_1, ..., i_l) with self = s_{i_1} s_{i_2} ... s_{i_l},
-        choosing at each step the smallest i with l(s_i w) = l(w) - 1.
-        """
-        word = []
-        w = self
-        inv = w.inverse().images
-        while not w.is_identity():
-            inv = w.inverse().images
-            for i in range(1, w.n):
-                if inv[i - 1] > inv[i]:
-                    word.append(i)
-                    im = list(w.images)
-                    # left multiplication by s_i swaps the values i, i+1
-                    pi, pj = im.index(i), im.index(i + 1)
-                    im[pi], im[pj] = im[pj], im[pi]
-                    w = Permutation(im)
-                    break
-        return tuple(word)
-
 
 def all_permutations(n: int):
     for images in _itertools_permutations(range(1, n + 1)):

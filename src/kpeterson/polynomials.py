@@ -430,13 +430,6 @@ class Poly:
             Poly.zero(variables),
         )
 
-    def specialize(self, values: dict):
-        """Substitute Rational values for a subset of the variables."""
-        return self.substitute(
-            {name: rat(v) for name, v in values.items()},
-            [v for v in self.vars if v not in values],
-        )
-
     def evaluate(self, point: dict):
         """Evaluate at Rational values for all variables, in ``int``: with
         x_j = p_j / q_j and D_j the degree in x_j, the sum of
@@ -455,16 +448,6 @@ class Poly:
             denominator *= powers[0]
         parts = {tuple([e[i] for i in used]): c for e, c in self.terms.items()}
         return Rational(grouped_product(parts, tables, 0), denominator)
-
-    def coeff_list(self, name: str):
-        """Coefficients [c0, c1, ...] of a univariate polynomial."""
-        if [v for v in self.vars if self.degree_in(v) > 0 and v != name]:
-            raise ValueError("not univariate in " + name)
-        idx = self.vars.index(name)
-        out = [0] * (self.degree_in(name) + 1)
-        for e, c in self.terms.items():
-            out[e[idx]] = c
-        return out
 
     # -- serialization ---------------------------------------------------
 

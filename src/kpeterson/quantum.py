@@ -248,7 +248,7 @@ def grassmannian_perm(lam: Partition, d: int, n: int):
 
 @dataclass(frozen=True)
 class KBoundedPartition:
-    """A partition with parts at most k, with its part multiplicities."""
+    """A partition with parts at most k."""
 
     partition: Partition
     k: int
@@ -256,15 +256,6 @@ class KBoundedPartition:
     def __post_init__(self):
         if self.partition.parts and self.partition.parts[0] > self.k:
             raise ValueError("parts must be at most k")
-
-    def multiplicities(self) -> tuple:
-        m = [0] * self.k
-        for p in self.partition.parts:
-            m[p - 1] += 1
-        return tuple(m)
-
-    def is_irreducible(self) -> bool:
-        return all(m <= self.k - i for i, m in enumerate(self.multiplicities(), 1))
 
 
 def lambda_map(w) -> KBoundedPartition:

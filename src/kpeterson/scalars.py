@@ -12,7 +12,7 @@ integer coefficients) and keeps a ``Fraction`` only when it is not integral.
 float.  ``clear_denominators`` scales a row of such values to ``int`` by the
 lcm of their denominators.  Toda points are ``Fraction`` tuples, but the
 rational matrix layer (``RingMatrix`` determinants, products, leading
-minors, the LU behind the Toda decompositions, ``inverse`` and ``solve``)
+minors, the LU behind the RU decomposition, ``inverse`` and ``solve``)
 and phi(C_gamma) clear their denominators and compute on the integers, with
 one division per result: a determinant or minor is a ``Fraction``, and a
 matrix entry is normalized, so an integral inverse (such as the

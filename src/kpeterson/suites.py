@@ -565,9 +565,10 @@ def _suite_buch_cor_5_7(n, trials, rng):
 
 
 # Each suite with the values of --n it accepts: every one builds at least one
-# case, and the largest runs within minutes (remarkable-identity at n = 6 is
-# the slowest, at about 100 s; f-images at n = 6 takes about 40 s and
-# theorem-1-5 at n = 6 about 4 s).  An empty tuple: the suite takes no --n.
+# case, and the largest runs within a minute (remarkable-identity at n = 6 is
+# the slowest, at about 41 s wall; f-images at n = 6 takes about 36 s and
+# theorem-1-5 at n = 6 about 5 s; Python 3.11.7, fractions.Fraction).  An
+# empty tuple: the suite takes no --n.
 _BUILDERS = {
     "example-1-2": (_suite_example_1_2, ()),
     "remarkable-identity": (_suite_remarkable, range(2, 7)),

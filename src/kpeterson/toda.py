@@ -4,9 +4,9 @@ A point of the phase space is (z, Q) with z_1...z_n = 1; its Lax matrix is
 L = A B^{-1} with A upper bidiagonal (z_i diagonal, -1 superdiagonal) and B
 unipotent lower bidiagonal (-Q_i z_i subdiagonal).  The spectral invariants
 F_i and the partial invariants F^(m)_i, the companion matrix of the common
-characteristic polynomial, the T/S tau-functions, and the Gauss and RU
-decompositions that realize the correspondence between Lax matrices and
-polynomial classes phi all live here.
+characteristic polynomial, the T/S tau-functions, and the RU decomposition
+that realizes the correspondence between Lax matrices and polynomial
+classes phi all live here.
 
 Each construction reads its matrix's structure, over any coefficient ring:
 every F^(m)_i comes from one recurrence (``_f_table``), L is written entry
@@ -17,10 +17,10 @@ T/S are the leading minors of one matrix of remainders modulo the
 characteristic polynomial (valid for every gamma) of a class phi with
 rational or symmetric-function coordinates, read off one fraction-free
 elimination (``RingMatrix.leading_minors``).  phi(C_gamma) runs Horner's
-scheme on the integral matrix s C_gamma.  The RU and Gauss decompositions
-are each one Doolittle LU (``RingMatrix.lu``) of X with a column moved or
-its order reversed; it gives U and U^{-1} together, so beta takes
-L = U C_gamma U^{-1} as two products.  No decomposition solves a system.
+scheme on the integral matrix s C_gamma.  The RU decomposition is one
+Doolittle LU (``RingMatrix.lu``) of X with its column n moved first; its
+three factors give U, U^{-1} and R, so beta takes L = U C_gamma U^{-1} as
+two products.  No decomposition solves a system.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .scalars import (
     clear_denominators,
     exact_quotient,
     is_rational,
-    normalize,
     rat,
     rational_from_text,
     rational_to_text,
@@ -55,11 +54,9 @@ __all__ = [
     "partial_invariants",
     "lax_matrix",
     "lax_to_point",
-    "char_minor_phi",
     "companion_matrix",
     "phi_of_companion",
     "ts_functions",
-    "gauss_decompose",
     "ru_decompose",
     "alpha",
     "beta",
@@ -67,7 +64,6 @@ __all__ = [
     "minor_formulas",
     "minor_identities",
     "random_z_point",
-    "random_unipotent_point",
     "gamma_of_point",
 ]
 
@@ -126,10 +122,6 @@ class SpectralParams:
     @classmethod
     def unipotent(cls, n: int) -> "SpectralParams":
         return cls(tuple(Rational(comb(n, i)) for i in range(1, n + 1)))
-
-    def is_unipotent(self) -> bool:
-        n = self.n
-        return all(self.gamma[i - 1] == comb(n, i) for i in range(1, n + 1))
 
     def char_poly_coeffs(self):
         """Ascending coefficients of zeta^n + sum (-1)^i gamma_i zeta^{n-i}."""
@@ -335,13 +327,6 @@ def lax_to_point(L: RingMatrix) -> TodaPoint:
     return TodaPoint(n, tuple(z), Q)
 
 
-def char_minor_phi(pt: TodaPoint) -> Poly:
-    """The (1,1) minor Delta_{1,1} of zeta*B - A, a monic polynomial of
-    degree n-1 in zeta."""
-    coeffs = _char_minor(*_point_entries(pt))
-    return Poly(("zeta",), {(e,): normalize(c) for e, c in enumerate(coeffs) if c})
-
-
 def char_minor_phi_symbolic(n: int) -> Poly:
     """Delta_{1,1} over the symbolic z/Q polynomial ring with zeta."""
     coeffs = _char_minor(*_symbolic_entries(zq_vars(n), n))
@@ -450,52 +435,26 @@ def ts_functions(phi: TruncSeriesPhi, params: SpectralParams):
 # -- decompositions ----------------------------------------------------------------
 
 
-def gauss_decompose(X: RingMatrix):
-    """X = X_plus * X_minus with X_plus upper triangular and X_minus
-    unipotent lower triangular; needs det(X) (index 0) and the trailing
-    principal minors xi_{i+1..n}(X) (index i) non-zero, and reports the
-    smallest failing index.  With J the order reversal, J X^T J = L V is a
-    Doolittle LU, so X_plus = J V^T J and X_minus = J L^T J."""
-    n = X.nrows
-    if not X.det():
-        raise DecompositionError("det(X) = 0", 0)
-    try:
-        L, _, V = RingMatrix(_antitranspose(X.rows)).lu()
-    except DecompositionError:
-        i = next(
-            i for i in range(1, n) if not X.minor(range(i + 1, n + 1), range(i + 1, n + 1))
-        )
-        raise DecompositionError(f"trailing minor xi_{{{i + 1}..{n}}} vanishes", i) from None
-    return RingMatrix(_antitranspose(V.rows)), RingMatrix(_antitranspose(L.rows))
-
-
-def _antitranspose(rows):
-    """The rows of J M^T J, J the order reversal."""
-    return list(zip(*rows[::-1]))[::-1]
-
-
 def ru_decompose(X: RingMatrix):
     """(R, U, U^{-1}) with X = U^{-1} R, R in B*sigma (upper triangular
     shifted one column left, only the (1,n) corner surviving in the last
     column) and U in N_- epsilon (alternating-sign diagonal, lower
     triangular); needs the minors xi^{1..k-1,n}_{1..k}(X), k < n, non-zero
     (index k).  X with its column n moved first is a Doolittle LU, L V, so
-    U = epsilon L^{-1}, U^{-1} = L epsilon and R = U X."""
-    n = X.nrows
-    if not X[1, n]:
+    U = epsilon L^{-1}, U^{-1} = L epsilon, and R = U X is epsilon V with
+    V's first column moved last: in B*sigma by construction."""
+    if not X[1, X.nrows]:
         raise DecompositionError("x_{1,n} = 0", 1)
     try:
-        L, L_inv, _ = RingMatrix([(row[-1], *row[:-1]) for row in X.rows]).lu()
+        L, L_inv, V = RingMatrix([(row[-1], *row[:-1]) for row in X.rows]).lu()
     except DecompositionError as exc:
         k = exc.index
         raise DecompositionError(f"minor xi^{{1..{k - 1},n}}_{{1..{k}}} vanishes", k) from None
     U = RingMatrix([[-x if i % 2 else x for x in row] for i, row in enumerate(L_inv.rows)])
     U_inv = RingMatrix([[-x if j % 2 else x for j, x in enumerate(row)] for row in L.rows])
-    R = U * X
-    for i in range(2, n + 1):
-        assert not R[i, n], "RU decomposition produced a bad corner"
-        for j in range(1, i - 1):
-            assert not R[i, j], "RU decomposition left a nonzero below"
+    R = RingMatrix(
+        [[-x if i % 2 else x for x in (*row[1:], row[0])] for i, row in enumerate(V.rows)]
+    )
     return R, U, U_inv
 
 
@@ -581,22 +540,6 @@ def _random_rational(rng, allow_zero=False):
     while not allow_zero and num == 0:
         num = rng.randint(-9, 9)
     return Rational(num, rng.randint(1, 9))
-
-
-def random_unipotent_point(n: int, rng) -> TodaPoint:
-    """A random rational point whose spectral invariants are the binomial
-    coefficients (characteristic polynomial (zeta-1)^n), built through beta
-    from a random polynomial class."""
-    uni = SpectralParams.unipotent(n)
-    for _ in range(_MAX_TRIES):
-        coeffs = [_random_rational(rng, allow_zero=True) for _ in range(n - 1)]
-        coeffs.append(Rational(1))
-        phi = TruncSeriesPhi(n, coeffs)
-        try:
-            return beta_full(phi, uni).point
-        except (ValueError, ZeroDivisionError):
-            continue
-    raise RuntimeError("sampling failed; the locus should be dense")
 
 
 def random_z_point(n: int, rng) -> TodaPoint:

@@ -3,7 +3,8 @@
 These deliberately take different routes from the code under test: the Hall
 pairing and basis expansions go through explicit monomial expansions in
 finitely many variables, and Littlewood-Richardson numbers come from a
-dominance peel of Schur products.
+dominance peel of Schur products.  ``random_unipotent_point`` samples Toda
+points on the unipotent spectrum through beta.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from kpeterson.peterson import _geom_series_coeffs
 from kpeterson.polynomials import Poly, grouped_product, power_table, zq_vars
 from kpeterson.scalars import Rational, exact_quotient, normalize, rat
 from kpeterson.symfunc import SymFunc, _sorted_terms, _trim, schur, to_p_dict
+from kpeterson.toda import _MAX_TRIES, SpectralParams, TodaPoint, TruncSeriesPhi, beta_full
 
 
 def random_rational(rng, allow_zero=True):
@@ -387,28 +389,6 @@ def reference_ru_decompose(X: RingMatrix):
     return U * X, U
 
 
-def reference_gauss_decompose(X: RingMatrix):
-    """(X_plus, X_minus) with X = X_plus X_minus by n - 1 linear solves on
-    the trailing principal blocks and one inverse."""
-    n = X.nrows
-    if not X.det():
-        raise DecompositionError("det(X) = 0", 0)
-    w = [[Rational(1) if i == j else Rational(0) for j in range(n)] for i in range(n)]
-    for j in range(n - 1):
-        block = X.submatrix(range(j + 2, n + 1), range(j + 2, n + 1))
-        rhs = [-rat(X.rows[i][j]) for i in range(j + 1, n)]
-        try:
-            sol = block.solve(rhs)
-        except ZeroDivisionError:
-            raise DecompositionError(
-                f"trailing minor xi_{{{j + 2}..{n}}} vanishes", j + 1
-            ) from None
-        for i, v in zip(range(j + 1, n), sol):
-            w[i][j] = v
-    W = RingMatrix(w)
-    return X * W, W.inverse()
-
-
 def reference_ts_functions(phi, params):
     """T_i = (-1)^{n-i} xi^{1..i-1,n}_{1..i}(B) and S_i = xi^{1..i}_{1..i}(B),
     one ``RingMatrix.minor`` each, with row j of B the remainder of
@@ -444,3 +424,44 @@ def reference_evaluate(poly: Poly, point: dict):
     """poly at a point by grouped_product over cached Fraction powers."""
     tables = [power_table(rat(point[v])) for v in poly.vars]
     return grouped_product(poly.terms, tables, Rational(0))
+
+
+def reference_det_bareiss(m: RingMatrix):
+    """Fraction-free Bareiss with row exchanges over any ring whose ``/``
+    divides exactly (ints become Fractions): the division-based reference
+    for the cofactor expansion and for the ``int`` elimination."""
+    rows = [[rat(x) for x in row] for row in m.rows]
+    n, sign, prev = len(rows), 1, None
+    if not n:
+        return Rational(1)
+    for k in range(n - 1):
+        if not rows[k][k]:
+            swap = next((r for r in range(k + 1, n) if rows[r][k]), None)
+            if swap is None:
+                return rows[0][0] * 0
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pivot = rows[k][k]
+        for row in rows[k + 1:]:
+            factor = row[k]
+            for j in range(k + 1, n):
+                num = pivot * row[j] - factor * rows[k][j]
+                row[j] = num if prev is None else num / prev
+        prev = pivot
+    return -rows[-1][-1] if sign < 0 else rows[-1][-1]
+
+
+def random_unipotent_point(n: int, rng) -> TodaPoint:
+    """A random rational point whose spectral invariants are the binomial
+    coefficients (characteristic polynomial (zeta-1)^n), built through beta
+    from a random polynomial class."""
+    uni = SpectralParams.unipotent(n)
+    for _ in range(_MAX_TRIES):
+        coeffs = [random_rational(rng, allow_zero=True) for _ in range(n - 1)]
+        coeffs.append(Rational(1))
+        phi = TruncSeriesPhi(n, coeffs)
+        try:
+            return beta_full(phi, uni).point
+        except (ValueError, ZeroDivisionError):
+            continue
+    raise RuntimeError("sampling failed; the locus should be dense")

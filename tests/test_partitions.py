@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from kpeterson.partitions import (
     Partition,
     Permutation,
-    all_permutations,
     complement,
     conjugate,
     partitions_in_rectangle,
@@ -128,16 +127,3 @@ class TestPermutation:
         for bad in ([2, 3], [0, 1], ["1", "1"], [1, 2, 2]):
             with pytest.raises(ValueError):
                 Permutation(bad)
-
-    def test_reduced_word_reconstructs(self):
-        for w in all_permutations(4):
-            word = w.reduced_word()
-            assert len(word) == w.length
-            rebuilt = Permutation.identity(4)
-            for i in reversed(word):
-                # w = s_{i_1} ... s_{i_l}: apply rightmost first
-                im = list(rebuilt.images)
-                pi, pj = im.index(i), im.index(i + 1)
-                im[pi], im[pj] = im[pj], im[pi]
-                rebuilt = Permutation(im)
-            assert rebuilt == w

@@ -6,11 +6,11 @@ import pytest
 
 from helpers import (
     random_rational,
+    random_unipotent_point,
     reference_conjugate,
     reference_conjugate_companion,
     reference_continuant,
     reference_f_subset_sum,
-    reference_gauss_decompose,
     reference_ru_decompose,
     reference_sparse_gauss_jordan,
     reference_ts_functions,
@@ -28,19 +28,16 @@ from kpeterson.toda import (
     alpha,
     beta,
     beta_full,
-    char_minor_phi,
     companion_matrix,
     f_invariant,
     fq_poly_z,
     gamma_of_point,
-    gauss_decompose,
     lax_matrix,
     lax_to_point,
     minor_formulas,
     minor_identities,
     partial_invariants,
     phi_of_companion,
-    random_unipotent_point,
     random_z_point,
     ru_decompose,
     ru_ratio_formula,
@@ -61,6 +58,17 @@ def q(a, b=1):
     return Rational(a, b)
 
 
+def identity(n, one=1, zero=0):
+    return RingMatrix([[one if i == j else zero for j in range(n)] for i in range(n)])
+
+
+def zeta_coeffs(poly, n):
+    """The ascending zeta-coefficients of a Poly in zeta alone, of degree
+    below n."""
+    assert all(e < n for (e,) in poly.terms), poly
+    return [poly.terms.get((e,), 0) for e in range(n)]
+
+
 def point_values(pt):
     vals = {f"z{i}": pt.z[i - 1] for i in range(1, pt.n + 1)}
     vals.update({f"Q{i}": pt.Q[i - 1] for i in range(1, pt.n)})
@@ -73,7 +81,7 @@ def reference_phi_of_companion(phi, params):
     n = phi.n
     coeffs = phi.to_zeta_coeffs()
     C = companion_matrix(params)
-    power = RingMatrix.identity(n, Rational(1), Rational(0))
+    power = identity(n)
     rows = [[coeffs[0] * (1 if i == j else 0) for j in range(n)] for i in range(n)]
     for k in range(1, n):
         power = power * C
@@ -112,7 +120,7 @@ def reference_lax(z, Q):
         for i in range(j + 1, n):
             binv[i][j] = binv[i - 1][j] * Q[i - 1] * z[i - 1]
     if isinstance(zero, Poly):
-        assert RingMatrix(B) * RingMatrix(binv) == RingMatrix.identity(n, one, zero)
+        assert RingMatrix(B) * RingMatrix(binv) == identity(n, one, zero)
         return RingMatrix(A) * RingMatrix(binv)
     return RingMatrix(A) * RingMatrix(B).inverse()
 
@@ -122,8 +130,8 @@ def zeta1_ts_functions(phi, params):
     is written in powers of u = zeta - 1 truncated at u^n, which is a valid
     coordinate map only when the characteristic polynomial is (zeta-1)^n.
     Its basis determinant is (-1)^{n(n-1)/2}, hence the sign normalization."""
-    assert params.is_unipotent()
     n = phi.n
+    assert params == SpectralParams.unipotent(n)
     zero = phi.c[0] * 0
     one = zero + 1
     cur = [-ci if i % 2 else ci for i, ci in enumerate(phi.c)]
@@ -146,7 +154,7 @@ def reference_char_minor(z, Q, variables):
     """Delta_{1,1}(zeta*B - A) as the determinant of the explicit matrix:
     zeta*B - A is built entry by entry (diagonal zeta - z_i, superdiagonal 1,
     subdiagonal -zeta Q_i z_i) and its (1,1) minor taken by RingMatrix.det.
-    The independent reference for the continuant of char_minor_phi."""
+    The independent reference for the continuant behind alpha."""
     n = len(z)
     zeta = Poly.variable(variables, "zeta")
     zero = Poly.zero(variables)
@@ -208,7 +216,9 @@ class TestInvariants:
         n = 4
         v = zq_vars(n)
         for i in range(1, n + 1):
-            spec = f_invariant(n, i).specialize({f"Q{j}": 0 for j in range(1, n)})
+            spec = f_invariant(n, i).substitute(
+                {f"Q{j}": 0 for j in range(1, n)}, [f"z{j}" for j in range(1, n + 1)]
+            )
             expected = Poly.zero(spec.vars)
             for subset in combinations(range(1, n + 1), i):
                 term = Poly.const(spec.vars, 1)
@@ -330,6 +340,18 @@ class TestLax:
                 pt = random_z_point(n, rng)
                 assert lax_to_point(lax_matrix(pt)) == pt
 
+    def test_round_trip_with_q_zero_or_one(self):
+        # random_z_point never draws Q_k = 0 or 1, where some entries of L
+        # lose z_k or Q_k; L^{-1} still holds both.
+        z3, z4 = (q(2), q(3), q(1, 6)), (q(2), q(-1, 3), q(3, 2), q(-1))
+        for z, Qs in (
+            (z3, [(0, 0), (0, 1), (1, 0), (1, 1), (0, q(-5, 7))]),
+            (z4, [(0, 0, 0), (1, 1, 1), (0, 1, q(5, 7)), (1, 0, 0), (q(3, 2), 0, 1)]),
+        ):
+            for Q in Qs:
+                pt = TodaPoint(len(z), z, tuple(map(q, Q)))
+                assert lax_to_point(lax_matrix(pt)) == pt, pt
+
     def test_rejects_bad_product(self):
         with pytest.raises(ValueError):
             TodaPoint(2, (q(2), q(2)), (q(1),))
@@ -342,9 +364,10 @@ class TestLax:
             for _ in range(20):
                 pt = random_z_point(n, rng)
                 vals = point_values(pt)
-                rows = [[entry.specialize(vals) for entry in row] for row in L.rows]
+                rows = [[entry.substitute(vals, ()) for entry in row] for row in L.rows]
                 assert rows == [list(row) for row in lax_matrix(pt).rows]
-                assert minor.specialize(vals) == char_minor_phi(pt)
+                at_point = minor.substitute(vals, ("zeta",))
+                assert zeta_coeffs(at_point, n) == alpha(pt).to_zeta_coeffs()
 
 
 class TestCharMinor:
@@ -362,7 +385,7 @@ class TestCharMinor:
             for _ in range(20):
                 pt = random_z_point(n, rng)
                 expected = reference_char_minor(pt.z, pt.Q, ("zeta",))
-                assert char_minor_phi(pt) == expected, (n, pt)
+                assert alpha(pt).to_zeta_coeffs() == zeta_coeffs(expected, n), (n, pt)
 
     def test_symbolic_matches_explicit_determinant(self):
         for n in range(1, 6):
@@ -378,10 +401,8 @@ class TestCharMinor:
             for _ in range(20):
                 pt = random_point(n, rng)
                 expected = reference_continuant(pt.z, pt.Q, ("zeta",))
-                assert _char_minor(pt.z, pt.Q) == [
-                    expected.terms.get((e,), 0) for e in range(n)
-                ]
-                assert char_minor_phi(pt) == expected
+                assert _char_minor(pt.z, pt.Q) == zeta_coeffs(expected, n)
+                assert alpha(pt).to_zeta_coeffs() == zeta_coeffs(expected, n)
         for n in range(1, 6):
             variables = ("zeta",) + zq_vars(n)
             expected = reference_continuant(*_symbolic_entries(variables, n), variables)
@@ -389,17 +410,16 @@ class TestCharMinor:
 
     def test_n2(self):
         pt = TodaPoint(2, (q(2), q(1, 2)), (q(3),))
-        poly = char_minor_phi(pt)
-        assert poly.coeff_list("zeta") == [q(-1, 2), q(1)]
+        assert alpha(pt).to_zeta_coeffs() == [q(-1, 2), q(1)]
 
     def test_n1_trivial(self):
         pt = TodaPoint(1, (q(1),), ())
-        assert char_minor_phi(pt) == 1
+        assert alpha(pt).to_zeta_coeffs() == [1]
 
     def test_alpha_at_ones_symbolic_shape(self):
         # z = (1,1,1): phi = zeta^2 + (Q2 - 2) zeta + 1
-        spec = char_minor_phi_symbolic(3).specialize(
-            {"z1": 1, "z2": 1, "z3": 1, "Q1": 0}
+        spec = char_minor_phi_symbolic(3).substitute(
+            {"z1": 1, "z2": 1, "z3": 1, "Q1": 0}, ("zeta", "Q2")
         )
         v = spec.vars
         zeta, Q2 = Poly.variable(v, "zeta"), Poly.variable(v, "Q2")
@@ -550,52 +570,6 @@ def reference_outcome(decompose, X):
 
 
 class TestDecompositions:
-    def test_gauss_identity_and_lower(self):
-        eye = RingMatrix.identity(3, Rational(1), Rational(0))
-        plus, minus = gauss_decompose(eye)
-        assert plus == eye and minus == eye
-        m = RingMatrix([[Rational(1), Rational(0)], [Rational(1), Rational(1)]])
-        plus, minus = gauss_decompose(m)
-        assert plus == RingMatrix.identity(2, Rational(1), Rational(0))
-        assert minus == m
-
-    def test_gauss_random_remultiplies(self):
-        rng = random.Random(53)
-        done = 0
-        while done < 10:
-            m = RingMatrix(
-                [
-                    [Rational(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)]
-                    for _ in range(4)
-                ]
-            )
-            try:
-                plus, minus = gauss_decompose(m)
-            except DecompositionError:
-                continue
-            assert plus * minus == m
-            for i in range(1, 5):
-                for j in range(1, 5):
-                    if i > j:
-                        assert plus[i, j] == 0
-                        assert minus[i, j] == minus[i, j]  # shape checked below
-                    if i < j:
-                        assert minus[i, j] == 0
-                assert minus[i, i] == 1
-            done += 1
-
-    def test_gauss_reports_vanishing_minor(self):
-        m = RingMatrix(
-            [
-                [Rational(1), Rational(0), Rational(1)],
-                [Rational(0), Rational(1), Rational(1)],
-                [Rational(0), Rational(0), Rational(0)],
-            ]
-        )
-        with pytest.raises(DecompositionError) as err:
-            gauss_decompose(m)
-        assert err.value.index == 0
-
     def test_ru_hand_solved_2x2(self):
         m = RingMatrix([[q(2), q(3)], [q(5), q(7)]])
         R, U, U_inv = ru_decompose(m)
@@ -618,26 +592,13 @@ class TestDecompositions:
         expected = reference_outcome(reference_ru_decompose, X)
         if k == n:
             R, U, U_inv = ru_decompose(X)
-            assert (R, U) == expected and U_inv * U == RingMatrix.identity(n)
+            assert (R, U) == expected and U_inv * U == identity(n)
             return
         message = "x_{1,n} = 0" if k == 1 else f"minor xi^{{1..{k - 1},n}}_{{1..{k}}} vanishes"
         assert expected == (k, message)
         with pytest.raises(DecompositionError) as err:
             ru_decompose(X)
         assert (err.value.index, str(err.value)) == expected
-
-    @pytest.mark.parametrize("n, k", ORDERS, ids=[f"n{n}-k{k}" for n, k in ORDERS])
-    def test_gauss_error_names_the_index(self, n, k):
-        # J X^T J has exactly one vanishing leading minor, of order k: the
-        # trailing minor xi_{n-k+1..n}(X), index n - k (det X when k = n).
-        rows = one_vanishing_leading_minor(n, k, random.Random(100 * n + k))
-        X = RingMatrix([[rows[n - 1 - j][n - 1 - i] for j in range(n)] for i in range(n)])
-        i = n - k
-        message = "det(X) = 0" if i == 0 else f"trailing minor xi_{{{i + 1}..{n}}} vanishes"
-        assert reference_outcome(reference_gauss_decompose, X) == (i, message)
-        with pytest.raises(DecompositionError) as err:
-            gauss_decompose(X)
-        assert (err.value.index, str(err.value)) == (i, message)
 
     def test_decompositions_match_solve_references(self):
         # Small entries with many zeros: most draws fail some condition, often
@@ -651,20 +612,19 @@ class TestDecompositions:
                 for _ in range(n)
             ]
             X = RingMatrix(rows)
-            for decompose, reference in (
-                (ru_decompose, reference_ru_decompose),
-                (gauss_decompose, reference_gauss_decompose),
-            ):
-                got = reference_outcome(decompose, X)
-                if not isinstance(got[0], RingMatrix):
-                    failures.add((decompose.__name__, got[0]))
-                elif decompose is ru_decompose:
-                    R, U, U_inv = got
-                    assert U_inv * U == RingMatrix.identity(n)
-                    got = R, U
-                assert got == reference_outcome(reference, X)
-        assert {("ru_decompose", k) for k in range(1, 6)} <= failures
-        assert {("gauss_decompose", i) for i in range(0, 6)} <= failures
+            got = reference_outcome(ru_decompose, X)
+            if not isinstance(got[0], RingMatrix):
+                failures.add(got[0])
+            else:
+                R, U, U_inv = got
+                assert U_inv * U == identity(n)
+                # R = epsilon V with V's first column moved last: in B*sigma,
+                # entries normalized
+                assert all(not R[i, j] for i in range(2, n + 1) for j in [*range(1, i - 1), n])
+                assert all(type(x) is int or x.denominator > 1 for row in R.rows for x in row)
+                got = R, U
+            assert got == reference_outcome(reference_ru_decompose, X)
+        assert set(range(1, 6)) <= failures
 
     def test_decompositions_match_solve_references_at_toda_points(self):
         # 60 points for each n = 2..5 from seed 1, as the benchmark's
@@ -677,12 +637,9 @@ class TestDecompositions:
                 bd = beta_full(alpha(pt), params)
                 R, U, U_inv = ru_decompose(bd.X)
                 assert (R, U) == reference_ru_decompose(bd.X) == (bd.R, bd.U)
-                assert U_inv * U == RingMatrix.identity(n)
+                assert U_inv * U == identity(n)
                 assert [list(row) for row in bd.L.rows] == reference_conjugate_companion(
                     U.rows, params
-                )
-                assert reference_outcome(gauss_decompose, bd.X) == reference_outcome(
-                    reference_gauss_decompose, bd.X
                 )
 
 
@@ -815,7 +772,7 @@ class TestSpectrum:
                 ]
                 for i in range(n)
             ]
-            char = RingMatrix(rows).det().coeff_list("zeta")
+            char = zeta_coeffs(RingMatrix(rows).det(), n + 1)
             for i in range(1, n + 1):
                 expected = Rational((-1) ** i) * f_invariant(n, i).evaluate(vals)
                 assert char[n - i] == expected
@@ -824,7 +781,7 @@ class TestSpectrum:
         rng = random.Random(79)
         for n in (2, 3, 4):
             pt = random_unipotent_point(n, rng)
-            assert gamma_of_point(pt).is_unipotent()
+            assert gamma_of_point(pt) == SpectralParams.unipotent(n)
             # char poly is (zeta-1)^n
             L = lax_matrix(pt)
             v = ("zeta",)
