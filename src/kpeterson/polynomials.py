@@ -11,17 +11,18 @@ exponent tuples into ints for the length of one multiply, and
 ``terms_exact_div`` for the length of one division (with a total-degree
 field on top, so that int order is graded-lex order); the maps always hold
 tuples.  ``grouped_product`` is the one routine for sums of the shape
-sum c * prod_j T_j[e_j], grouped slot by slot: substitution and evaluation
-of a Poly, the Phi_n image of a z/Q polynomial, the quantization map and the
-Phi_n image of a quantized Grothendieck polynomial all evaluate through it.
+sum c * prod_j T_j[e_j], grouped slot by slot: substitution of a Poly, the
+Phi_n image of a z/Q polynomial, the quantization map and the Phi_n image
+of a quantized Grothendieck polynomial all evaluate through it.
 ``power_table`` is the one cache of powers, and a table of that type with a
 Poly base marks a power slot, which ``grouped_product`` runs by Horner's rule
 (multiplying by the base itself, not by a cached higher power); the power
 slots are those of substitution by polynomials and of the Phi_n image.
 Tables whose entries are not powers (the quantization map, the f-basis
-columns and the D(theta) numerators of phi(G^Q_w)) and evaluation at a
-point (integer tables p^e q^(D-e) for a value p/q, one division at the end)
-are indexed slots, each group sum multiplied by its own entry.
+columns and the D(theta) numerators of phi(G^Q_w)) are indexed slots, each
+group sum multiplied by its own entry.  Evaluation at a point is one flat
+sum over integer tables p^e q^(D-e) for a value p/q, with one division at
+the end: on small polynomials grouping costs more than it saves.
 
 A Poly has a fixed, ordered variable tuple and a term map from exponent
 vectors to non-zero coefficients.  This one type backs the z/Q and x/Q
@@ -432,22 +433,26 @@ class Poly:
 
     def evaluate(self, point: dict):
         """Evaluate at Rational values for all variables, in ``int``: with
-        x_j = p_j / q_j and D_j the degree in x_j, the sum of
-        c * prod_j p_j^e_j q_j^(D_j - e_j) over prod_j q_j^D_j, grouped on
-        the variables that occur."""
+        x_j = p_j / q_j and D_j the degree in x_j, the flat sum of
+        c * prod_j p_j^e_j q_j^(D_j - e_j) over the variables that occur,
+        divided once by prod_j q_j^D_j."""
         values = [point[v] for v in self.vars]
         tops = [max(column) for column in zip(*self.terms)]
-        used = [i for i, top in enumerate(tops) if top]
         tables, denominator = [], 1
-        for i in used:
-            p, q = values[i].numerator, values[i].denominator
-            powers = [q ** tops[i]]
-            for _ in range(tops[i]):
-                powers.append(powers[-1] // q * p)
-            tables.append(powers.__getitem__)
-            denominator *= powers[0]
-        parts = {tuple([e[i] for i in used]): c for e, c in self.terms.items()}
-        return Rational(grouped_product(parts, tables, 0), denominator)
+        for i, top in enumerate(tops):
+            if top:
+                p, q = values[i].numerator, values[i].denominator
+                powers = [q**top]
+                for _ in range(top):
+                    powers.append(powers[-1] // q * p)
+                tables.append((i, powers))
+                denominator *= powers[0]
+        total = 0
+        for e, c in self.terms.items():
+            for i, powers in tables:
+                c = c * powers[e[i]]
+            total += c
+        return Rational(total, denominator)
 
     # -- serialization ---------------------------------------------------
 

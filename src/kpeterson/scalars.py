@@ -13,7 +13,7 @@ float.  ``clear_denominators`` scales a row of such values to ``int`` by the
 lcm of their denominators.  Toda points are ``Fraction`` tuples, but the
 rational matrix layer (``RingMatrix`` determinants, products, leading
 minors, the LU behind the RU decomposition, ``inverse`` and ``solve``)
-and phi(C_gamma) clear their denominators and compute on the integers, with
+clears the denominators and computes on the integers, with
 one division per result: a determinant or minor is a ``Fraction``, and a
 matrix entry is normalized, so an integral inverse (such as the
 quantization map's) is all ``int``.

@@ -13,14 +13,17 @@ every F^(m)_i comes from one recurrence (``_f_table``), L is written entry
 by entry, and the characteristic minor is a continuant on zeta-coefficient
 lists in z and Q, each taken as exact rationals at a point or as z/Q
 polynomials; the quantization map reads the same table at z = 1 - x, Q = 0.
-T/S are the leading minors of one matrix of remainders modulo the
-characteristic polynomial (valid for every gamma) of a class phi with
-rational or symmetric-function coordinates, read off one fraction-free
-elimination (``RingMatrix.leading_minors``).  phi(C_gamma) runs Horner's
-scheme on the integral matrix s C_gamma.  The RU decomposition is one
-Doolittle LU (``RingMatrix.lu``) of X with its column n moved first; its
-three factors give U, U^{-1} and R, so beta takes L = U C_gamma U^{-1} as
-two products.  No decomposition solves a system.
+phi(C_gamma) is built once, over the rational or symmetric-function
+coordinates of a class phi, row by row as the remainders of phi*zeta^j
+modulo the characteristic polynomial (valid for every gamma), and beta reads
+everything off that one matrix X: T/S are its leading minors from one
+fraction-free elimination (``RingMatrix.leading_minors``), det X = S_n, and
+the point (z, Q) is a ratio of T's and S's.  ``is_phi_of_companion``
+checks a built X by its commutation with C_gamma and its first row.  The RU
+decomposition is one Doolittle LU (``RingMatrix.lu``) of X with its column n
+moved first; its three factors give U, U^{-1} and R, so beta takes
+L = U C_gamma U^{-1} as two products.  No decomposition solves a system
+and nothing is inverted.
 """
 
 from __future__ import annotations
@@ -34,9 +37,6 @@ from .matrices import DecompositionError, RingMatrix
 from .polynomials import Poly, zq_vars
 from .scalars import (
     Rational,
-    clear_denominators,
-    exact_quotient,
-    is_rational,
     rat,
     rational_from_text,
     rational_to_text,
@@ -53,16 +53,15 @@ __all__ = [
     "fq_poly_z",
     "partial_invariants",
     "lax_matrix",
-    "lax_to_point",
     "companion_matrix",
     "phi_of_companion",
+    "is_phi_of_companion",
     "ts_functions",
     "ru_decompose",
     "alpha",
     "beta",
     "beta_full",
     "minor_formulas",
-    "minor_identities",
     "random_z_point",
     "gamma_of_point",
 ]
@@ -310,23 +309,6 @@ def lax_matrix_symbolic(n: int) -> RingMatrix:
     return _lax(*_symbolic_entries(zq_vars(n), n))
 
 
-def lax_to_point(L: RingMatrix) -> TodaPoint:
-    """Recover (z, Q) from a Lax matrix via M = L^{-1}: Q_i = -M_{i+1,i}
-    and z_i = M_{1,i-1}/M_{1,i} (first row of M telescopes 1/(z_1..z_i))."""
-    n = L.nrows
-    M = L.inverse()
-    z = []
-    prev = Rational(1)
-    for i in range(1, n + 1):
-        cur = M[1, i]
-        if not cur:
-            raise ValueError("Lax matrix outside the parametrized locus")
-        z.append(prev / cur)
-        prev = rat(cur)
-    Q = tuple(-rat(M[i + 1, i]) for i in range(1, n))
-    return TodaPoint(n, tuple(z), Q)
-
-
 def char_minor_phi_symbolic(n: int) -> Poly:
     """Delta_{1,1} over the symbolic z/Q polynomial ring with zeta."""
     coeffs = _char_minor(*_symbolic_entries(zq_vars(n), n))
@@ -342,61 +324,12 @@ def char_minor_phi_symbolic(n: int) -> Poly:
 def companion_matrix(params: SpectralParams) -> RingMatrix:
     """C_gamma = J + sum (-1)^{i-1} gamma_i E_{n, n-i+1}."""
     n = params.n
-    rows = [[Rational(0)] * n for _ in range(n - 1)]
+    rows = [[Rational(0)] * n for _ in range(n)]
     for i in range(n - 1):
         rows[i][i + 1] = Rational(1)
-    return RingMatrix(rows + [_companion_last_row(params)])
-
-
-def _companion_last_row(params: SpectralParams):
-    """C_gamma's last row: (-1)^{i-1} gamma_i in column n - i + 1."""
-    n = params.n
-    row = [Rational(0)] * n
     for i, g in enumerate(params.gamma, 1):
-        row[n - i] = rat(g) * (-1) ** (i - 1)
-    return row
-
-
-def phi_of_companion(phi: TruncSeriesPhi, params: SpectralParams) -> RingMatrix:
-    """phi(C_gamma), over the coefficient ring of phi, by Horner's scheme
-    X <- X C + s^(d-k) a_k I from the top zeta-coefficient a_d down, where
-    C = s C_gamma is integral (s the lcm of the denominators of gamma), so X
-    ends as s^d phi(C_gamma).  Right multiplication by C shifts the columns
-    one place right, times s, and adds the last column times C's last row,
-    so a step costs O(n^2).  Rational coefficients are scaled to ``int``
-    first, so that X stays integral and each entry is one division."""
-    n = phi.n
-    if params.n != n:
-        raise ValueError("size mismatch")
-    coeffs = phi.to_zeta_coeffs()
-    rational = is_rational(coeffs)
-    t = 1
-    if rational:
-        coeffs, t = clear_denominators(coeffs)
-    last, s = clear_denominators(_companion_last_row(params))
-    last = [(j, r) for j, r in enumerate(last) if r]  # C's last row
-    zero = coeffs[0] * 0
-    X = [[coeffs[-1] if i == j else zero for j in range(n)] for i in range(n)]
-    power = 1  # s^(d-k)
-    for a in reversed(coeffs[:-1]):
-        if s != 1:
-            power *= s
-            a = a * power
-        for i, row in enumerate(X):
-            tail = row.pop()
-            row.insert(0, zero)
-            if s != 1:
-                row[:] = [x * s for x in row]
-            if tail:
-                for j, r in last:
-                    row[j] = row[j] + tail * r
-            row[i] = row[i] + a
-    if rational:
-        t *= power
-        X = [[exact_quotient(x, t) for x in row] for row in X]
-    elif power != 1:
-        X = [[x * Rational(1, power) for x in row] for row in X]
-    return RingMatrix(X)
+        rows[n - 1][n - i] = rat(g) * (-1) ** (i - 1)
+    return RingMatrix(rows)
 
 
 def _poly_mod(coeffs, modulus):
@@ -413,13 +346,13 @@ def _poly_mod(coeffs, modulus):
     return coeffs
 
 
-def ts_functions(phi: TruncSeriesPhi, params: SpectralParams):
-    """The tau-functions T_1..T_n, S_1..S_n of phi, as minors of one matrix:
-    row j of B is the remainder of phi*zeta^j modulo the characteristic
-    polynomial (a coordinate map with basis determinant 1 for every gamma),
-    S_i = xi^{1..i}_{1..i}(B) and T_i = (-1)^{n-i} xi^{1..i-1,n}_{1..i}(B).
-    Rescaling phi by a constant c multiplies T_i and S_i by c^i.
-    """
+def phi_of_companion(phi: TruncSeriesPhi, params: SpectralParams) -> RingMatrix:
+    """phi(C_gamma), over the coefficient ring of phi: row j + 1 is the
+    remainder of phi*zeta^j modulo the characteristic polynomial chi, each
+    row one shift and one reduction of the row above.  Since
+    e_1^T C_gamma^k = e_{k+1}^T for k < n, e_1^T p(C_gamma) is the
+    coefficient vector of any p of degree < n, and row j + 1 of phi(C_gamma)
+    is e_1^T C_gamma^j phi(C_gamma) = e_1^T (zeta^j phi mod chi)(C_gamma)."""
     n = phi.n
     if params.n != n:
         raise ValueError("size mismatch")
@@ -428,8 +361,37 @@ def ts_functions(phi: TruncSeriesPhi, params: SpectralParams):
     rows = [phi.to_zeta_coeffs()]
     for _ in range(n - 1):
         rows.append(_poly_mod([zero] + rows[-1], modulus))
-    S, last = RingMatrix(rows).leading_minors()
+    return RingMatrix(rows)
+
+
+def is_phi_of_companion(
+    X: RingMatrix, phi: TruncSeriesPhi, params: SpectralParams
+) -> bool:
+    """Whether X = phi(C_gamma): X commutes with C_gamma and its first row
+    holds phi's zeta-coefficients.  The matrices that commute with a
+    companion matrix are its polynomials of degree < n, and such a
+    polynomial p(C_gamma) has p's coefficients as its first row, so the two
+    conditions fix X."""
+    C = companion_matrix(params)
+    return X * C == C * X and list(X.rows[0]) == phi.to_zeta_coeffs()
+
+
+def _ts_minors(X: RingMatrix):
+    """(T, S) off the leading minors of X = phi(C_gamma), one elimination:
+    S_i = xi^{1..i}_{1..i}(X) and T_i = (-1)^{n-i} xi^{1..i-1,n}_{1..i}(X)."""
+    n = X.nrows
+    S, last = X.leading_minors()
     return [t * (-1) ** (n - i) for i, t in enumerate(last, 1)], S
+
+
+def ts_functions(phi: TruncSeriesPhi, params: SpectralParams):
+    """The tau-functions T_1..T_n, S_1..S_n of phi: the leading minors of
+    phi(C_gamma) that ``_ts_minors`` reads.  The rows of phi(C_gamma) are
+    phi*zeta^j modulo the characteristic polynomial, a coordinate map with
+    basis determinant 1 for every gamma.  Rescaling phi by a constant c
+    multiplies T_i and S_i by c^i.
+    """
+    return _ts_minors(phi_of_companion(phi, params))
 
 
 # -- decompositions ----------------------------------------------------------------
@@ -488,12 +450,19 @@ class BetaData:
 
 
 def beta_full(phi: TruncSeriesPhi, params: SpectralParams) -> BetaData:
+    """beta(phi) with what it is read from.  phi is normalized (Y1) and
+    X = phi(C_gamma) is built once; one elimination gives its leading
+    minors, T and S, with det X = S_n (Y0), and Y2, Y3 ask T_i, S_i != 0
+    for i < n.  The point is read off the tau-functions,
+    z_i = T_i S_{i-1} / (S_i T_{i-1}) and Q_i = T_{i-1} T_{i+1} / T_i^2
+    (T_0 = S_0 = 1), and the RU decomposition X = U^{-1} R gives
+    L = U C_gamma U^{-1} as two products."""
     n = phi.n
     phi = phi.normalized()  # raises YConditionError("Y1") when impossible
     X = phi_of_companion(phi, params)
-    if not X.det():
+    T, S = _ts_minors(X)
+    if not S[-1]:
         raise YConditionError("Y0")
-    T, S = ts_functions(phi, params)
     for i in range(1, n):
         if not T[i - 1]:
             raise YConditionError(f"Y2[{i}]")
@@ -502,8 +471,10 @@ def beta_full(phi: TruncSeriesPhi, params: SpectralParams) -> BetaData:
             raise YConditionError(f"Y3[{i}]")
     R, U, U_inv = ru_decompose(X)
     L = U * companion_matrix(params) * U_inv
-    point = lax_to_point(L)
-    return BetaData(point, L, R, U, tuple(T), tuple(S), X)
+    T0, S0 = (Rational(1), *T), (Rational(1), *S)
+    z = tuple(T0[i] * S0[i - 1] / (S0[i] * T0[i - 1]) for i in range(1, n + 1))
+    Q = tuple(T0[i - 1] * T0[i + 1] / T0[i] ** 2 for i in range(1, n))
+    return BetaData(TodaPoint(n, z, Q), L, R, U, tuple(T), tuple(S), X)
 
 
 def beta(phi: TruncSeriesPhi, params: SpectralParams) -> TodaPoint:
@@ -513,21 +484,11 @@ def beta(phi: TruncSeriesPhi, params: SpectralParams) -> TodaPoint:
 
 
 def minor_formulas(phi: TruncSeriesPhi, params: SpectralParams) -> bool:
-    """Check T_i = (-1)^{n-i} xi^{1..i-1,n}_{1..i-1,i}(phi(C)) and
-    S_i = xi^{1..i}_{1..i}(phi(C)) for 1 <= i <= n."""
-    X = phi_of_companion(phi, params)
-    return minor_identities(X, *ts_functions(phi, params))
-
-
-def minor_identities(X: RingMatrix, T, S) -> bool:
-    """The identities of ``minor_formulas`` for a built X = phi(C) and the
-    T/S functions of the same phi (as kept in ``BetaData``)."""
-    n = X.nrows
-    principal, last = X.leading_minors()
-    return all(
-        T[i - 1] == t * (-1) ** (n - i) and S[i - 1] == p
-        for i, (p, t) in enumerate(zip(principal, last), 1)
-    )
+    """Check that ``phi_of_companion`` builds phi(C_gamma)
+    (``is_phi_of_companion``), so that T_i = (-1)^{n-i}
+    xi^{1..i-1,n}_{1..i}(phi(C)) and S_i = xi^{1..i}_{1..i}(phi(C)), which
+    ``ts_functions`` reads off that matrix, are the tau-functions of phi."""
+    return is_phi_of_companion(phi_of_companion(phi, params), phi, params)
 
 
 # -- sampling ------------------------------------------------------------------------

@@ -341,10 +341,10 @@ def reference_conjugate_companion(U, params):
     by row from L U = U C_gamma, substituting from the last column:
     L_ij = U_jj (M_ij - sum_{k > j} L_ik U_kj) with M = U C_gamma, which is
     U shifted one column right plus U_nn times C_gamma's last row in row n."""
-    from kpeterson.toda import _companion_last_row
+    from kpeterson.toda import companion_matrix
 
     n = len(U)
-    last = _companion_last_row(params)
+    last = companion_matrix(params).rows[-1]
     rows = []
     for i in range(n):
         shifted = [0, *U[i][:-1]]
@@ -387,6 +387,25 @@ def reference_ru_decompose(X: RingMatrix):
         urows[i - 1][i - 1] = diag
     U = RingMatrix(urows)
     return U * X, U
+
+
+def reference_lax_to_point(L: RingMatrix) -> TodaPoint:
+    """(z, Q) off a Lax matrix through M = L^{-1} (the sparse Gauss-Jordan
+    inverse): Q_i = -M_{i+1,i} and z_i = M_{1,i-1}/M_{1,i}, since the first
+    row of M telescopes 1/(z_1..z_i).  Unlike a read of L's entries it holds
+    when some Q_k is 0 or 1."""
+    n = L.nrows
+    M = L.inverse()
+    z = []
+    prev = Rational(1)
+    for i in range(1, n + 1):
+        cur = M[1, i]
+        if not cur:
+            raise ValueError("Lax matrix outside the parametrized locus")
+        z.append(prev / cur)
+        prev = rat(cur)
+    Q = tuple(-rat(M[i + 1, i]) for i in range(1, n))
+    return TodaPoint(n, tuple(z), Q)
 
 
 def reference_ts_functions(phi, params):

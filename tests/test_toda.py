@@ -11,6 +11,7 @@ from helpers import (
     reference_conjugate_companion,
     reference_continuant,
     reference_f_subset_sum,
+    reference_lax_to_point,
     reference_ru_decompose,
     reference_sparse_gauss_jordan,
     reference_ts_functions,
@@ -32,10 +33,9 @@ from kpeterson.toda import (
     f_invariant,
     fq_poly_z,
     gamma_of_point,
+    is_phi_of_companion,
     lax_matrix,
-    lax_to_point,
     minor_formulas,
-    minor_identities,
     partial_invariants,
     phi_of_companion,
     random_z_point,
@@ -77,7 +77,7 @@ def point_values(pt):
 
 def reference_phi_of_companion(phi, params):
     """phi(C_gamma) as sum_k a_k C^k over dense matrix powers: the
-    independent reference for the Horner scheme of phi_of_companion."""
+    independent reference for the remainder rows of phi_of_companion."""
     n = phi.n
     coeffs = phi.to_zeta_coeffs()
     C = companion_matrix(params)
@@ -338,7 +338,7 @@ class TestLax:
         for n in (2, 3, 4, 5):
             for _ in range(20):
                 pt = random_z_point(n, rng)
-                assert lax_to_point(lax_matrix(pt)) == pt
+                assert reference_lax_to_point(lax_matrix(pt)) == pt
 
     def test_round_trip_with_q_zero_or_one(self):
         # random_z_point never draws Q_k = 0 or 1, where some entries of L
@@ -350,7 +350,16 @@ class TestLax:
         ):
             for Q in Qs:
                 pt = TodaPoint(len(z), z, tuple(map(q, Q)))
-                assert lax_to_point(lax_matrix(pt)) == pt, pt
+                assert reference_lax_to_point(lax_matrix(pt)) == pt, pt
+
+    def test_beta_point_matches_inverse_of_lax(self):
+        # beta_full reads the point off T/S; the reference reads it off L^{-1}.
+        rng = random.Random(197)
+        for n in range(2, 7):
+            for _ in range(20):
+                pt = random_z_point(n, rng)
+                bd = beta_full(alpha(pt), gamma_of_point(pt))
+                assert bd.point == reference_lax_to_point(bd.L), pt
 
     def test_rejects_bad_product(self):
         with pytest.raises(ValueError):
@@ -486,8 +495,9 @@ class TestTS:
             assert ts_functions(phi, params) == padded_ts_functions(phi, params), n
 
     def test_one_elimination_matches_per_minor_reference(self):
-        # T/S read off one Bareiss pass of B, against one minor each; phi with
-        # zero leading coefficients has vanishing leading minors of B.
+        # T/S read off one Bareiss pass of phi(C_gamma), against one minor
+        # each; phi with zero leading coefficients has vanishing leading
+        # minors.
         rng = random.Random(109)
         for n in range(1, 8):
             for k in range(12):
@@ -499,8 +509,7 @@ class TestTS:
                     else TruncSeriesPhi(n, c)
                 )
                 assert ts_functions(phi, params) == reference_ts_functions(phi, params)
-                X = phi_of_companion(phi, params)
-                assert minor_identities(X, *reference_ts_functions(phi, params))
+                assert is_phi_of_companion(phi_of_companion(phi, params), phi, params)
         for n in range(1, 6):
             phi = TruncSeriesPhi.symbolic_unipotent(n)
             params = SpectralParams.unipotent(n)
@@ -697,31 +706,30 @@ class TestAlphaBeta:
         for n in (2, 3, 4, 5):
             for _ in range(5):
                 pt = random_z_point(n, rng)
-                phi, params = alpha(pt), gamma_of_point(pt)
+                phi, params = alpha(pt).normalized(), gamma_of_point(pt)
                 bd = beta_full(phi, params)
-                assert bd.X == phi_of_companion(phi.normalized(), params)
-                assert minor_identities(bd.X, bd.T, bd.S)
-                wrong = list(bd.S)
-                wrong[-1] = wrong[-1] + 1
-                assert not minor_identities(bd.X, bd.T, wrong)
+                assert bd.X == reference_phi_of_companion(phi, params)
+                assert (list(bd.T), list(bd.S)) == padded_ts_functions(phi, params)
 
     def test_suite_trial_builds_phi_of_companion_and_ts_once(self, monkeypatch):
+        # One phi(C_gamma) per trial, T/S read off it, and no inverse.
         import kpeterson.toda as toda
         from kpeterson.suites import _toda_trial
 
-        calls = {"phi_of_companion": 0, "ts_functions": 0}
-        for name in calls:
-            def counting(*args, _name=name, _f=getattr(toda, name)):
+        calls = {"phi_of_companion": 0, "ts_functions": 0, "inverse": 0}
+        targets = (toda, "phi_of_companion"), (toda, "ts_functions"), (RingMatrix, "inverse")
+        for owner, name in targets:
+            def counting(*args, _name=name, _f=getattr(owner, name)):
                 calls[_name] += 1
                 return _f(*args)
 
-            monkeypatch.setattr(toda, name, counting)
+            monkeypatch.setattr(owner, name, counting)
         for n in (2, 3, 4, 5):
             for key in calls:
                 calls[key] = 0
             ok, lhs, _ = _toda_trial(n, random.Random(n))
             assert ok, lhs
-            assert calls == {"phi_of_companion": 1, "ts_functions": 1}, n
+            assert calls == {"phi_of_companion": 1, "ts_functions": 0, "inverse": 0}, n
 
     def test_beta_reports_failed_condition(self):
         uni = SpectralParams.unipotent(3)
@@ -815,6 +823,41 @@ class TestSpectrum:
                 X = phi_of_companion(phi, params)
                 assert X == reference_phi_of_companion(phi, params)
                 assert all(isinstance(x, SymFunc) for row in X.rows for x in row)
+
+    def test_is_phi_of_companion_holds(self):
+        rng = random.Random(211)
+        for n in range(1, 8):
+            for _ in range(10):
+                phi = TruncSeriesPhi(n, [random_rational(rng) for _ in range(n)])
+                params = random_params(n, rng)
+                assert is_phi_of_companion(phi_of_companion(phi, params), phi, params)
+        for n in range(1, 5):
+            phi = TruncSeriesPhi.symbolic_unipotent(n)
+            for params in (SpectralParams.unipotent(n), random_params(n, rng)):
+                assert is_phi_of_companion(phi_of_companion(phi, params), phi, params)
+
+    def test_is_phi_of_companion_rejects_other_matrices(self):
+        rng = random.Random(223)
+        for n in range(2, 7):
+            for _ in range(10):
+                phi = TruncSeriesPhi(n, [random_rational(rng) for _ in range(n)])
+                params = random_params(n, rng)
+                X = phi_of_companion(phi, params)
+                # any one entry off by one, the first row included
+                i, j = rng.randrange(n), rng.randrange(n)
+                rows = [list(row) for row in X.rows]
+                rows[i][j] += 1
+                assert not is_phi_of_companion(RingMatrix(rows), phi, params), (i, j)
+                # psi(C_gamma) commutes with C_gamma but its first row is psi's
+                other = list(phi.to_zeta_coeffs())
+                other[rng.randrange(n)] += 1
+                psi = TruncSeriesPhi.from_zeta_coeffs(n, other)
+                assert not is_phi_of_companion(phi_of_companion(psi, params), phi, params)
+        phi = TruncSeriesPhi.symbolic_unipotent(3)
+        params = SpectralParams.unipotent(3)
+        rows = [list(row) for row in phi_of_companion(phi, params).rows]
+        rows[2][1] = rows[2][1] + h(1)
+        assert not is_phi_of_companion(RingMatrix(rows), phi, params)
 
     def test_companion_matrix_shape(self):
         params = SpectralParams(tuple(map(Rational, (5, 7, 1))))
