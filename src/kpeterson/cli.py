@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from math import factorial
 
 from .grothendieck import dual_groth, klr_coeff, stable_groth_vars
@@ -296,87 +297,72 @@ def _emit(args, payload, text: str):
         print(body)
 
 
-def _add_io_flags(sub):
-    sub.add_argument("--out", help="write output to this path instead of stdout")
-    group = sub.add_mutually_exclusive_group()
-    group.add_argument("--json", dest="text", action="store_false", default=False)
-    group.add_argument("--text", dest="text", action="store_true")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kpet",
         description="Exact computations around the K-theoretic Peterson map.",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
+    io = argparse.ArgumentParser(add_help=False)
+    io.add_argument("--out", help="write output to this path instead of stdout")
+    group = io.add_mutually_exclusive_group()
+    group.add_argument("--json", dest="text", action="store_false", default=False)
+    group.add_argument("--text", dest="text", action="store_true")
+    add = partial(parser.add_subparsers(dest="command", required=True).add_parser, parents=[io])
 
-    p = subs.add_parser("gdual", help="dual stable Grothendieck polynomial")
+    p = add("gdual", help="dual stable Grothendieck polynomial")
     p.add_argument("partition")
-    _add_io_flags(p)
 
-    p = subs.add_parser("klr", help="K-theoretic LR coefficient")
+    p = add("klr", help="K-theoretic LR coefficient")
     p.add_argument("lam")
     p.add_argument("mu")
     p.add_argument("nu")
-    _add_io_flags(p)
 
-    p = subs.add_parser("gstable", help="stable Grothendieck polynomial in d variables")
+    p = add("gstable", help="stable Grothendieck polynomial in d variables")
     p.add_argument("partition")
     p.add_argument("d", type=int)
-    _add_io_flags(p)
 
-    p = subs.add_parser("tau", help="tau/sigma table")
+    p = add("tau", help="tau/sigma table")
     p.add_argument("--n", type=int, required=True)
-    _add_io_flags(p)
 
-    p = subs.add_parser("ddet", help="D-determinant value")
+    p = add("ddet", help="D-determinant value")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--theta", required=True, help="comma-separated integers")
     p.add_argument("--a", required=True, help="comma-separated non-negative integers")
-    _add_io_flags(p)
 
-    p = subs.add_parser("phi", help="apply the Peterson map to a polynomial")
+    p = add("phi", help="apply the Peterson map to a polynomial")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--poly", required=True)
-    _add_io_flags(p)
 
-    p = subs.add_parser("groth", help="Grothendieck polynomial")
+    p = add("groth", help="Grothendieck polynomial")
     p.add_argument("w")
     p.add_argument("--n", type=int, help="defaults to the length of w")
-    _add_io_flags(p)
 
-    p = subs.add_parser("qgroth", help="quantum Grothendieck polynomial")
+    p = add("qgroth", help="quantum Grothendieck polynomial")
     p.add_argument("w")
     p.add_argument("--n", type=int)
-    _add_io_flags(p)
 
-    p = subs.add_parser("gtilde", help="numerator of the Peterson image of GQ_w")
+    p = add("gtilde", help="numerator of the Peterson image of GQ_w")
     p.add_argument("w")
     p.add_argument("--n", type=int)
-    _add_io_flags(p)
 
-    p = subs.add_parser("lambda-map", help="k-bounded partition of a permutation")
+    p = add("lambda-map", help="k-bounded partition of a permutation")
     p.add_argument("w")
     p.add_argument("--n", type=int)
-    _add_io_flags(p)
 
-    p = subs.add_parser("kconj", help="k-conjugate of a k-bounded partition")
+    p = add("kconj", help="k-conjugate of a k-bounded partition")
     p.add_argument("partition")
     p.add_argument("--k", type=int, required=True)
-    _add_io_flags(p)
 
-    p = subs.add_parser("toda-roundtrip", help="randomized exact round-trip check")
+    p = add("toda-roundtrip", help="randomized exact round-trip check")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    _add_io_flags(p)
 
-    p = subs.add_parser("verify", help="run a named verification suite")
+    p = add("verify", help="run a named verification suite")
     p.add_argument("suite", choices=sorted(SUITE_NAMES))
     p.add_argument("--n", type=int)
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
-    _add_io_flags(p)
 
     return parser
 

@@ -11,12 +11,10 @@ Sign convention: G_lambda(x_1..x_d) = sum_T (-1)^{|T| - |lambda|} x^T.
 
 from __future__ import annotations
 
-from math import comb
-
 from .matrices import RingMatrix
 from .partitions import Partition
 from .polynomials import Poly
-from .symfunc import SymFunc
+from .symfunc import SymFunc, _geom_series_coeffs
 
 __all__ = [
     "dual_groth",
@@ -43,15 +41,15 @@ def dual_groth(lam: Partition) -> SymFunc:
         return SymFunc.one()
     rows = []
     for i in range(1, ell + 1):
+        # (-1)^m * C(1-i, m) is the coefficient of v^m in (1-v)^{-(i-1)}
+        series = _geom_series_coeffs(i - 1, parts[i - 1] + ell - i + 1)
         row = []
         for j in range(1, ell + 1):
             top = parts[i - 1] + j - i
             entry = SymFunc.zero()
             for m in range(top + 1):
-                # (-1)^m * C(1-i, m) = C(m+i-2, m), a non-negative integer
-                c = 1 if i == 1 and m == 0 else (0 if i == 1 else comb(m + i - 2, m))
-                if c:
-                    entry = entry + SymFunc.h(top - m) * c
+                if series[m]:
+                    entry = entry + SymFunc.h(top - m) * series[m]
             row.append(entry)
         rows.append(row)
     return RingMatrix(rows).det()

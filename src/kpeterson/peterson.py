@@ -37,7 +37,9 @@ from .matrices import RingMatrix
 from .partitions import Partition
 from .polynomials import Poly, grouped_product, power_table, zq_vars
 from .scalars import Rational
-from .symfunc import SymFunc, _jacobi_trudi_minor, _substitute, _times_h, p_perp, perp, schur
+from .symfunc import (
+    SymFunc, _geom_series_coeffs, _jacobi_trudi_minor, _substitute, _times_h, p_perp, perp, schur
+)
 
 __all__ = [
     "TauSigmaTable",
@@ -119,16 +121,6 @@ class DSpec:
         theta[i], theta[j] = theta[j], theta[i]
         a[i], a[j] = a[j], a[i]
         return DSpec(tuple(theta), tuple(a), self.n)
-
-
-def _geom_series_coeffs(theta: int, n: int):
-    """Coefficients of (1-v)^{-theta} up to v^{n-1} (integer list)."""
-    if theta == 0:
-        return [1] + [0] * (n - 1)
-    if theta > 0:
-        return [comb(theta + l - 1, l) for l in range(n)]
-    m = -theta
-    return [((-1) ** l) * comb(m, l) if l <= m else 0 for l in range(n)]
 
 
 @lru_cache(maxsize=None)
@@ -311,9 +303,9 @@ class LocFrac:
 
 class PhiContext:
     """Everything needed to apply Phi_n: the tau/sigma factor basis as
-    h-polynomials, the generator table (_build_contrib) and the generator
-    images read off it.  Those are in lowest terms as read: no tau/sigma
-    factor of a denominator divides the numerator (checked for n <= 8)."""
+    h-polynomials and the generator table (_build_contrib).  The generator
+    images read off it are in lowest terms as read: no tau/sigma factor of a
+    denominator divides the numerator (checked for n <= 8)."""
 
     def __init__(self, n: int):
         self.n = n
@@ -338,14 +330,8 @@ class PhiContext:
         self.one = LocFrac(self, Poly.const(self.hvars, 1), (0,) * k)
         self.zero = LocFrac(self, Poly.zero(self.hvars), (0,) * k)
         self._zq_contrib = self._build_contrib()
-        variables = zq_vars(n)
-        self._images = {
-            v: self._apply_monomial(Poly.variable(variables, v)) for v in variables
-        }
-        for i in range(1, n + 1):
-            self._images[f"x{i}"] = self.one - self._images[f"z{i}"]
         self._x_to_z = {
-            f"x{i}": 1 - Poly.variable(variables, f"z{i}") for i in range(1, n + 1)
+            f"x{i}": 1 - Poly.variable(zq_vars(n), f"z{i}") for i in range(1, n + 1)
         }
 
     def from_symfunc(self, f: SymFunc) -> LocFrac:
@@ -373,12 +359,6 @@ class PhiContext:
         for i in range(1, n):
             contrib[f"Q{i}"] = tuple(tau(i - 1, 1) + tau(i + 1, 1) + tau(i, -2))
         return contrib
-
-    def image(self, name: str) -> LocFrac:
-        try:
-            return self._images[name]
-        except KeyError:
-            raise ValueError(f"Phi_{self.n} has no image for variable {name!r}")
 
     def factor_product(self, exps: tuple) -> Poly:
         exps = tuple(exps)
@@ -463,7 +443,7 @@ class PhiContext:
         evaluated on the monomial path; variables that do not occur in p
         are ignored."""
         for v in p.vars:
-            if v not in self._images and p.degree_in(v) > 0:
+            if v not in self._zq_contrib and v not in self._x_to_z and p.degree_in(v) > 0:
                 raise ValueError(f"variable {v!r} not in the domain of Phi_{self.n}")
         total = self._apply_monomial(p.substitute(self._x_to_z, zq_vars(self.n)))
         return self.reduce(total) if reduce_result else total
@@ -554,14 +534,10 @@ def d_base_check(lam: Partition, d: int, n: int) -> bool:
 
 
 def kernel_value(theta: int, a: int, i: int) -> int:
-    """Binomial path count K^theta_{a,i} = C(i-a+theta-1, theta-1); for
-    theta = 0 the empty path exists only when a = i."""
-    if theta == 0:
-        return 1 if a == i else 0
-    m, k = i - a + theta - 1, theta - 1
-    if m < 0 or k < 0 or m < k:
-        return 0
-    return comb(m, k)
+    """Binomial path count K^theta_{a,i} = C(i-a+theta-1, theta-1) for
+    theta >= 0, the coefficient of v^{i-a} in (1-v)^{-theta}; for theta = 0
+    the empty path exists only when a = i."""
+    return _geom_series_coeffs(theta, i - a + 1)[i - a] if i >= a else 0
 
 
 def kernel_det_identity(n: int, d: int, i_vec: tuple) -> bool:
@@ -581,9 +557,8 @@ def kernel_det_identity(n: int, d: int, i_vec: tuple) -> bool:
 
 
 def sigma_identity_check(n: int, d: int) -> bool:
-    """The lattice-path identity pair: D[d..1; d-1..0] equals the sum of
-    D[d-1..0; a] over strictly decreasing a, and the binomial-kernel
-    determinant identity over every decreasing index vector in [0, n)."""
+    """The column-sum lattice-path identity: D[d..1; d-1..0] equals the sum
+    of D[d-1..0; a] over strictly decreasing a in [0, n)."""
     if not 1 <= d <= n - 1:
         raise ValueError("need 1 <= d <= n-1")
     lhs = d_det(
@@ -593,12 +568,7 @@ def sigma_identity_check(n: int, d: int) -> bool:
     theta = tuple(range(d - 1, -1, -1))
     for a_vec in combinations(range(n - 1, -1, -1), d):
         rhs = rhs + d_det(DSpec(theta, a_vec, n))
-    if lhs != rhs:
-        return False
-    return all(
-        kernel_det_identity(n, d, i_vec)
-        for i_vec in combinations(range(n - 1, -1, -1), d)
-    )
+    return lhs == rhs
 
 
 def perp_d_check(i: int, d: int, spec: DSpec) -> bool:

@@ -15,8 +15,11 @@ import os
 import platform
 import random
 import time
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass
+from functools import partial
 from importlib import resources
+from itertools import combinations
 from math import comb
 
 from . import __version__
@@ -39,6 +42,7 @@ from .peterson import (
     perp_d_check,
     phi_context,
     sigma_identity_check,
+    skew_rectangle_check,
     tau_sigma,
 )
 from .polynomials import Poly
@@ -50,6 +54,7 @@ from .quantum import (
     k_conjugate,
     lambda_map,
     phi_groth_image,
+    phi_s_q_image,
     quantize,
     s_q_poly,
     NonPolynomialImageError,
@@ -104,22 +109,11 @@ class SuiteReport:
             "backend": f"{Rational.__module__}.{Rational.__qualname__}",
             "python": platform.python_version(),
             "cores": os.cpu_count(),
-            "cases": [
-                {
-                    "id": c.id,
-                    "status": c.status,
-                    "lhs": c.lhs,
-                    "rhs": c.rhs,
-                    "elapsed_ms": c.elapsed_ms,
-                }
-                for c in self.cases
-            ],
+            "cases": [asdict(c) for c in self.cases],
         }
 
     def summary(self) -> str:
-        counts: dict = {}
-        for c in self.cases:
-            counts[c.status] = counts.get(c.status, 0) + 1
+        counts = Counter(c.status for c in self.cases)
         body = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
         return f"suite {self.suite}: {len(self.cases)} cases ({body})"
 
@@ -145,65 +139,243 @@ def _run_case(case):
         ok, lhs, rhs = False, f"error: {exc}", ""
     elapsed = int((time.monotonic() - start) * 1000)
     if tier == "report":
-        status = "reported"
-        lhs = f"agree={str(ok).lower()}; {lhs}"
+        status, lhs = "reported", f"agree={str(ok).lower()}; {lhs}"
     else:
         status = "pass" if ok else "fail"
     return SuiteCase(case_id, status, lhs, rhs, elapsed)
-
-
-def _eq_case(case_id, lhs_fn, rhs_fn, render=str, tier="assert"):
-    def thunk():
-        lhs, rhs = lhs_fn(), rhs_fn()
-        return lhs == rhs, render(lhs), render(rhs)
-
-    return _case(case_id, thunk, tier)
 
 
 def _ns(n, default):
     return list(default) if n is None else [n]
 
 
+def _rectangles(ns, max_d=None):
+    """(n, d, lambda, "n{n}-d{d}-[lambda]") for each n in ns, 1 <= d < n (and
+    d <= max_d), and each lambda inside the d x (n-d) rectangle."""
+    for n in ns:
+        for d in range(1, n if max_d is None else min(n, max_d + 1)):
+            for lam in partitions_in_rectangle(d, n - d):
+                yield n, d, lam, f"n{n}-d{d}-[{lam.to_text()}]"
+
+
+# -- checks: each returns (ok, lhs, rhs) --------------------------------------------
+
+
+def _symfunc_check(value, expected):
+    return value == expected, value.to_str(), expected.to_str()
+
+
+def _remarkable_check(n, i):
+    image = phi_context(n).apply_frac(f_invariant(n, i), reduce_result=False)
+    return image == comb(n, i), f"phi_{n}(F_{i})", str(comb(n, i))
+
+
+def _f_image_check(n, m, i):
+    ctx = phi_context(n)
+    image = ctx.apply_frac(fq_poly_z(n, m, i), reduce_result=False)
+    lhs = image * ctx.from_symfunc(tau_sigma(n).tau[m])
+    rhs = LocFrac(ctx, _f_numerator(n, m, i), ctx.one.den)
+    return lhs == rhs, f"phi(F^({m})_{i})*tau{m}", f"D(theta) of (1^{i}), d={m}"
+
+
+def _theorem_1_5_check(n, d, lam):
+    ctx = phi_context(n)
+    w = grassmannian_perm(lam, d, n)
+    lhs = phi_groth_image(w) * ctx.from_symfunc(tau_sigma(n).tau[d])
+    rhs = ctx.from_symfunc(dual_groth(complement(lam, d, n)))
+    return lhs == rhs, f"phi(GQ_{w.to_text()})*tau{d}", f"g_({complement(lam, d, n).to_text()})"
+
+
+def _g_tilde_product_check(w, factors):
+    expected = SymFunc.one()
+    for f in factors:
+        expected = expected * dual_groth(f)
+    return _symfunc_check(g_tilde(w), expected)
+
+
+def _lambda_table_check(n, row):
+    got = lambda_map(Permutation.from_text(row["w"])).partition
+    got_conj = k_conjugate(got, n - 1)
+    lam, conj = Partition.from_text(row["lam"]), Partition.from_text(row["conj"])
+    return (
+        got == lam and got_conj == conj,
+        f"{got.to_text() or 'empty'} / {got_conj.to_text() or 'empty'}",
+        f"{lam.to_text() or 'empty'} / {conj.to_text() or 'empty'}",
+    )
+
+
+def _prop_5_1_check(n, d, lam):
+    rect = Partition.rectangle(d, n - d)
+    target = complement(lam, d, n)
+    for mu in all_partitions_up_to(rect.weight):
+        expected = 1 if mu == target else 0
+        if klr_coeff(lam, mu, rect) != expected:
+            return False, f"c_({lam.to_text()}),({mu.to_text()})^R", str(expected)
+    return True, "delta(lambda-complement, mu)", "delta(lambda-complement, mu)"
+
+
+def _random_dspec(n, rng):
+    d = rng.randint(1, n - 1)
+    theta = tuple(rng.randint(-3, n) for _ in range(d))
+    a = tuple(rng.randint(0, n) for _ in range(d))
+    return DSpec(theta, a, n)
+
+
+def _recursions_check(specs):
+    for spec in specs:
+        if not d_recursion_check(spec):
+            return False, f"recursions at {spec}", "recursions (1)-(3)"
+    return True, f"{len(specs)} random specs", "recursions (1)-(3)"
+
+
+def _base_schur_check(n):
+    for _, d, lam, _ in _rectangles((n,)):
+        if not d_base_check(lam, d, n):
+            return False, f"base case at n={n}, {lam}", "Schur value"
+    return True, "all rectangle-bounded shapes", "Schur values"
+
+
+def _perp_shifts_check(specs):
+    for spec in specs:
+        for i in (1, 2):
+            if not perp_d_check(i, spec.d, spec):
+                return False, f"perp shifts, i = {i}, at {spec}", "shifted D's"
+    return True, f"{len(specs)} random specs, i = 1, 2", "shifted D's"
+
+
+def _column_sum_check(n, d):
+    return (
+        sigma_identity_check(n, d),
+        f"D[{d}..1; {d - 1}..0]",
+        "sum over decreasing a of D[d-1..0; a]",
+    )
+
+
+def _kernel_det_check(n, d):
+    for i_vec in combinations(range(n - 1, -1, -1), d):
+        if not kernel_det_identity(n, d, i_vec):
+            return False, f"kernel dets at i={i_vec}", "equal"
+    return True, "kernel determinant identity, all index vectors", "equal"
+
+
+# The quantization chain at one (n, d, lambda): the quantized Schur
+# determinant, its image as a D-ratio, and the skew-operator form.
+def _quantize_check(n, d, lam):
+    xvars = tuple(f"x{i}" for i in range(1, n + 1))
+    s_poly = schur(lam).expand_in_vars(d).substitute(
+        {f"x{j}": 1 - Poly.variable(xvars, f"x{j}") for j in range(1, d + 1)}, xvars
+    )
+    lhs = quantize(s_poly, n)
+    rhs = s_q_poly(lam, d, n).with_vars(lhs.vars)
+    return lhs == rhs, f"Qhat(s_({lam.to_text()})(1-x))", "quantized Schur determinant"
+
+
+def _s_q_image_check(n, d, lam):
+    ctx = phi_context(n)
+    lhs = phi_s_q_image(lam, d, n)
+    theta = tuple(d - (lam.part(d + 1 - a) + a) for a in range(1, d + 1))
+    num = d_plain(theta, n)
+    den = d_plain(range(d - 1, -1, -1), n)
+    ok = lhs * ctx.from_symfunc(den) == ctx.from_symfunc(num)
+    return ok, f"phi(SQ_({lam.to_text()},{d}))", "D-ratio"
+
+
+def _skew_check(n, d, lam):
+    return skew_rectangle_check(lam, d, n), f"kappa_{d}(s)-perp g_R{d}", "D(d-i)"
+
+
+def _toda_trial(n, rng):
+    pt = random_z_point(n, rng)
+    params = gamma_of_point(pt)
+    phi = alpha(pt)
+    bd = beta_full(phi, params)
+    if bd.point != pt or bd.L != lax_matrix(bd.point):
+        return False, "round trip", "identity"
+    expect_detR = Rational((-1) ** (n * (n - 1) // 2))
+    for i in range(1, n):
+        expect_detR *= pt.Q[i - 1] ** (n - i)
+    if bd.R.det() != expect_detR:
+        return False, "det R", "Q-power product"
+    prod_q = Rational(1)
+    for i in range(1, n):
+        prod_q *= pt.Q[i - 1]
+        if bd.R[i + 1, i] != Rational((-1) ** (n - i - 1)) * prod_q:
+            return False, f"r_{i + 1}{i}", "signed Q product"
+        if bd.R[i + 1, i] != ru_ratio_formula(bd.X, i):
+            return False, f"r_{i + 1}{i}", "minor ratio"
+    # alpha's phi is monic, so beta_full's X is phi(C_gamma) itself.
+    if not is_phi_of_companion(bd.X, phi, params):
+        return False, "X", "phi(C_gamma)"
+    for i in range(1, n):
+        lm = bd.L.minor(range(i + 1, n + 1), range(i + 1, n + 1))
+        if lm != bd.S[i - 1] / bd.T[i - 1]:
+            return False, f"principal minor {i}", "S_i/T_i"
+    # Entries of U against the partial spectral invariants (x_j = 1 - z_j);
+    # valid at every point of the open locus.
+    F = partial_invariants(pt)
+    for i in range(2, n + 1):
+        for j in range(1, i):
+            if bd.U[i, j] != F[i - 1][i - j] * (-1) ** (j - 1):
+                return False, f"u_{i}{j}", "partial invariant"
+    return True, "round trip + minor identities", "all equal"
+
+
+def _seeded_toda_trial(n, seed):
+    return _toda_trial(n, random.Random(seed))
+
+
+def _divisibility_check(n, w):
+    lam = lambda_map(w).partition
+    try:
+        value = g_tilde(w)
+    except NonPolynomialImageError:
+        value = None
+    ok = value is not None and value.in_lambda_n(n)
+    record = {
+        "w": w.to_text(),
+        "lambda": lam.to_text(),
+        "lambda_conj": k_conjugate(lam, n - 1).to_text(),
+        "gtilde": None if value is None else value.to_str(),
+        "divisibility": ok,
+    }
+    return ok, json.dumps(record, sort_keys=True), "polynomial in Lambda_(n)"
+
+
+def _fiber_check(members):
+    values = {g_tilde(w).to_str() for w in members}
+    return (
+        len(values) == 1,
+        f"fiber size {len(members)}, {len(values)} distinct value(s)",
+        "one value per fiber",
+    )
+
+
+def _buch_check(n, d, lam):
+    w = grassmannian_perm(lam, d, n)
+    gp = groth_poly(w)
+    sg = stable_groth_vars(lam, d).with_vars(gp.vars)
+    return gp == sg, f"G_({lam.to_text()})(x1..x{d})", f"groth({w.to_text()})"
+
+
 # -- suite builders -----------------------------------------------------------------
 
 
 def _suite_example_1_2(n, trials, rng):
-    data = load_tables()["example_1_2"]
-    table = tau_sigma(3)
-    cases = []
-    for name, value in (
-        ("tau1", table.tau[1]),
-        ("tau2", table.tau[2]),
-        ("sigma1", table.sigma[1]),
-        ("sigma2", table.sigma[2]),
-    ):
-        expected = SymFunc.from_json(data[name])
-        cases.append(
-            _eq_case(name, lambda v=value: v, lambda e=expected: e, lambda f: f.to_str())
+    data, table = load_tables()["example_1_2"], tau_sigma(3)
+    return [
+        _case(name, partial(_symfunc_check, value, SymFunc.from_json(data[name])))
+        for name, value in zip(
+            ("tau1", "tau2", "sigma1", "sigma2"), table.tau[1:3] + table.sigma[1:3]
         )
-    return cases
+    ]
 
 
 def _suite_remarkable(n, trials, rng):
-    cases = []
-    for nn in _ns(n, (2, 3, 4, 5)):
-        ctx = phi_context(nn)
-        for i in range(1, nn + 1):
-            def thunk(nn=nn, i=i, ctx=ctx):
-                image = ctx.apply_frac(f_invariant(nn, i), reduce_result=False)
-                expected = comb(nn, i)
-                return image == expected, f"phi_{nn}(F_{i})", str(expected)
-
-            cases.append(_case(f"n{nn}-F{i}", thunk))
-    return cases
-
-
-def _f_image_case(nn, m, i):
-    ctx = phi_context(nn)
-    image = ctx.apply_frac(fq_poly_z(nn, m, i), reduce_result=False)
-    lhs = image * ctx.from_symfunc(tau_sigma(nn).tau[m])
-    rhs = LocFrac(ctx, _f_numerator(nn, m, i), ctx.one.den)
-    return lhs == rhs, f"phi(F^({m})_{i})*tau{m}", f"D(theta) of (1^{i}), d={m}"
+    return [
+        _case(f"n{nn}-F{i}", partial(_remarkable_check, nn, i))
+        for nn in _ns(n, (2, 3, 4, 5))
+        for i in range(1, nn + 1)
+    ]
 
 
 def _suite_f_images(n, trials, rng):
@@ -215,105 +387,49 @@ def _suite_f_images(n, trials, rng):
     This suite is the only link between those numerators and the
     substitution.  The one-column -image cases of prop-6-chain compare the
     D-ratio with itself, since phi_s_q_image reads phi_f_image."""
-    cases = []
-    for nn in _ns(n, (3, 4, 5)):
-        for m in range(1, nn):
-            for i in range(m + 1):
-                cases.append(
-                    _case(
-                        f"n{nn}-m{m}-i{i}",
-                        lambda nn=nn, m=m, i=i: _f_image_case(nn, m, i),
-                    )
-                )
-    return cases
-
-
-def _theorem_1_5_case(nn, d, lam):
-    ctx = phi_context(nn)
-    w = grassmannian_perm(lam, d, nn)
-    lhs = phi_groth_image(w) * ctx.from_symfunc(tau_sigma(nn).tau[d])
-    rhs = ctx.from_symfunc(dual_groth(complement(lam, d, nn)))
-    return lhs == rhs, f"phi(GQ_{w.to_text()})*tau{d}", f"g_({complement(lam, d, nn).to_text()})"
+    return [
+        _case(f"n{nn}-m{m}-i{i}", partial(_f_image_check, nn, m, i))
+        for nn in _ns(n, (3, 4, 5))
+        for m in range(1, nn)
+        for i in range(m + 1)
+    ]
 
 
 def _suite_theorem_1_5(n, trials, rng):
-    cases = []
-    for nn in _ns(n, (3, 4, 5)):
-        for d in range(1, nn):
-            for lam in partitions_in_rectangle(d, nn - d):
-                cases.append(
-                    _case(
-                        f"n{nn}-d{d}-[{lam.to_text()}]",
-                        lambda nn=nn, d=d, lam=lam: _theorem_1_5_case(nn, d, lam),
-                    )
-                )
-    return cases
+    return [
+        _case(tag, partial(_theorem_1_5_check, nn, d, lam))
+        for nn, d, lam, tag in _rectangles(_ns(n, (3, 4, 5)))
+    ]
 
 
 def _suite_example_7_3(n, trials, rng):
-    rows = load_tables()["gtilde_factored_n5"]
-    cases = []
-    for row in rows:
-        w = Permutation.from_text(row["w"])
-        factors = [Partition.from_text(t) for t in row["factors"]]
-
-        def thunk(w=w, factors=factors):
-            expected = SymFunc.one()
-            for f in factors:
-                expected = expected * dual_groth(f)
-            value = g_tilde(w)
-            return value == expected, value.to_str(), expected.to_str()
-
-        cases.append(_case(f"w{row['w']}", thunk))
-    return cases
+    return [
+        _case(
+            f"w{row['w']}",
+            partial(
+                _g_tilde_product_check,
+                Permutation.from_text(row["w"]),
+                [Partition.from_text(t) for t in row["factors"]],
+            ),
+        )
+        for row in load_tables()["gtilde_factored_n5"]
+    ]
 
 
 def _suite_lambda_tables(n, trials, rng):
     tables = load_tables()["lambda_tables"]
-    cases = []
-    for nn in _ns(n, (4, 5)):
-        for row in tables[str(nn)]:
-            w = Permutation.from_text(row["w"])
-            lam = Partition.from_text(row["lam"])
-            conj = Partition.from_text(row["conj"])
-
-            def thunk(w=w, lam=lam, conj=conj, nn=nn):
-                got = lambda_map(w).partition
-                got_conj = k_conjugate(got, nn - 1)
-                ok = got == lam and got_conj == conj
-                return (
-                    ok,
-                    f"{got.to_text() or 'empty'} / {got_conj.to_text() or 'empty'}",
-                    f"{lam.to_text() or 'empty'} / {conj.to_text() or 'empty'}",
-                )
-
-            cases.append(_case(f"n{nn}-w{row['w']}", thunk))
-    return cases
+    return [
+        _case(f"n{nn}-w{row['w']}", partial(_lambda_table_check, nn, row))
+        for nn in _ns(n, (4, 5))
+        for row in tables[str(nn)]
+    ]
 
 
 def _suite_prop_5_1(n, trials, rng):
-    cases = []
-    for nn in _ns(n, (2, 3, 4, 5, 6)):
-        for d in range(1, min(3, nn - 1) + 1):
-            rect = Partition.rectangle(d, nn - d)
-            for lam in partitions_in_rectangle(d, nn - d):
-                def thunk(nn=nn, d=d, lam=lam, rect=rect):
-                    target = complement(lam, d, nn)
-                    for mu in all_partitions_up_to(rect.weight):
-                        expected = 1 if mu == target else 0
-                        if klr_coeff(lam, mu, rect) != expected:
-                            return False, f"c_({lam.to_text()}),({mu.to_text()})^R", str(expected)
-                    return True, "delta(lambda-complement, mu)", "delta(lambda-complement, mu)"
-
-                cases.append(_case(f"n{nn}-d{d}-[{lam.to_text()}]", thunk))
-    return cases
-
-
-def _random_dspec(nn, rng):
-    d = rng.randint(1, nn - 1)
-    theta = tuple(rng.randint(-3, nn) for _ in range(d))
-    a = tuple(rng.randint(0, nn) for _ in range(d))
-    return DSpec(theta, a, nn)
+    return [
+        _case(tag, partial(_prop_5_1_check, nn, d, lam))
+        for nn, d, lam, tag in _rectangles(_ns(n, (2, 3, 4, 5, 6)), max_d=3)
+    ]
 
 
 def _suite_d_recursions(n, trials, rng):
@@ -321,240 +437,79 @@ def _suite_d_recursions(n, trials, rng):
     cases = []
     for nn in _ns(n, (3, 4, 5)):
         specs = [_random_dspec(nn, rng) for _ in range(count)]
-
-        def thunk(nn=nn, specs=specs):
-            for spec in specs:
-                if not d_recursion_check(spec):
-                    return False, f"recursions at {spec}", "recursions (1)-(3)"
-            return True, f"{len(specs)} random specs", "recursions (1)-(3)"
-
-        cases.append(_case(f"n{nn}-recursions", thunk))
-
-        def base_thunk(nn=nn):
-            for d in range(1, nn):
-                for lam in partitions_in_rectangle(d, nn - d):
-                    if not d_base_check(lam, d, nn):
-                        return False, f"base case at n={nn}, {lam}", "Schur value"
-            return True, "all rectangle-bounded shapes", "Schur values"
-
-        cases.append(_case(f"n{nn}-base-schur", base_thunk))
-
-        def perp_thunk(nn=nn, specs=specs):
-            for spec in specs:
-                for i in (1, 2):
-                    if not perp_d_check(i, spec.d, spec):
-                        return False, f"perp shifts, i = {i}, at {spec}", "shifted D's"
-            return True, f"{len(specs)} random specs, i = 1, 2", "shifted D's"
-
-        cases.append(_case(f"n{nn}-perp-shifts", perp_thunk))
+        cases += [
+            _case(f"n{nn}-recursions", partial(_recursions_check, specs)),
+            _case(f"n{nn}-base-schur", partial(_base_schur_check, nn)),
+            _case(f"n{nn}-perp-shifts", partial(_perp_shifts_check, specs)),
+        ]
     return cases
 
 
 def _suite_lattice_identity(n, trials, rng):
-    pairs = ((3, 1), (4, 2), (5, 2), (5, 3))
-    if n is not None:
-        pairs = tuple(p for p in pairs if p[0] == n)
-    cases = []
-    for nn, d in pairs:
-        cases.append(
-            _case(
-                f"n{nn}-d{d}-column-sum",
-                lambda nn=nn, d=d: (
-                    sigma_identity_check(nn, d),
-                    f"D[{d}..1; {d - 1}..0]",
-                    "sum over decreasing a of D[d-1..0; a]",
-                ),
-            )
-        )
-
-        def eq2_thunk(nn=nn, d=d):
-            from itertools import combinations as icombs
-
-            for i_vec in icombs(range(nn - 1, -1, -1), d):
-                if not kernel_det_identity(nn, d, i_vec):
-                    return False, f"kernel dets at i={i_vec}", "equal"
-            return True, "kernel determinant identity, all index vectors", "equal"
-
-        cases.append(_case(f"n{nn}-d{d}-kernel-dets", eq2_thunk))
-    return cases
-
-
-def _quantization_chain_cases(nn, d, lam):
-    """The quantization chain at one (n, d, lambda): the quantized Schur
-    determinant, its image as a D-ratio, and the skew-operator form."""
-    from .peterson import skew_rectangle_check
-
-    ctx = phi_context(nn)
-
-    def quantize_side():
-        xvars = tuple(f"x{i}" for i in range(1, nn + 1))
-        s_poly = schur(lam).expand_in_vars(d).substitute(
-            {f"x{j}": 1 - Poly.variable(xvars, f"x{j}") for j in range(1, d + 1)}, xvars
-        )
-        lhs = quantize(s_poly, nn)
-        rhs = s_q_poly(lam, d, nn).with_vars(lhs.vars)
-        return lhs == rhs, f"Qhat(s_({lam.to_text()})(1-x))", "quantized Schur determinant"
-
-    def image_side():
-        from .quantum import phi_s_q_image
-
-        lhs = phi_s_q_image(lam, d, nn)
-        theta = tuple(d - (lam.part(d + 1 - a) + a) for a in range(1, d + 1))
-        num = d_plain(theta, nn)
-        den = d_plain(range(d - 1, -1, -1), nn)
-        ok = lhs * ctx.from_symfunc(den) == ctx.from_symfunc(num)
-        return ok, f"phi(SQ_({lam.to_text()},{d}))", "D-ratio"
-
-    def skew_side():
-        ok = skew_rectangle_check(lam, d, nn)
-        return ok, f"kappa_{d}(s)-perp g_R{d}", "D(d-i)"
-
-    return quantize_side, image_side, skew_side
+    return [
+        _case(f"n{nn}-d{d}-{name}", partial(check, nn, d))
+        for nn, d in ((3, 1), (4, 2), (5, 2), (5, 3))
+        if n in (None, nn)
+        for name, check in (("column-sum", _column_sum_check), ("kernel-dets", _kernel_det_check))
+    ]
 
 
 def _suite_prop_6_chain(n, trials, rng):
-    cases = []
-    for nn in _ns(n, (3, 4, 5)):
-        for d in range(1, nn):
-            for lam in partitions_in_rectangle(d, nn - d):
-                quantize_side, image_side, skew_side = _quantization_chain_cases(
-                    nn, d, lam
-                )
-                tag = f"n{nn}-d{d}-[{lam.to_text()}]"
-                cases.append(_case(f"{tag}-quantize", quantize_side))
-                cases.append(_case(f"{tag}-image", image_side))
-                cases.append(_case(f"{tag}-skew", skew_side))
-    return cases
-
-
-def _toda_trial(nn, rng):
-    pt = random_z_point(nn, rng)
-    params = gamma_of_point(pt)
-    phi = alpha(pt)
-    bd = beta_full(phi, params)
-    if bd.point != pt or alpha(bd.point) != phi or bd.L != lax_matrix(bd.point):
-        return False, "round trip", "identity"
-    expect_detR = Rational((-1) ** (nn * (nn - 1) // 2))
-    for i in range(1, nn):
-        expect_detR *= pt.Q[i - 1] ** (nn - i)
-    if bd.R.det() != expect_detR:
-        return False, "det R", "Q-power product"
-    prod_q = Rational(1)
-    for i in range(1, nn):
-        prod_q *= pt.Q[i - 1]
-        if bd.R[i + 1, i] != Rational((-1) ** (nn - i - 1)) * prod_q:
-            return False, f"r_{i + 1}{i}", "signed Q product"
-        if bd.R[i + 1, i] != ru_ratio_formula(bd.X, i):
-            return False, f"r_{i + 1}{i}", "minor ratio"
-    # alpha's phi is monic, so beta_full's X is phi(C_gamma) itself.
-    if not is_phi_of_companion(bd.X, phi, params):
-        return False, "X", "phi(C_gamma)"
-    for i in range(1, nn):
-        lm = bd.L.minor(range(i + 1, nn + 1), range(i + 1, nn + 1))
-        if lm != bd.S[i - 1] / bd.T[i - 1]:
-            return False, f"principal minor {i}", "S_i/T_i"
-    # Entries of U against the partial spectral invariants (x_j = 1 - z_j);
-    # valid at every point of the open locus.
-    F = partial_invariants(pt)
-    for i in range(2, nn + 1):
-        for j in range(1, i):
-            if bd.U[i, j] != F[i - 1][i - j] * (-1) ** (j - 1):
-                return False, f"u_{i}{j}", "partial invariant"
-    return True, "round trip + minor identities", "all equal"
+    return [
+        _case(f"{tag}-{side}", partial(check, nn, d, lam))
+        for nn, d, lam, tag in _rectangles(_ns(n, (3, 4, 5)))
+        for side, check in (
+            ("quantize", _quantize_check),
+            ("image", _s_q_image_check),
+            ("skew", _skew_check),
+        )
+    ]
 
 
 def _suite_toda_roundtrip(n, trials, rng):
     count = 100 if trials is None else trials
-    cases = []
-    for nn in _ns(n, (2, 3, 4, 5)):
-        for t in range(count):
-            cases.append(
-                _case(
-                    f"n{nn}-t{t}",
-                    lambda nn=nn, seed=rng.getrandbits(48): _toda_trial(
-                        nn, random.Random(seed)
-                    ),
-                )
-            )
-    return cases
+    return [
+        _case(f"n{nn}-t{t}", partial(_seeded_toda_trial, nn, rng.getrandbits(48)))
+        for nn in _ns(n, (2, 3, 4, 5))
+        for t in range(count)
+    ]
 
 
 def _suite_conjecture2(n, trials, rng):
     nn = 5 if n is None else n
-    cases = []
-    fibers: dict = {}
     order = sorted(all_permutations(nn), key=lambda w: w.images)
+    fibers: dict = {}
     for w in order:
-        def div_thunk(w=w, nn=nn):
-            lam = lambda_map(w).partition
-            record = {
-                "w": w.to_text(),
-                "lambda": lam.to_text(),
-                "lambda_conj": k_conjugate(lam, nn - 1).to_text(),
-            }
-            try:
-                value = g_tilde(w)
-            except NonPolynomialImageError:
-                record.update({"gtilde": None, "divisibility": False})
-                return False, json.dumps(record, sort_keys=True), "polynomial in Lambda_(n)"
-            ok = value.in_lambda_n(nn)
-            record.update({"gtilde": value.to_str(), "divisibility": ok})
-            return ok, json.dumps(record, sort_keys=True), "polynomial in Lambda_(n)"
-
-        cases.append(_case(f"divisibility-w{w.to_text()}", div_thunk, tier="report"))
         fibers.setdefault(lambda_map(w).partition, []).append(w)
-    for lam in sorted(fibers, key=lambda p: (p.weight, p.parts)):
-        members = fibers[lam]
-
-        def fiber_thunk(members=members):
-            values = {g_tilde(w).to_str() for w in members}
-            return (
-                len(values) == 1,
-                f"fiber size {len(members)}, {len(values)} distinct value(s)",
-                "one value per fiber",
-            )
-
-        cases.append(
-            _case(f"fiber-[{lam.to_text() or 'empty'}]", fiber_thunk, tier="report")
-        )
-    return cases
-
-
-def _conjecture_7_4_thunk(nn):
-    def thunk():
-        w0 = Permutation.longest(nn)
-        expected = SymFunc.one()
-        for i in range(1, nn - 1):
-            expected = expected * dual_groth(Partition([nn - 1 - i] * i))
-        value = g_tilde(w0)
-        return value == expected, value.to_str(), expected.to_str()
-
-    return thunk
+    return [
+        _case(f"divisibility-w{w.to_text()}", partial(_divisibility_check, nn, w), "report")
+        for w in order
+    ] + [
+        _case(f"fiber-[{lam.to_text() or 'empty'}]", partial(_fiber_check, fibers[lam]), "report")
+        for lam in sorted(fibers, key=lambda p: (p.weight, p.parts))
+    ]
 
 
 def _suite_conjecture_7_4(n, trials, rng):
-    cases = []
-    for nn in _ns(n, (3, 4)):
-        if nn <= 4:
-            cases.append(_case(f"n{nn}-longest", _conjecture_7_4_thunk(nn)))
-    if n in (None, 5):
-        cases.append(_case("n5-longest", _conjecture_7_4_thunk(5), tier="report"))
-    return cases
+    return [
+        _case(
+            f"n{nn}-longest",
+            partial(
+                _g_tilde_product_check,
+                Permutation.longest(nn),
+                [Partition([nn - 1 - i] * i) for i in range(1, nn - 1)],
+            ),
+            "assert" if nn <= 4 else "report",
+        )
+        for nn in _ns(n, (3, 4, 5))
+    ]
 
 
 def _suite_buch_cor_5_7(n, trials, rng):
-    cases = []
-    for nn in _ns(n, (2, 3, 4, 5)):
-        for d in range(1, nn):
-            for lam in partitions_in_rectangle(d, nn - d):
-                def thunk(nn=nn, d=d, lam=lam):
-                    w = grassmannian_perm(lam, d, nn)
-                    gp = groth_poly(w)
-                    sg = stable_groth_vars(lam, d).with_vars(gp.vars)
-                    return gp == sg, f"G_({lam.to_text()})(x1..x{d})", f"groth({w.to_text()})"
-
-                cases.append(_case(f"n{nn}-d{d}-[{lam.to_text()}]", thunk))
-    return cases
+    return [
+        _case(tag, partial(_buch_check, nn, d, lam))
+        for nn, d, lam, tag in _rectangles(_ns(n, (2, 3, 4, 5)))
+    ]
 
 
 # Each suite with the values of --n it accepts: every one builds at least one

@@ -23,12 +23,23 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from math import comb
 
 from .partitions import Partition
 from .polynomials import Poly, format_terms, power_table, terms_add, terms_mul, terms_scale
 from .scalars import Rational, normalize, rat, rational_from_text, rational_to_text
 
 __all__ = ["SymFunc", "schur", "to_p_dict", "from_p_dict", "perp"]
+
+
+def _geom_series_coeffs(theta: int, n: int):
+    """Coefficients of (1-v)^{-theta} up to v^{n-1} (integer list)."""
+    if theta == 0:
+        return [1] + [0] * (n - 1)
+    if theta > 0:
+        return [comb(theta + l - 1, l) for l in range(n)]
+    m = -theta
+    return [((-1) ** l) * comb(m, l) if l <= m else 0 for l in range(n)]
 
 
 def _trim(exps):

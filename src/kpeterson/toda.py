@@ -19,7 +19,7 @@ modulo the characteristic polynomial (valid for every gamma), and beta reads
 everything off that one matrix X: T/S are its leading minors from one
 fraction-free elimination (``RingMatrix.leading_minors``), det X = S_n, and
 the point (z, Q) is a ratio of T's and S's.  ``is_phi_of_companion``
-checks a built X by its commutation with C_gamma and its first row.  The RU
+checks a built X by its first row and the row recurrence of C_gamma.  The RU
 decomposition is one Doolittle LU (``RingMatrix.lu``) of X with its column n
 moved first; its three factors give U, U^{-1} and R, so beta takes
 L = U C_gamma U^{-1} as two products.  No decomposition solves a system
@@ -367,13 +367,20 @@ def phi_of_companion(phi: TruncSeriesPhi, params: SpectralParams) -> RingMatrix:
 def is_phi_of_companion(
     X: RingMatrix, phi: TruncSeriesPhi, params: SpectralParams
 ) -> bool:
-    """Whether X = phi(C_gamma): X commutes with C_gamma and its first row
-    holds phi's zeta-coefficients.  The matrices that commute with a
-    companion matrix are its polynomials of degree < n, and such a
-    polynomial p(C_gamma) has p's coefficients as its first row, so the two
-    conditions fix X."""
-    C = companion_matrix(params)
-    return X * C == C * X and list(X.rows[0]) == phi.to_zeta_coeffs()
+    """Whether X = phi(C_gamma): X's first row holds phi's
+    zeta-coefficients and each next row is the row above times C_gamma.
+    Since e_{i+1}^T = e_i^T C_gamma, every polynomial p(C_gamma) of degree
+    < n has this shape with p's coefficients as its first row, and the first
+    row and the recurrence fix X.  Row r times C_gamma is r shifted right by
+    one plus r_n times the last row of C_gamma, so the check takes O(n^2)
+    ring operations and no matrix product."""
+    last = companion_matrix(params).rows[-1]
+    if list(X.rows[0]) != phi.to_zeta_coeffs():
+        return False
+    return all(
+        list(below) == [r[-1] * last[0]] + [a + r[-1] * c for a, c in zip(r, last[1:])]
+        for r, below in zip(X.rows, X.rows[1:])
+    )
 
 
 def _ts_minors(X: RingMatrix):

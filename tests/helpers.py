@@ -15,10 +15,9 @@ from math import comb
 from kpeterson.grothendieck import stable_groth_vars
 from kpeterson.matrices import DecompositionError, RingMatrix
 from kpeterson.partitions import Partition
-from kpeterson.peterson import _geom_series_coeffs
 from kpeterson.polynomials import Poly, grouped_product, power_table, zq_vars
 from kpeterson.scalars import Rational, exact_quotient, normalize, rat
-from kpeterson.symfunc import SymFunc, _sorted_terms, _trim, schur, to_p_dict
+from kpeterson.symfunc import SymFunc, _geom_series_coeffs, _sorted_terms, _trim, schur, to_p_dict
 from kpeterson.toda import _MAX_TRIES, SpectralParams, TodaPoint, TruncSeriesPhi, beta_full
 
 
