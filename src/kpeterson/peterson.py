@@ -257,10 +257,8 @@ class LocFrac:
             return other
         if other.num.is_zero():
             return self
-        common = tuple(max(a, b) for a, b in zip(self.den, other.den))
-        left = ctx.times_factors(self.num, [c - a for c, a in zip(common, self.den)])
-        right = ctx.times_factors(other.num, [c - b for c, b in zip(common, other.den)])
-        return LocFrac(ctx, left + right, common)
+        left, right = self._cross(other)
+        return LocFrac(ctx, left + right, tuple(map(max, self.den, other.den)))
 
     __radd__ = __add__
 
@@ -276,10 +274,18 @@ class LocFrac:
             return self.num == ctx.times_factors(other, self.den)
         if self.den == other.den:
             return self.num == other.num
-        common = [min(a, b) for a, b in zip(self.den, other.den)]
-        left = ctx.times_factors(self.num, [b - c for b, c in zip(other.den, common)])
-        right = ctx.times_factors(other.num, [a - c for a, c in zip(self.den, common)])
+        left, right = self._cross(other)
         return left == right
+
+    def _cross(self, other):
+        """The two numerators over the least common denominator: each times
+        the factors of the other denominator that its own lacks, with
+        exponents max(0, b - a)."""
+        times = self.ctx.times_factors
+        return (
+            times(self.num, [max(0, b - a) for a, b in zip(self.den, other.den)]),
+            times(other.num, [max(0, a - b) for a, b in zip(self.den, other.den)]),
+        )
 
     def __bool__(self):
         return not self.num.is_zero()

@@ -5,8 +5,8 @@ staircase monomial; the quantization map rewrites a polynomial over the
 f-monomial basis (products of elementary symmetric polynomials in 1-x_1,
 ..., 1-x_j) and replaces each basis element by its Q-deformation F^(j)_i.
 Both come from the one table of partial invariants in ``toda``: the factors
-are that table at z = 1 - x and Q = 0, and ``fq_poly_z`` (re-exported here)
-reads it over z/Q.
+are that table at z = 1 - x and Q = 0, ``fq_poly`` reads it at z = 1 - x,
+and ``fq_poly_z`` (re-exported here) reads it over z/Q.
 The Peterson images are the paper's D-ratios phi(F^(m)_i) = D(theta)/tau_m:
 phi(G^Q_w) sums the f-basis coordinates of G_w over the numerators D(theta),
 over the one denominator tau_1 ... tau_{n-1}, and is reduced once.  Both
@@ -29,7 +29,7 @@ from .peterson import LocFrac, d_plain, phi_context
 from .polynomials import Poly, grouped_product, xq_vars
 from .scalars import normalize
 from .symfunc import SymFunc
-from .toda import _f_table, fq_poly_z
+from .toda import _f_table, _table_entry, fq_poly_z
 
 __all__ = [
     "groth_poly",
@@ -96,13 +96,14 @@ def groth_poly(w) -> Poly:
 
 
 @lru_cache(maxsize=None)
+def _xq_table(n: int):
+    xq = [Poly.variable(xq_vars(n), v) for v in xq_vars(n)]
+    return _f_table([1 - xj for xj in xq[:n]], xq[n:])
+
+
 def fq_poly(n: int, m: int, i: int) -> Poly:
-    """F^(m)_i over x1..xn, Q1..Q_{n-1}: fq_poly_z with z_j = 1 - x_j."""
-    variables = xq_vars(n)
-    return fq_poly_z(n, m, i).substitute(
-        {f"z{j}": 1 - Poly.variable(variables, f"x{j}") for j in range(1, n + 1)},
-        variables,
-    )
+    """F^(m)_i over x1..xn, Q1..Q_{n-1}: the F-table at z_j = 1 - x_j."""
+    return _table_entry(_xq_table(n), m, i)
 
 
 class QuantizeContext:
@@ -205,9 +206,7 @@ def quantum_groth(w) -> Poly:
 
 def s_q_poly(lam: Partition, d: int, n: int) -> Poly:
     """The quantized Schur determinant det(F^(d+j-1)_{lambda'_i - i + j})."""
-    return _quantized_schur_det(
-        lam, d, n, lambda m, k: fq_poly(n, m, k), Poly.const(xq_vars(n), 1)
-    )
+    return _quantized_schur_det(lam, d, n, partial(fq_poly, n), Poly.const(xq_vars(n), 1))
 
 
 def _quantized_schur_det(lam: Partition, d: int, n: int, entry, one):
@@ -403,6 +402,4 @@ def g_tilde(w) -> SymFunc:
 def phi_s_q_image(lam: Partition, d: int, n: int) -> LocFrac:
     """phi(S^Q_{lam,d}) computed as the determinant of the entrywise images
     of the quantized Schur matrix (phi is a ring homomorphism)."""
-    return _quantized_schur_det(
-        lam, d, n, lambda m, k: phi_f_image(n, m, k), phi_context(n).one
-    )
+    return _quantized_schur_det(lam, d, n, partial(phi_f_image, n), phi_context(n).one)

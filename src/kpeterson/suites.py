@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import partial
 from importlib import resources
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 from . import __version__
@@ -39,6 +39,7 @@ from .peterson import (
     d_plain,
     d_recursion_check,
     kernel_det_identity,
+    kernel_value,
     perp_d_check,
     phi_context,
     sigma_identity_check,
@@ -252,6 +253,13 @@ def _column_sum_check(n, d):
 
 
 def _kernel_det_check(n, d):
+    # every K^theta_{a,i} the identity reads (theta <= d; a, i < n), against
+    # the binomial path count, since the identity also holds for a kernel
+    # shifted in theta
+    for theta, a, i in product(range(d + 1), range(n), range(n)):
+        binomial = comb(i - a + theta - 1, theta - 1) if theta and i >= a else int(a == i)
+        if kernel_value(theta, a, i) != binomial:
+            return False, f"K^{theta}_({a},{i})", f"binomial {binomial}"
     for i_vec in combinations(range(n - 1, -1, -1), d):
         if not kernel_det_identity(n, d, i_vec):
             return False, f"kernel dets at i={i_vec}", "equal"

@@ -9,38 +9,33 @@ that realizes the correspondence between Lax matrices and polynomial
 classes phi all live here.
 
 Each construction reads its matrix's structure, over any coefficient ring:
-every F^(m)_i comes from one recurrence (``_f_table``), L is written entry
-by entry, and the characteristic minor is a continuant on zeta-coefficient
-lists in z and Q, each taken as exact rationals at a point or as z/Q
-polynomials; the quantization map reads the same table at z = 1 - x, Q = 0.
+every Toda polynomial comes from one recurrence (``_f_table``), in z and Q
+taken as exact rationals at a point or as z/Q polynomials.  It gives the
+F^(m)_i, and the characteristic minor of alpha as the invariants of the
+chain z_2..z_n; the quantization map reads it at z = 1 - x.  L is written
+entry by entry.  A class phi is kept as its zeta-coefficients, and
 phi(C_gamma) is built once, over the rational or symmetric-function
-coordinates of a class phi, row by row as the remainders of phi*zeta^j
-modulo the characteristic polynomial (valid for every gamma), and beta reads
-everything off that one matrix X: T/S are its leading minors from one
-fraction-free elimination (``RingMatrix.leading_minors``), det X = S_n, and
-the point (z, Q) is a ratio of T's and S's.  ``is_phi_of_companion``
-checks a built X by its first row and the row recurrence of C_gamma.  The RU
-decomposition is one Doolittle LU (``RingMatrix.lu``) of X with its column n
-moved first; its three factors give U, U^{-1} and R, so beta takes
-L = U C_gamma U^{-1} as two products.  No decomposition solves a system
-and nothing is inverted.
+coordinates of phi, row by row as the remainders of phi*zeta^j modulo the
+characteristic polynomial (valid for every gamma), one remainder step a
+row.  beta reads everything off that one matrix X: T/S are its leading
+minors from one fraction-free elimination (``RingMatrix.leading_minors``),
+det X = S_n, and the point (z, Q) is a ratio of T's and S's.
+``is_phi_of_companion`` checks a built X by its first row and the row
+recurrence of C_gamma.  The RU decomposition is one Doolittle LU
+(``RingMatrix.lu``) of X with its column n moved first; its three factors
+give U, U^{-1} and R, so beta takes L = U C_gamma U^{-1} as two products.
+No decomposition solves a system and nothing is inverted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import zip_longest
-from math import comb
+from math import comb, prod
 
 from .matrices import DecompositionError, RingMatrix
 from .polynomials import Poly, zq_vars
-from .scalars import (
-    Rational,
-    rat,
-    rational_from_text,
-    rational_to_text,
-)
+from .scalars import Rational, rat
 from .symfunc import SymFunc
 
 __all__ = [
@@ -84,26 +79,8 @@ class TodaPoint:
     def __post_init__(self):
         if len(self.z) != self.n or len(self.Q) != self.n - 1:
             raise ValueError("wrong component counts")
-        prod = Rational(1)
-        for zi in self.z:
-            prod = prod * zi
-        if prod != 1:
+        if prod(self.z) != 1:
             raise ValueError("z_1...z_n must equal 1")
-
-    def to_json(self):
-        return {
-            "n": self.n,
-            "z": [rational_to_text(v) for v in self.z],
-            "Q": [rational_to_text(v) for v in self.Q],
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(
-            data["n"],
-            tuple(rational_from_text(v) for v in data["z"]),
-            tuple(rational_from_text(v) for v in data["Q"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -124,55 +101,50 @@ class SpectralParams:
 
     def char_poly_coeffs(self):
         """Ascending coefficients of zeta^n + sum (-1)^i gamma_i zeta^{n-i}."""
-        n = self.n
-        coeffs = [Rational(0)] * (n + 1)
-        coeffs[n] = Rational(1)
-        for i in range(1, n + 1):
-            coeffs[n - i] = rat(self.gamma[i - 1]) * (-1) ** i
-        return coeffs
+        return [rat(g) * (-1) ** i for i, g in enumerate(self.gamma, 1)][::-1] + [Rational(1)]
 
 
 class TruncSeriesPhi:
-    """A polynomial class of degree <= n-1, stored through the coordinates
-    c_0..c_{n-1} with phi = sum (-1)^i c_i (zeta-1)^i.  Coefficients are
-    Rational or SymFunc."""
+    """A polynomial class of degree <= n-1, given by the coordinates
+    c_0..c_{n-1} with phi = sum (-1)^i c_i (zeta-1)^i and stored as the
+    ascending zeta-coefficients of phi, which every consumer reads.
+    Coefficients are Rational or SymFunc."""
 
-    __slots__ = ("n", "c", "_zeta")
+    __slots__ = ("n", "_coeffs")
 
     def __init__(self, n: int, c):
-        c = tuple(c)
+        c = list(c)
         if len(c) != n:
             raise ValueError("need exactly n coordinates")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "_zeta", None)
+        object.__setattr__(self, "_coeffs", tuple(_binomial_flip(c)))
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncSeriesPhi is immutable")
 
+    @property
+    def c(self):
+        """The coordinates c_0..c_{n-1}."""
+        return tuple(_binomial_flip(self._coeffs))
+
     def __eq__(self, other):
-        return (
-            isinstance(other, TruncSeriesPhi)
-            and self.n == other.n
-            and all(a == b for a, b in zip(self.c, other.c))
-        )
+        return isinstance(other, TruncSeriesPhi) and self._coeffs == other._coeffs
 
     def __repr__(self):
         return f"TruncSeriesPhi(n={self.n}, c={list(self.c)})"
 
     @classmethod
     def from_zeta_coeffs(cls, n: int, coeffs) -> "TruncSeriesPhi":
-        """From ascending coefficients of phi(zeta), degree <= n-1."""
-        coeffs = (list(coeffs) + [0] * n)[:n]
-        phi = cls(n, _binomial_flip(coeffs))
-        object.__setattr__(phi, "_zeta", tuple(coeffs))
+        """From ascending coefficients of phi(zeta), degree <= n-1, stored as
+        given, padded with zeros or cut to n entries."""
+        phi = cls.__new__(cls)
+        object.__setattr__(phi, "n", n)
+        object.__setattr__(phi, "_coeffs", tuple((list(coeffs) + [0] * n)[:n]))
         return phi
 
     def to_zeta_coeffs(self):
-        """Ascending coefficients of phi(zeta), flipped once per object."""
-        if self._zeta is None:
-            object.__setattr__(self, "_zeta", tuple(_binomial_flip(self.c)))
-        return list(self._zeta)
+        """Ascending coefficients of phi(zeta), as a new list."""
+        return list(self._coeffs)
 
     @classmethod
     def symbolic_unipotent(cls, n: int) -> "TruncSeriesPhi":
@@ -180,11 +152,11 @@ class TruncSeriesPhi:
         return cls(n, [SymFunc.h(i) for i in range(n)])
 
     def scaled(self, factor) -> "TruncSeriesPhi":
-        return TruncSeriesPhi(self.n, [ci * factor for ci in self.c])
+        return TruncSeriesPhi.from_zeta_coeffs(self.n, [a * factor for a in self._coeffs])
 
     def normalized(self) -> "TruncSeriesPhi":
         """Monic representative (top zeta-coefficient 1); rational only."""
-        top = self.to_zeta_coeffs()[-1]
+        top = self._coeffs[-1]
         if not top:
             raise YConditionError("Y1")
         return self.scaled(Rational(1) / top)
@@ -230,12 +202,17 @@ def _zq_table(n: int):
     return _f_table(*_symbolic_entries(zq_vars(n), n))
 
 
+def _table_entry(table, m: int, i: int):
+    """table[m][i] of an ``_f_table`` of n = len(table) - 1, zero for i > m."""
+    if not (1 <= m < len(table) and 0 <= i):
+        raise ValueError("need 1 <= m <= n and i >= 0")
+    return table[m][i] if i <= m else table[0][0] * 0
+
+
 def fq_poly_z(n: int, m: int, i: int) -> Poly:
     """F^(m)_i over z1..zn, Q1..Q_{n-1} (zero for i > m): a sum of plain
     monomials, which the Peterson map evaluates fastest."""
-    if not (1 <= m <= n and 0 <= i):
-        raise ValueError("need 1 <= m <= n and i >= 0")
-    return _zq_table(n)[m][i] if i <= m else Poly.zero(zq_vars(n))
+    return _table_entry(_zq_table(n), m, i)
 
 
 def f_invariant(n: int, i: int) -> Poly:
@@ -276,17 +253,12 @@ def _lax(z, Q) -> RingMatrix:
 
 def _char_minor(z, Q):
     """The ascending zeta-coefficients of Delta_{1,1}(zeta*B - A), over the
-    ring of the entries z_i, Q_i: the continuant
-    D_k = (zeta - z_k) D_{k-1} + zeta Q_{k-1} z_{k-1} D_{k-2} of its
-    tridiagonal rows and columns 2..n (superdiagonal 1), on coefficient
-    lists."""
-    zero = z[0] * 0
-    prev, cur = [], [zero + 1]
-    for k in range(1, len(z)):
-        w = Q[k - 1] * z[k - 1]
-        shifted = [zero] + [c + w * p for c, p in zip_longest(cur, prev, fillvalue=zero)]
-        prev, cur = cur, [t - z[k] * c for t, c in zip_longest(shifted, cur, fillvalue=zero)]
-    return cur
+    ring of the entries z_i, Q_i.  Rows and columns 2..n of B and A are the
+    Lax pair of the chain z_2..z_n, Q_2..Q_{n-1} (B's block is unipotent),
+    so the minor is that chain's characteristic polynomial: the coefficient
+    of zeta^{n-1-i} is (-1)^i F_i(z_2..z_n; Q_2..Q_{n-1})."""
+    row = _f_table(z[1:], Q[1:])[-1] if len(z) > 1 else [z[0] * 0 + 1]
+    return [-f if i % 2 else f for i, f in enumerate(row)][::-1]
 
 
 def _point_entries(pt: TodaPoint):
@@ -332,35 +304,22 @@ def companion_matrix(params: SpectralParams) -> RingMatrix:
     return RingMatrix(rows)
 
 
-def _poly_mod(coeffs, modulus):
-    """Reduce an ascending coefficient list modulo a monic modulus list."""
-    coeffs = list(coeffs)
-    deg_m = len(modulus) - 1
-    while len(coeffs) > deg_m:
-        lead = coeffs[-1]
-        if lead:
-            shift = len(coeffs) - 1 - deg_m
-            for k in range(deg_m + 1):
-                coeffs[shift + k] = coeffs[shift + k] - lead * modulus[k]
-        coeffs.pop()
-    return coeffs
-
-
 def phi_of_companion(phi: TruncSeriesPhi, params: SpectralParams) -> RingMatrix:
     """phi(C_gamma), over the coefficient ring of phi: row j + 1 is the
-    remainder of phi*zeta^j modulo the characteristic polynomial chi, each
-    row one shift and one reduction of the row above.  Since
+    remainder of phi*zeta^j modulo the monic characteristic polynomial chi,
+    so the row below a row r is one remainder step,
+    (0, r_1..r_{n-1}) - r_n (chi_0..chi_{n-1}).  Since
     e_1^T C_gamma^k = e_{k+1}^T for k < n, e_1^T p(C_gamma) is the
     coefficient vector of any p of degree < n, and row j + 1 of phi(C_gamma)
     is e_1^T C_gamma^j phi(C_gamma) = e_1^T (zeta^j phi mod chi)(C_gamma)."""
     n = phi.n
     if params.n != n:
         raise ValueError("size mismatch")
-    zero = phi.c[0] * 0
-    modulus = params.char_poly_coeffs()
+    chi = params.char_poly_coeffs()
     rows = [phi.to_zeta_coeffs()]
     for _ in range(n - 1):
-        rows.append(_poly_mod([zero] + rows[-1], modulus))
+        r = rows[-1]
+        rows.append([-(r[-1] * chi[0])] + [a - r[-1] * b for a, b in zip(r, chi[1:n])])
     return RingMatrix(rows)
 
 
@@ -439,7 +398,7 @@ def ru_ratio_formula(X: RingMatrix, i: int):
 
 def alpha(pt: TodaPoint) -> TruncSeriesPhi:
     """The polynomial class [Delta_{1,1}] of a Toda point (monic, degree
-    n-1)."""
+    n-1), read off the F-table of the chain z_2..z_n (``_char_minor``)."""
     coeffs = _char_minor(*_point_entries(pt))
     assert len(coeffs) == pt.n and coeffs[-1] == 1
     return TruncSeriesPhi.from_zeta_coeffs(pt.n, coeffs)
@@ -500,8 +459,6 @@ def minor_formulas(phi: TruncSeriesPhi, params: SpectralParams) -> bool:
 
 # -- sampling ------------------------------------------------------------------------
 
-_MAX_TRIES = 10000  # rejection-sampling attempts; the loci are dense
-
 
 def _random_rational(rng, allow_zero=False):
     num = rng.randint(-9, 9)
@@ -511,23 +468,11 @@ def _random_rational(rng, allow_zero=False):
 
 
 def random_z_point(n: int, rng) -> TodaPoint:
-    """A random rational point of the open locus: non-zero z with product 1,
-    non-zero Q, and non-vanishing trailing minors of L (condition Z_3).
-
-    The conditions cut out a dense open set, so rejection sampling is
-    cheap."""
-    for _ in range(_MAX_TRIES):
-        z = [_random_rational(rng) for _ in range(n - 1)]
-        prod = Rational(1)
-        for v in z:
-            prod = prod * v
-        z.append(Rational(1) / prod)
-        Q = tuple(_random_rational(rng) for _ in range(n - 1))
-        pt = TodaPoint(n, tuple(z), Q)
-        L = lax_matrix(pt)
-        if all(
-            L.minor(range(i + 1, n + 1), range(i + 1, n + 1))
-            for i in range(1, n)
-        ):
-            return pt
-    raise RuntimeError("sampling failed; the locus should be dense")
+    """A random rational point of the open locus: non-zero z with product 1
+    and non-zero Q.  Its trailing minors of L (condition Z_3) never vanish,
+    so nothing is rejected: A is upper and B^{-1} unipotent lower
+    triangular, so the trailing principal minor of L = A B^{-1} on rows
+    i+1..n is that of A, z_{i+1}...z_n."""
+    z = [_random_rational(rng) for _ in range(n - 1)]
+    Q = tuple(_random_rational(rng) for _ in range(n - 1))
+    return TodaPoint(n, (*z, Rational(1) / prod(z)), Q)

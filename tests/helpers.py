@@ -18,7 +18,9 @@ from kpeterson.partitions import Partition
 from kpeterson.polynomials import Poly, grouped_product, power_table, zq_vars
 from kpeterson.scalars import Rational, exact_quotient, normalize, rat
 from kpeterson.symfunc import SymFunc, _geom_series_coeffs, _sorted_terms, _trim, schur, to_p_dict
-from kpeterson.toda import _MAX_TRIES, SpectralParams, TodaPoint, TruncSeriesPhi, beta_full
+from kpeterson.toda import SpectralParams, TodaPoint, TruncSeriesPhi, beta_full
+
+_MAX_TRIES = 10000  # rejection-sampling attempts; the loci are dense
 
 
 def random_rational(rng, allow_zero=True):
@@ -407,12 +409,24 @@ def reference_lax_to_point(L: RingMatrix) -> TodaPoint:
     return TodaPoint(n, tuple(z), Q)
 
 
+def _poly_mod(coeffs, modulus):
+    """Reduce an ascending coefficient list modulo a monic modulus list."""
+    coeffs = list(coeffs)
+    deg_m = len(modulus) - 1
+    while len(coeffs) > deg_m:
+        lead = coeffs[-1]
+        if lead:
+            shift = len(coeffs) - 1 - deg_m
+            for k in range(deg_m + 1):
+                coeffs[shift + k] = coeffs[shift + k] - lead * modulus[k]
+        coeffs.pop()
+    return coeffs
+
+
 def reference_ts_functions(phi, params):
     """T_i = (-1)^{n-i} xi^{1..i-1,n}_{1..i}(B) and S_i = xi^{1..i}_{1..i}(B),
     one ``RingMatrix.minor`` each, with row j of B the remainder of
     phi * zeta^j modulo the characteristic polynomial."""
-    from kpeterson.toda import _poly_mod
-
     n = phi.n
     zero = phi.c[0] * 0
     modulus = params.char_poly_coeffs()

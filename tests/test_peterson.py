@@ -196,6 +196,29 @@ class TestDFamily:
         assert kernel_value(2, 1, 3) == 3
         assert kernel_det_identity(4, 2, (3, 1))
 
+    def test_kernel_dets_case_fails_on_a_shifted_kernel(self, monkeypatch):
+        # K read off the (1-v)^{-(theta+1)} series still satisfies the
+        # determinant identity at every index vector, so the suite's
+        # kernel-dets cases must check the entries themselves.
+        import kpeterson.peterson as peterson
+        import kpeterson.suites as suites
+        from kpeterson.suites import run_suite
+        from kpeterson.symfunc import _geom_series_coeffs
+
+        def shifted(theta, a, i):
+            return _geom_series_coeffs(theta + 1, i - a + 1)[i - a] if i >= a else 0
+
+        for module in (peterson, suites):
+            monkeypatch.setattr(module, "kernel_value", shifted)
+        tags = {"n3-d1": (3, 1), "n4-d2": (4, 2), "n5-d2": (5, 2), "n5-d3": (5, 3)}
+        for n, d in tags.values():
+            for i_vec in combinations(range(n - 1, -1, -1), d):
+                assert kernel_det_identity(n, d, i_vec), (n, d, i_vec)
+        status = {case.id: case.status for case in run_suite("lattice-identity").cases}
+        for tag in tags:
+            assert status[f"{tag}-column-sum"] == "pass"
+            assert status[f"{tag}-kernel-dets"] == "fail", tag
+
 
 class TestKappa:
     def test_examples(self):

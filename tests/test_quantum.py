@@ -23,6 +23,7 @@ from kpeterson.quantum import (
     bounded_to_core,
     core_to_bounded,
     fq_poly,
+    fq_poly_z,
     g_tilde,
     grassmannian_perm,
     groth_poly,
@@ -94,6 +95,19 @@ class TestFQ:
         v = xq_vars(2)
         x1, Q1 = Poly.variable(v, "x1"), Poly.variable(v, "Q1")
         assert fq_poly(2, 1, 1) == (1 - x1) * (1 - Q1)
+
+    def test_table_matches_substitution_of_z_table(self):
+        # the x/Q table against F^(m)_i over z/Q at z_j = 1 - x_j
+        for n in range(1, 7):
+            variables = xq_vars(n)
+            to_x = {f"z{j}": 1 - Poly.variable(variables, f"x{j}") for j in range(1, n + 1)}
+            for m in range(1, n + 1):
+                for i in range(m + 2):
+                    expected = fq_poly_z(n, m, i).substitute(to_x, variables)
+                    assert fq_poly(n, m, i) == expected, (n, m, i)
+            for m, i in ((0, 1), (n + 1, 1), (1, -1)):
+                with pytest.raises(ValueError):
+                    fq_poly(n, m, i)
 
     def test_q_zero_specialization_is_elementary(self):
         n = 4

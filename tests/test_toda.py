@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from helpers import (
+    _poly_mod,
     random_rational,
     random_unipotent_point,
     reference_conjugate,
@@ -45,7 +46,6 @@ from kpeterson.toda import (
 )
 from kpeterson.toda import (
     _char_minor,
-    _poly_mod,
     _symbolic_entries,
     char_minor_phi_symbolic,
     lax_matrix_symbolic,
@@ -690,6 +690,16 @@ class TestAlphaBeta:
                 for i in range(1, n):
                     minor = bd.L.minor(range(i + 1, n + 1), range(i + 1, n + 1))
                     assert minor == bd.S[i - 1] / bd.T[i - 1]
+        # The trailing principal minors of L = A B^{-1} are those of A, so
+        # condition Z_3 holds at every point, Q_k = 0 or 1 included.
+        for n in range(1, 8):
+            for _ in range(20):
+                pt = random_point(n, rng)
+                L = lax_matrix(pt)
+                tail = Rational(1)
+                for i in range(n - 1, -1, -1):
+                    tail *= pt.z[i]
+                    assert L.minor(range(i + 1, n + 1), range(i + 1, n + 1)) == tail, (pt, i)
 
     def test_minor_formulas_random_and_symbolic(self):
         rng = random.Random(71)
@@ -880,12 +890,6 @@ class TestSpectrum:
                             n, i - 1, i - j
                         ).evaluate(vals)
                         assert bd.U[i, j] == expected
-
-
-def test_toda_point_json_roundtrip():
-    pt = TodaPoint(3, (q(2), q(3), q(1, 6)), (q(-1, 2), q(5)))
-    assert TodaPoint.from_json(pt.to_json()) == pt
-    assert pt.to_json()["z"] == ["2", "3", "1/6"]
 
 
 def test_beta_full_pinned_digest():
