@@ -3,13 +3,16 @@
 The dual basis elements g_lambda come from an explicit determinant in the
 h's whose top-degree part is the Schur function.  Stable Grothendieck
 polynomials in finitely many variables and the LR coefficients are computed
-by enumerating set-valued tableaux; the LR rule counts tableaux whose column
-word builds nu on lambda.
+by one walk over set-valued tableaux in column-word order; the LR rule
+counts tableaux whose column word builds nu on lambda, and the walk ends a
+branch as soon as the word read so far cannot.
 
 Sign convention: G_lambda(x_1..x_d) = sum_T (-1)^{|T| - |lambda|} x^T.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from .matrices import RingMatrix
 from .partitions import Partition
@@ -135,19 +138,36 @@ def builds(word, lam: Partition, nu: Partition) -> bool:
     return current == list(nu)
 
 
-def _enumerate_svt(shape: Partition, max_entry: int, letters: int | None):
+def _enumerate_svt(
+    shape: Partition,
+    max_entry: int,
+    letters: int | None = None,
+    lam: Partition | None = None,
+    nu: Partition | None = None,
+):
     """Yield cell dicts of set-valued tableaux of the given shape with
     entries in {1..max_entry}; if letters is given, with exactly that many
-    letters in total.  Cells are filled column by column, left to right, top
-    to bottom, backtracking on the semistandard condition.  A cell in row r
+    letters in total.
+
+    Cells are filled in column-word order: columns right to left, each top
+    to bottom.  So a cell's entries exceed the largest of the cell above it
+    (the column condition, a lower bound) and are at most the least of the
+    cell to its right (the row condition, an upper bound).  A cell in row r
     holds at most max_entry - r + 1 letters (its entries exceed the r - 1
     above it), so with a letter count a branch ends as soon as the cells
-    left cannot hold the letters still owed."""
-    order = []
-    for c in range(1, shape.part(1) + 1):
-        for r in range(1, len(shape) + 1):
-            if shape.part(r) >= c:
-                order.append((r, c))
+    left cannot take one letter each or cannot hold the letters still owed.
+
+    Given lam and nu, a shape starts at lam and each letter w, read in
+    column-word order (a cell's letters in decreasing order), adds a box to
+    its row w.  A branch ends as soon as a box would leave a partition or
+    pass nu, so with letters = |nu| - |lam| the walk yields exactly the
+    fillings whose column word builds nu on lam."""
+    order = [
+        (r, c)
+        for c in range(shape.part(1), 0, -1)
+        for r in range(1, len(shape) + 1)
+        if shape.part(r) >= c
+    ]
     ncells = len(order)
     room = [0] * (ncells + 1)  # room[k]: the most letters cells k.. can hold
     for k in range(ncells - 1, -1, -1):
@@ -156,7 +176,24 @@ def _enumerate_svt(shape: Partition, max_entry: int, letters: int | None):
         if ncells == 0 and (letters is None or letters == 0):
             yield {}
         return
+    rows = cap = None  # the shape built so far, and nu, as rows 1..width
+    if nu is not None:
+        width = max(max_entry, len(nu))
+        cap = list(nu) + [0] * (width - len(nu))
+        rows = list(lam) + [0] * (width - len(lam))
     cells: dict = {}
+
+    def add_boxes(subset) -> bool:
+        """Add the subset's boxes, largest letter first; on a box that leaves
+        a partition or passes nu, take back those added and return False."""
+        for i in range(len(subset) - 1, -1, -1):
+            w = subset[i]
+            if rows[w - 1] == cap[w - 1] or (w > 1 and rows[w - 1] == rows[w - 2]):
+                for v in subset[i + 1:]:
+                    rows[v - 1] -= 1
+                return False
+            rows[w - 1] += 1
+        return True
 
     def fill(k: int, used: int):
         if k == ncells:
@@ -164,39 +201,37 @@ def _enumerate_svt(shape: Partition, max_entry: int, letters: int | None):
                 yield dict(cells)
             return
         r, c = order[k]
-        lo = 1
-        left = cells.get((r, c - 1))
-        if left is not None:
-            lo = max(lo, max(left))
         up = cells.get((r - 1, c))
-        if up is not None:
-            lo = max(lo, max(up) + 1)
-        if lo > max_entry:
-            return
+        lo = max(up) + 1 if up is not None else 1
+        right = cells.get((r, c + 1))
+        hi = min(right) if right is not None else max_entry
         remaining_cells = ncells - k - 1
-        min_size, max_size = 1, max_entry - lo + 1
+        min_size, max_size = 1, hi - lo + 1
         if letters is not None:
             min_size = max(1, letters - used - room[k + 1])
             max_size = min(max_size, letters - used - remaining_cells)
-        pool = range(lo, max_entry + 1)
+        pool = range(lo, hi + 1)
         for size in range(min_size, max_size + 1):
-            for subset in _subsets_of_size(pool, size):
-                cells[(r, c)] = subset
+            for subset in combinations(pool, size):
+                if rows is not None and not add_boxes(subset):
+                    continue
+                cells[(r, c)] = frozenset(subset)
                 yield from fill(k + 1, used + size)
+                if rows is not None:
+                    for w in subset:
+                        rows[w - 1] -= 1
         cells.pop((r, c), None)
 
     yield from fill(0, 0)
 
 
-def _subsets_of_size(pool, size):
-    from itertools import combinations
-
-    return [frozenset(s) for s in combinations(pool, size)]
-
-
 def klr_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     """K-theoretic Littlewood-Richardson coefficient c_{lam,mu}^{nu}: counts
     set-valued tableaux of shape mu whose column word builds nu on lam.
+
+    The walk is pruned on the word prefix, so it completes only fillings
+    that build nu; each is still built as a SetValuedTableau and counted
+    only if ``builds`` accepts its column word, the unpruned definition.
 
     >>> klr_coeff(Partition([1]), Partition([1]), Partition([2, 1]))
     1
@@ -210,7 +245,7 @@ def klr_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     if len(mu) > max_entry:
         return 0
     count = 0
-    for cells in _enumerate_svt(mu, max_entry, letters):
+    for cells in _enumerate_svt(mu, max_entry, letters, lam, nu):
         tab = SetValuedTableau(mu, cells)
         if builds(column_word(tab), lam, nu):
             count += 1
@@ -227,7 +262,7 @@ def stable_groth_vars(lam: Partition, d: int) -> Poly:
     if len(lam) > d:
         return Poly.zero(variables)
     terms: dict = {}
-    for cells in _enumerate_svt(lam, d, None):
+    for cells in _enumerate_svt(lam, d):
         exps = [0] * d
         size = 0
         for s in cells.values():

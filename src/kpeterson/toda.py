@@ -136,10 +136,14 @@ class TruncSeriesPhi:
     @classmethod
     def from_zeta_coeffs(cls, n: int, coeffs) -> "TruncSeriesPhi":
         """From ascending coefficients of phi(zeta), degree <= n-1, stored as
-        given, padded with zeros or cut to n entries."""
+        given and padded with zeros to n entries.  Trailing zeros beyond
+        zeta^{n-1} are dropped; a non-zero one raises ValueError."""
+        coeffs = list(coeffs)
+        if any(coeffs[n:]):
+            raise ValueError(f"phi has degree above n - 1 = {n - 1}")
         phi = cls.__new__(cls)
         object.__setattr__(phi, "n", n)
-        object.__setattr__(phi, "_coeffs", tuple((list(coeffs) + [0] * n)[:n]))
+        object.__setattr__(phi, "_coeffs", tuple((coeffs + [0] * n)[:n]))
         return phi
 
     def to_zeta_coeffs(self):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from kpeterson.grothendieck import stable_groth_vars
+from kpeterson.grothendieck import SetValuedTableau, builds, column_word, stable_groth_vars
 from kpeterson.matrices import DecompositionError, RingMatrix
 from kpeterson.partitions import Partition
 from kpeterson.polynomials import Poly, grouped_product, power_table, zq_vars
@@ -115,6 +115,63 @@ def stable_product_expansion(lam: Partition, mu: Partition, num_vars: int) -> di
         out[nu] = coeff
         poly = poly - stable_groth_vars(nu, num_vars).with_vars(poly.vars) * coeff
     return out
+
+
+def reference_enumerate_svt(shape, max_entry, letters):
+    """The set-valued tableau walk pruned from above only, filling columns
+    left to right: a cell takes at most the letters left after one for each
+    cell still to fill, and the letter count is tested at the last cell.
+    The reference for the walk in column-word order that also prunes from
+    below and on the word prefix."""
+    order = [
+        (r, c)
+        for c in range(1, shape.part(1) + 1)
+        for r in range(1, len(shape) + 1)
+        if shape.part(r) >= c
+    ]
+    ncells = len(order)
+    if max_entry < 1 or (letters is not None and letters < ncells):
+        if ncells == 0 and (letters is None or letters == 0):
+            yield {}
+        return
+    cells = {}
+
+    def fill(k, used):
+        if k == ncells:
+            if letters is None or used == letters:
+                yield dict(cells)
+            return
+        r, c = order[k]
+        lo = 1
+        if (r, c - 1) in cells:
+            lo = max(lo, max(cells[(r, c - 1)]))
+        if (r - 1, c) in cells:
+            lo = max(lo, max(cells[(r - 1, c)]) + 1)
+        max_size = max_entry - lo + 1
+        if letters is not None:
+            max_size = min(max_size, letters - used - (ncells - k - 1))
+        for size in range(1, max_size + 1):
+            for subset in combinations(range(lo, max_entry + 1), size):
+                cells[(r, c)] = frozenset(subset)
+                yield from fill(k + 1, used + size)
+        cells.pop((r, c), None)
+
+    yield from fill(0, 0)
+
+
+def reference_klr_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
+    """c_{lam,mu}^{nu} by the unpruned walk: every filling of mu with
+    |nu| - |lam| letters, counted when its column word builds nu on lam."""
+    if not nu.contains(lam):
+        return 0
+    letters = nu.weight - lam.weight
+    if letters < mu.weight or len(mu) > len(nu):
+        return 0
+    count = 0
+    for cells in reference_enumerate_svt(mu, len(nu), letters):
+        if builds(column_word(SetValuedTableau(mu, cells)), lam, nu):
+            count += 1
+    return count
 
 
 def lift_to_symfunc(poly: Poly, num_vars: int) -> SymFunc:

@@ -261,6 +261,8 @@ class TestExprParser:
             ("gdual", ",".join(["1"] * MAX_GDUAL_LENGTH)),
             ("gdual", ",".join(["3"] * MAX_GDUAL_LENGTH)),
             ("gdual", str(MAX_GDUAL_WEIGHT)),
+            ("klr", "", "5,2,1", "4,2,2,1,1"),
+            ("klr", "", "6,2", "2,2,2,2,2"),
         ],
     )
     def test_grothendieck_input_at_limit_answers(self, capsys, argv):

@@ -1,9 +1,13 @@
 import random
-from itertools import combinations
 
 import pytest
 
-from helpers import classical_lr, stable_product_expansion
+from helpers import (
+    classical_lr,
+    reference_enumerate_svt,
+    reference_klr_coeff,
+    stable_product_expansion,
+)
 from kpeterson.grothendieck import (
     SetValuedTableau,
     _enumerate_svt,
@@ -25,45 +29,8 @@ from kpeterson.symfunc import SymFunc, schur
 h = SymFunc.h
 
 
-def reference_enumerate_svt(shape, max_entry, letters):
-    """The set-valued tableau walk pruned from above only: a cell takes at
-    most the letters left after one for each cell still to fill, and the
-    letter count is tested at the last cell.  The reference for the walk
-    that also prunes from below."""
-    order = [
-        (r, c)
-        for c in range(1, shape.part(1) + 1)
-        for r in range(1, len(shape) + 1)
-        if shape.part(r) >= c
-    ]
-    ncells = len(order)
-    if max_entry < 1 or (letters is not None and letters < ncells):
-        if ncells == 0 and (letters is None or letters == 0):
-            yield {}
-        return
-    cells = {}
-
-    def fill(k, used):
-        if k == ncells:
-            if letters is None or used == letters:
-                yield dict(cells)
-            return
-        r, c = order[k]
-        lo = 1
-        if (r, c - 1) in cells:
-            lo = max(lo, max(cells[(r, c - 1)]))
-        if (r - 1, c) in cells:
-            lo = max(lo, max(cells[(r - 1, c)]) + 1)
-        max_size = max_entry - lo + 1
-        if letters is not None:
-            max_size = min(max_size, letters - used - (ncells - k - 1))
-        for size in range(1, max_size + 1):
-            for subset in combinations(range(lo, max_entry + 1), size):
-                cells[(r, c)] = frozenset(subset)
-                yield from fill(k + 1, used + size)
-        cells.pop((r, c), None)
-
-    yield from fill(0, 0)
+def _filling(cells):
+    return frozenset(cells.items())
 
 
 class TestDualGroth:
@@ -104,12 +71,42 @@ class TestTableaux:
             SetValuedTableau(Partition([1]), {(1, 1): set()})
 
     def test_walk_matches_reference(self):
+        # the walk fills cells in column-word order and the reference column
+        # by column left to right, so they are compared as sets of fillings
         for shape in all_partitions_up_to(5):
             for max_entry in range(0, 6):
                 for letters in [None, *range(shape.weight - 1, shape.weight + 6)]:
-                    got = list(_enumerate_svt(shape, max_entry, letters))
-                    expected = list(reference_enumerate_svt(shape, max_entry, letters))
-                    assert got == expected, (shape, max_entry, letters)
+                    got = [_filling(c) for c in _enumerate_svt(shape, max_entry, letters)]
+                    expected = {
+                        _filling(c)
+                        for c in reference_enumerate_svt(shape, max_entry, letters)
+                    }
+                    assert len(set(got)) == len(got), (shape, max_entry, letters)
+                    assert set(got) == expected, (shape, max_entry, letters)
+
+    def test_pruned_walk_yields_the_fillings_that_build_nu(self):
+        # given (lam, nu), the walk yields exactly the fillings of the
+        # unpruned walk whose column word builds nu on lam
+        parts = list(all_partitions_up_to(6))
+        for nu in parts:
+            for lam in parts:
+                if not nu.contains(lam):
+                    continue
+                letters = nu.weight - lam.weight
+                for mu in parts:
+                    if mu.weight > letters or len(mu) > len(nu):
+                        continue
+                    got = [
+                        _filling(c)
+                        for c in _enumerate_svt(mu, len(nu), letters, lam, nu)
+                    ]
+                    expected = {
+                        _filling(c)
+                        for c in reference_enumerate_svt(mu, len(nu), letters)
+                        if builds(column_word(SetValuedTableau(mu, c)), lam, nu)
+                    }
+                    assert len(set(got)) == len(got), (lam, mu, nu)
+                    assert set(got) == expected, (lam, mu, nu)
 
     def test_builds_examples(self):
         assert builds((1,), Partition(), Partition([1]))
@@ -120,6 +117,17 @@ class TestTableaux:
 
 
 class TestKLR:
+    def test_matches_unpruned_reference(self):
+        parts = list(all_partitions_up_to(6))
+        for nu in parts:
+            for lam in parts:
+                for mu in parts:
+                    assert klr_coeff(lam, mu, nu) == reference_klr_coeff(lam, mu, nu), (
+                        lam,
+                        mu,
+                        nu,
+                    )
+
     def test_base_cases(self):
         for mu in all_partitions_up_to(4):
             assert klr_coeff(Partition(), mu, mu) == 1

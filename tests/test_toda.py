@@ -503,8 +503,9 @@ class TestTS:
             for k in range(12):
                 params = random_params(n, rng)
                 c = [q(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+                m = min(k % 3, n - 1)
                 phi = (
-                    TruncSeriesPhi.from_zeta_coeffs(n, [0] * min(k % 3, n - 1) + c)
+                    TruncSeriesPhi.from_zeta_coeffs(n, [0] * m + c[:n - m])
                     if k % 2
                     else TruncSeriesPhi(n, c)
                 )
@@ -522,6 +523,16 @@ class TestTS:
         assert phi.to_zeta_coeffs() == [q(6), q(-8), q(3)]
         from_coeffs = TruncSeriesPhi.from_zeta_coeffs(3, [q(6), q(-8), q(3)])
         assert from_coeffs == phi and from_coeffs.to_zeta_coeffs() == [6, -8, 3]
+
+    def test_zeta_coeffs_above_degree_n_minus_1_are_refused(self):
+        with pytest.raises(ValueError):
+            TruncSeriesPhi.from_zeta_coeffs(2, [1, 2, 3])
+        with pytest.raises(ValueError):
+            TruncSeriesPhi.from_zeta_coeffs(3, [q(1), 0, 0, 0, h(1)])
+        padded = TruncSeriesPhi.from_zeta_coeffs(2, [q(1), q(2), 0, q(0)])
+        assert padded == TruncSeriesPhi.from_zeta_coeffs(2, [q(1), q(2)])
+        assert padded.to_zeta_coeffs() == [1, 2]
+        assert TruncSeriesPhi.from_zeta_coeffs(3, [1]).to_zeta_coeffs() == [1, 0, 0]
 
     def test_zeta_coeffs_round_trip(self):
         rng = random.Random(97)
