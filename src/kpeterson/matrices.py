@@ -7,23 +7,21 @@ for every ring but the rationals.
 A matrix of ``int``/``Fraction`` entries is computed in ``int``: each row
 (or column) is scaled by the lcm of its denominators, the arithmetic runs
 on the integers, and each output entry is one division at the end.  Products
-are ``int`` dot products of scaled rows and columns.  One fraction-free
-Bareiss loop, ``_bareiss``, serves the determinant (with row exchanges; a
-``Fraction`` det / (product of the scales)), the leading minors
-xi^{1..i}_{1..i} and xi^{1..i-1,n}_{1..i} (read off its pivot rows) and
-``lu`` (one pass over [s X | I] gives L, L^{-1} and V of X = L V); the last
-two make no row exchanges.  ``inverse`` and ``solve`` share one
-Gauss-Jordan elimination over sparse ``int`` rows that prefers unit pivots,
-so the integral 720x720 f-monomial matrix of the quantization map is
-inverted by subtraction alone.  Products, LU factors, inverses and solutions
-are normalized (``int`` where integral); determinants and minors are
-``Fraction``.
+are ``int`` dot products of scaled rows and columns.  Every elimination is
+one fraction-free Bareiss loop, ``_bareiss``: it serves the determinant
+(with row exchanges; a ``Fraction`` det / (product of the scales)), the
+leading minors xi^{1..i}_{1..i} and xi^{1..i-1,n}_{1..i} (read off its
+pivot rows), ``lu`` (one pass over [s X | I] gives L, L^{-1} and V of
+X = L V), and ``inverse`` and ``solve`` (one pass with row exchanges over
+[X | B], then back substitution on det * X); the minors and ``lu`` make no
+row exchanges.  Products, LU factors, inverses and solutions are normalized
+(``int`` where integral); determinants and minors are ``Fraction``.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from math import gcd, lcm, prod
+from math import prod
 from operator import mul
 
 from .scalars import Rational, clear_denominators, exact_quotient, is_rational
@@ -198,89 +196,42 @@ class RingMatrix:
     # -- field operations (rational entries) -------------------------------
 
     def inverse(self):
-        """Inverse over the rationals (sparse Gauss-Jordan); entries are
-        ``int`` where integral."""
+        """Inverse over the rationals; entries are ``int`` where integral."""
         n = self.nrows
-        return RingMatrix(
-            self._gauss_jordan([[int(i == j) for j in range(n)] for i in range(n)])
-        )
+        return RingMatrix(self._solve([[int(i == j) for j in range(n)] for i in range(n)]))
 
     def solve(self, rhs):
         """Solve self * x = rhs for a rational vector; raises if singular."""
-        return [row[0] for row in self._gauss_jordan([[b] for b in rhs])]
+        return [row[0] for row in self._solve([[b] for b in rhs])]
 
-    def _gauss_jordan(self, rhs_rows):
-        """Reduce the augmented matrix [self | rhs_rows] to diagonal form over
-        the rationals and return the rows of X = self^{-1} rhs_rows,
-        normalized.
+    def _solve(self, rhs_rows):
+        """The rows of X = self^{-1} rhs_rows over the rationals, normalized;
+        raises ZeroDivisionError if self is singular.
 
-        Each augmented row is an equation, so it is scaled to ``int`` by the
-        lcm of its denominators and kept as a sparse {column: int} dict.
-        Column by column, the pivot row is chosen among the unplaced rows
-        with a non-zero entry in that column: one whose entry is +-1 if there
-        is one, then the one with the fewest non-zeros, then the lowest
-        index.  A unit pivot row is made 1 at the pivot and subtracted f
-        times from each other row with entry f in that column, touching only
-        the pivot row's non-zero columns.  A non-unit pivot p replaces such a
-        row by p * row - f * pivot row, divided by the gcd of its entries.
-        In the end the row of each column c holds some d at c, and d * X_c on
-        the right, so each entry of X is one division.  X is unique, so the
-        pivot order does not change the answer.
+        Each row of [self | rhs_rows] is scaled to ``int`` by the lcm of its
+        denominators, and one ``_bareiss`` pass with row exchanges makes the
+        left half upper triangular, with d = +-det of it as the last pivot.
+        d X is integral (Cramer's rule), so back substitution on d X takes
+        exact ``int`` quotients, and each entry of X is one division by d.
         """
         n = self.nrows
         if n != self.ncols:
-            raise ValueError("Gauss-Jordan elimination needs a square matrix")
-        aug = []
-        for row, extra in zip(self.rows, rhs_rows):
-            entries = [(j, x) for j, x in enumerate(chain(row, extra)) if x]
-            s = lcm(*(x.denominator for _, x in entries))
-            aug.append({j: x.numerator * (s // x.denominator) for j, x in entries})
-        unplaced = set(range(n))
-        pivot_rows = [None] * n
-        for col in range(n):
-            best = None
-            for r in unplaced:
-                p = aug[r].get(col)
-                if p:
-                    key = (p != 1 and p != -1, len(aug[r]), r)
-                    if best is None or key < best:
-                        best = key
-            if best is None:
-                raise ZeroDivisionError("singular matrix")
-            r = best[2]
-            unplaced.discard(r)
-            pivot = aug[r]
-            p = pivot[col]
-            if p == -1:
-                for j in pivot:
-                    pivot[j] = -pivot[j]
-                p = 1
-            pivot_rows[col] = pivot
-            for other in aug:
-                factor = other.get(col)
-                if not factor or other is pivot:
-                    continue
-                if p != 1:
-                    for j in other:
-                        other[j] *= p
-                for j, v in pivot.items():
-                    value = other.get(j, 0) - factor * v
-                    if value:
-                        other[j] = value
-                    else:
-                        del other[j]
-                if p != 1:
-                    g = gcd(*other.values())
-                    if g > 1:
-                        for j in other:
-                            other[j] //= g
-        width = len(rhs_rows[0]) if rhs_rows else 0
-        out = []
-        for col, row in enumerate(pivot_rows):
-            d = row[col]
-            values = [row.get(n + k, 0) for k in range(width)]
-            out.append(values if d == 1 else [exact_quotient(v, d) for v in values])
-        return out
+            raise ValueError("solving needs a square matrix")
+        if not n:
+            return []
+        m = [clear_denominators([*row, *extra])[0] for row, extra in zip(self.rows, rhs_rows)]
+        steps, _ = _bareiss(m)
+        if steps < n - 1 or not m[-1][n - 1]:
+            raise ZeroDivisionError("singular matrix")
+        d = m[-1][n - 1]
+        dx = [None] * n
+        for i in range(n - 1, -1, -1):
+            row = m[i]
+            dx[i] = [
+                (d * b - sum(row[j] * dx[j][k] for j in range(i + 1, n))) // row[i]
+                for k, b in enumerate(row[n:])
+            ]
+        return [[exact_quotient(v, d) for v in row] for row in dx]
 
 
 def _is_rational(rows) -> bool:

@@ -4,9 +4,9 @@ Grothendieck polynomials are built by isobaric divided differences from the
 staircase monomial; the quantization map rewrites a polynomial over the
 f-monomial basis (products of elementary symmetric polynomials in 1-x_1,
 ..., 1-x_j) and replaces each basis element by its Q-deformation F^(j)_i.
-Both come from the one table of partial invariants in ``toda``: the factors
-are that table at z = 1 - x and Q = 0, ``fq_poly`` reads it at z = 1 - x,
-and ``fq_poly_z`` (re-exported here) reads it over z/Q.
+Both come from the one table of partial invariants in ``toda``: the basis
+factors are that table at z = y = 1 - x and Q = 0, ``fq_poly`` reads it at
+z = 1 - x, and ``fq_poly_z`` (re-exported here) reads it over z/Q.
 The Peterson images are the paper's D-ratios phi(F^(m)_i) = D(theta)/tau_m:
 phi(G^Q_w) sums the f-basis coordinates of G_w over the numerators D(theta),
 over the one denominator tau_1 ... tau_{n-1}, and is reduced once.  Both
@@ -20,8 +20,9 @@ the k-conjugate goes through the (k+1)-core bijection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import product
+from math import comb, prod
 
 from .matrices import RingMatrix
 from .partitions import Partition, conjugate
@@ -107,63 +108,60 @@ def fq_poly(n: int, m: int, i: int) -> Poly:
 
 
 class QuantizeContext:
-    """The f-monomial basis of the staircase span L_n and its inverse.
+    """The f-monomial basis of the staircase span L_n, by the f-coordinates
+    of each staircase monomial.
 
-    Column c of the coordinate matrix holds the staircase coordinates of
-    the c-th f-monomial prod_j e_{i_j}(1 - x_1, ..., 1 - x_j).  ``inverse``
-    is that matrix's inverse, computed once by the sparse Gauss-Jordan of
-    ``RingMatrix``; it is integral and sparse (3,791 non-zeros of 14,400 at
-    n = 5).  ``expand`` reads it column-wise: for each staircase monomial it
-    keeps the non-zero (basis index, entry) pairs of that column, so an
-    expansion walks only the terms of its input.
+    In y = 1 - x the basis monomials prod_j e_{i_j}(y_1, ..., y_j) are the
+    ``_f_table`` at z = y, Q = 0, integral on the staircase y-monomials.  In
+    ``_peel`` order their coordinate matrix is unit lower triangular, so the
+    coordinates of each x^a = prod_j (1 - y_j)^{a_j} follow by forward
+    substitution in ``int``, with no division.  ``coords[r]`` holds the
+    non-zero (basis exponents, coordinate) pairs of staircase monomial r in
+    basis order (3,791 of 14,400 at n = 5), so an expansion walks only the
+    terms of its input; ``inverse`` is the same coordinates as a dense
+    matrix, built on first use.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.xvars = tuple(f"x{i}" for i in range(1, n + 1))
         self.basis = list(product(*[range(j + 1) for j in range(1, n)]))
-        self.staircase = [
-            e + (0,)
-            for e in product(*[range(n - j + 1) for j in range(1, n)])
-        ]
+        self.staircase = [e + (0,) for e in product(*[range(n - j + 1) for j in range(1, n)])]
         self.stair_index = {e: i for i, e in enumerate(self.staircase)}
-        # F^(j)_i at z = 1 - x, Q = 0 is e_i(1 - x_1, ..., 1 - x_j)
-        x = [Poly.variable(self.xvars, v) for v in self.xvars]
-        self._f_factors = _f_table([1 - xj for xj in x], [0] * (n - 1))[:n]
-        assert len(self.staircase) == len(self.basis)
-        self.inverse = RingMatrix(self._coordinate_rows()).inverse()
-        self._inverse_columns = [
-            [(self.basis[c], a) for c, a in enumerate(column) if a]
-            for column in zip(*self.inverse.rows)
-        ]
-
-    def _coordinate_rows(self):
-        """The coordinate matrix as rows.  The f-monomials are built one
-        factor at a time over a dict keyed by the exponent prefix
-        (i_1, ..., i_k), so each prefix product is formed once and shared by
-        every monomial that extends it; the last level is keyed like
-        ``basis``."""
-        products = {(): Poly.const(self.xvars, 1)}
-        for factors in self._f_factors[1:]:
+        # the basis in y, one factor at a time over a dict keyed by the
+        # exponent prefix, so each prefix product is formed once
+        yvars = tuple(f"y{i}" for i in range(1, n + 1))
+        products = {(): Poly.const(yvars, 1)}
+        for factors in _f_table([Poly.variable(yvars, v) for v in yvars], [0] * (n - 1))[1:n]:
             products = {
                 prefix + (i,): part * factor
                 for prefix, part in products.items()
                 for i, factor in enumerate(factors)
             }
-        size = len(self.basis)
-        rows = [[0] * size for _ in range(size)]
-        for c, exps in enumerate(self.basis):
-            for e, coeff in products[exps].terms.items():
-                rows[self._stair_position(e)][c] = coeff
-        return rows
+        columns = [
+            [(self.stair_index[e], a) for e, a in products[exps].terms.items()]
+            for exps in self.basis
+        ]
+        pivots = _peel(columns)
+        self.coords = []
+        for a in self.staircase:
+            rest = [0] * len(self.staircase)
+            for b in product(*[range(k + 1) for k in a]):
+                rest[self.stair_index[b]] = (-1) ** sum(b) * prod(map(comb, a, b))
+            found = []
+            for r, c in pivots:
+                v = rest[r]
+                if v:
+                    found.append((c, v))
+                    for s, entry in columns[c]:
+                        rest[s] -= v * entry
+            self.coords.append([(self.basis[c], v) for c, v in sorted(found)])
 
-    def _stair_position(self, e) -> int:
-        idx = self.stair_index.get(e)
-        if idx is None:
-            raise NotInSpanError(
-                f"monomial with exponents {e} is outside the staircase span"
-            )
-        return idx
+    @cached_property
+    def inverse(self) -> RingMatrix:
+        """Row c, column r: the c-th coordinate of staircase monomial r."""
+        columns = [dict(column) for column in self.coords]
+        return RingMatrix([[col.get(exps, 0) for col in columns] for exps in self.basis])
 
     def expand(self, p: Poly) -> dict:
         """The non-zero coefficients of p over the f-monomial basis, keyed by
@@ -173,7 +171,9 @@ class QuantizeContext:
                 raise NotInSpanError(f"variable {v} is not allowed in L_n")
         coords: dict = {}
         for e, coeff in p.with_vars(self.xvars).terms.items():
-            for exps, a in self._inverse_columns[self._stair_position(e)]:
+            if e not in self.stair_index:
+                raise NotInSpanError(f"monomial with exponents {e} is outside the staircase span")
+            for exps, a in self.coords[self.stair_index[e]]:
                 coords[exps] = coords.get(exps, 0) + a * coeff
         return {exps: normalize(c) for exps, c in coords.items() if c}
 
@@ -181,6 +181,33 @@ class QuantizeContext:
 @lru_cache(maxsize=None)
 def quantize_context(n: int) -> QuantizeContext:
     return QuantizeContext(n)
+
+
+def _peel(columns):
+    """The pivots (row, column) of a square integer matrix, given by its
+    sparse columns of (row, entry) pairs, in an order that makes it unit
+    lower triangular: each pivot row has one non-zero entry, 1, in the
+    columns not yet placed.  Rows are taken first in, first out as they
+    reach one such entry; raises ArithmeticError when the peel stalls or
+    meets a pivot other than 1."""
+    rows = [{} for _ in columns]
+    for c, column in enumerate(columns):
+        for r, a in column:
+            rows[r][c] = a
+    pivots = []
+    queue = [r for r, row in enumerate(rows) if len(row) == 1]
+    for r in queue:  # grows while it is read
+        if list(rows[r].values()) != [1]:
+            raise ArithmeticError(f"the peel meets {rows[r]} in row {r}")
+        c = next(iter(rows[r]))
+        pivots.append((r, c))
+        for s, _ in columns[c]:
+            del rows[s][c]
+            if len(rows[s]) == 1:
+                queue.append(s)
+    if len(pivots) < len(columns):
+        raise ArithmeticError(f"the peel stalls after {len(pivots)} of {len(columns)} pivots")
+    return pivots
 
 
 def quantize(p: Poly, n: int) -> Poly:

@@ -13,10 +13,10 @@ float.  ``clear_denominators`` scales a row of such values to ``int`` by the
 lcm of their denominators.  Toda points are ``Fraction`` tuples, but the
 rational matrix layer (``RingMatrix`` determinants, products, leading
 minors, the LU behind the RU decomposition, ``inverse`` and ``solve``)
-clears the denominators and computes on the integers, with
-one division per result: a determinant or minor is a ``Fraction``, and a
-matrix entry is normalized, so an integral inverse (such as the
-quantization map's) is all ``int``.
+clears the denominators and computes on the integers, with one division per
+result: a determinant or minor is a ``Fraction``, and a matrix entry is
+normalized, so an integral inverse is all ``int``.  The quantization map's
+basis coordinates never leave ``int``: its triangular peel has unit pivots.
 """
 
 from __future__ import annotations

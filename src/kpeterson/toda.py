@@ -54,7 +54,6 @@ __all__ = [
     "ts_functions",
     "ru_decompose",
     "alpha",
-    "beta",
     "beta_full",
     "minor_formulas",
     "random_z_point",
@@ -420,10 +419,12 @@ class BetaData:
 
 
 def beta_full(phi: TruncSeriesPhi, params: SpectralParams) -> BetaData:
-    """beta(phi) with what it is read from.  phi is normalized (Y1) and
-    X = phi(C_gamma) is built once; one elimination gives its leading
-    minors, T and S, with det X = S_n (Y0), and Y2, Y3 ask T_i, S_i != 0
-    for i < n.  The point is read off the tau-functions,
+    """beta(phi), the inverse of alpha on the open locus, with what it is
+    read from; raises YConditionError naming the first failing condition.
+    phi is normalized (Y1) and X = phi(C_gamma) is built once; one
+    elimination gives its leading minors, T and S, with det X = S_n (Y0),
+    and Y2, Y3 ask T_i, S_i != 0 for i < n.  The point is read off the
+    tau-functions,
     z_i = T_i S_{i-1} / (S_i T_{i-1}) and Q_i = T_{i-1} T_{i+1} / T_i^2
     (T_0 = S_0 = 1), and the RU decomposition X = U^{-1} R gives
     L = U C_gamma U^{-1} as two products."""
@@ -445,12 +446,6 @@ def beta_full(phi: TruncSeriesPhi, params: SpectralParams) -> BetaData:
     z = tuple(T0[i] * S0[i - 1] / (S0[i] * T0[i - 1]) for i in range(1, n + 1))
     Q = tuple(T0[i - 1] * T0[i + 1] / T0[i] ** 2 for i in range(1, n))
     return BetaData(TodaPoint(n, z, Q), L, R, U, tuple(T), tuple(S), X)
-
-
-def beta(phi: TruncSeriesPhi, params: SpectralParams) -> TodaPoint:
-    """Inverse of alpha on the open locus; raises YConditionError naming the
-    first failing condition."""
-    return beta_full(phi, params).point
 
 
 def minor_formulas(phi: TruncSeriesPhi, params: SpectralParams) -> bool:

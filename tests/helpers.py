@@ -448,8 +448,8 @@ def reference_ru_decompose(X: RingMatrix):
 
 
 def reference_lax_to_point(L: RingMatrix) -> TodaPoint:
-    """(z, Q) off a Lax matrix through M = L^{-1} (the sparse Gauss-Jordan
-    inverse): Q_i = -M_{i+1,i} and z_i = M_{1,i-1}/M_{1,i}, since the first
+    """(z, Q) off a Lax matrix through M = L^{-1} (``RingMatrix.inverse``):
+    Q_i = -M_{i+1,i} and z_i = M_{1,i-1}/M_{1,i}, since the first
     row of M telescopes 1/(z_1..z_i).  Unlike a read of L's entries it holds
     when some Q_k is 0 or 1."""
     n = L.nrows

@@ -172,6 +172,12 @@ class TestExprParser:
         code, _, err = run_cli(capsys, "phi", "--n", "2", "--poly", "z1 +")
         assert code == 2 and "position" in err
 
+    @pytest.mark.parametrize("poly, position", [("", 0), ("z1 +", 4), ("(z1", 3)])
+    def test_end_of_input_is_named(self, capsys, poly, position):
+        code, out, err = run_cli(capsys, "phi", "--n", "2", "--poly", poly)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert f"end of input (at position {position})" in err and "None" not in err
+
     def test_out_of_range_variable(self, capsys):
         code, _, err = run_cli(capsys, "phi", "--n", "2", "--poly", "z3")
         assert code == 2
@@ -348,8 +354,17 @@ class TestAbsurdInput:
             (("gtilde", "21", "--n", "0"), "--n 0 does not match"),
             (("lambda-map", "21", "--n", "-2"), "--n -2 does not match"),
             (("gstable", "1", "-3"), "d -3 is negative"),
+            (("kconj", "", "--k", "-1"), "--k -1 is not positive"),
+            (("kconj", "", "--k", "0"), "--k 0 is not positive"),
+            (("kconj", "1", "--k", "0"), "--k 0 is not positive"),
+            (("ddet", "--n", "3", "--theta", "", "--a", ""), "--theta '' is not a comma-separated"),
+            (("ddet", "--n", "3", "--theta", "1", "--a", "0,x"), "--a '0,x' is not a comma-separated"),
         ],
-        ids=["groth-n-0", "qgroth-n-0", "gtilde-n-0", "lambda-map-n-negative", "gstable-d-negative"],
+        ids=[
+            "groth-n-0", "qgroth-n-0", "gtilde-n-0", "lambda-map-n-negative", "gstable-d-negative",
+            "kconj-empty-k-negative", "kconj-empty-k-0", "kconj-k-0", "ddet-theta-empty",
+            "ddet-a-not-integer",
+        ],
     )
     def test_refused_value(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)

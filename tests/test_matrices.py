@@ -16,7 +16,7 @@ def identity(n):
 
 def reference_gauss_jordan(rows, rhs_rows):
     """Dense Gauss-Jordan over Fraction, first non-zero pivot in each
-    column: the independent reference for RingMatrix._gauss_jordan."""
+    column: the independent reference for RingMatrix.inverse and solve."""
     n = len(rows)
     aug = [
         [Rational(x) for x in row] + [Rational(b) for b in extra]
@@ -63,6 +63,9 @@ def _reference_or_singular(rows, rhs_rows):
 
 @settings(max_examples=300)
 @given(square_systems())
+@example(([[0, 1, 2], [3, 0, 1], [1, 1, 0]], [1, 2, 3]))  # zero leading pivot: a row exchange
+@example(([[1, 0, 1], [0, 1, 1], [1, 1, 2]], [1, 0, 2]))  # singular: only the last pivot is zero
+@example(([], []))  # 0 x 0
 def test_inverse_matches_reference(system):
     rows, _ = system
     n = len(rows)
@@ -78,6 +81,9 @@ def test_inverse_matches_reference(system):
 
 @settings(max_examples=300)
 @given(square_systems())
+@example(([[0, 1, 2], [3, 0, 1], [1, 1, 0]], [1, 2, 3]))  # zero leading pivot: a row exchange
+@example(([[1, 0, 1], [0, 1, 1], [1, 1, 2]], [1, 0, 2]))  # singular: only the last pivot is zero
+@example(([], []))  # 0 x 0
 def test_solve_matches_reference(system):
     rows, rhs = system
     expected = _reference_or_singular(rows, [[b] for b in rhs])
@@ -99,9 +105,9 @@ def _integral_entries_are_int(rows):
 @example(([[2, 3], [3, 5]], [1, 0]))  # non-unit pivots, integral inverse
 @example(([[Rational(1, 2), Rational(2, 3)], [Rational(3, 4), 2]], [1, Rational(-1, 5)]))
 def test_int_elimination_matches_fraction_elimination(system):
-    # The int Gauss-Jordan (rows scaled to int, p * row - f * pivot row made
-    # primitive by its gcd) against the Fraction one it replaced, which
-    # divides each pivot row through.
+    # The int elimination (rows scaled to int, Bareiss with row exchanges,
+    # back substitution on det * X) against the sparse Fraction Gauss-Jordan,
+    # which divides each pivot row through.
     rows, rhs = system
     n = len(rows)
     eye = [[int(i == j) for j in range(n)] for i in range(n)]

@@ -1,10 +1,11 @@
 import hashlib
 import random
+from functools import lru_cache
 from math import comb
 
 import pytest
 
-from helpers import lift_to_symfunc
+from helpers import lift_to_symfunc, reference_sparse_gauss_jordan
 from kpeterson.grothendieck import dual_groth, stable_groth_vars
 from kpeterson.partitions import (
     Partition,
@@ -20,6 +21,7 @@ from kpeterson.quantum import (
     KBoundedPartition,
     NonPolynomialImageError,
     NotInSpanError,
+    _peel,
     bounded_to_core,
     core_to_bounded,
     fq_poly,
@@ -131,24 +133,11 @@ class TestQuantize:
 
     def test_basis_monomials_map_to_f_monomials(self):
         n = 3
-        ctx = quantize_context(n)
-        for exps in ctx.basis:
-            poly = Poly.const(ctx.xvars, 1)
+        for exps in quantize_context(n).basis:
             expected = Poly.const(xq_vars(n), 1)
             for j, i in enumerate(exps, start=1):
-                poly = poly * ctx._f_factors[j][i]
                 expected = expected * fq_poly(n, j, i)
-            assert quantize(poly, n) == expected
-
-    def test_f_factors_are_fq_at_q_zero(self):
-        for n in range(2, 6):
-            q_zero = {f"Q{j}": 0 for j in range(1, n)}
-            factors = quantize_context(n)._f_factors
-            assert len(factors) == n
-            for j in range(1, n):
-                assert factors[j] == [
-                    fq_poly(n, j, i).substitute(q_zero, x_vars(n)) for i in range(j + 1)
-                ]
+            assert quantize(_f_monomial(n, exps), n) == expected
 
     def test_x1_at_n2(self):
         v = xq_vars(2)
@@ -182,17 +171,24 @@ class TestQuantize:
             quantize(Poly.variable(xq_vars(2), "Q1"), 2)
 
 
+@lru_cache(maxsize=None)
+def _f_monomial(n, exps):
+    """The basis monomial prod_j e_{i_j}(1 - x_1, ..., 1 - x_j) over x1..xn,
+    from the public F^(j)_i at Q = 0."""
+    q_zero = {f"Q{j}": 0 for j in range(1, n)}
+    poly = Poly.const(x_vars(n), 1)
+    for j, i in enumerate(exps, start=1):
+        poly = poly * fq_poly(n, j, i).substitute(q_zero, x_vars(n))
+    return poly
+
+
 def _f_monomial_matrix(ctx):
-    """The coordinate matrix of the f-monomial basis, rebuilt from the
-    basis factors: column c holds the staircase coordinates of basis c."""
+    """The coordinate matrix of the f-monomial basis in x: column c holds
+    the staircase coordinates of basis c."""
     size = len(ctx.basis)
     rows = [[0] * size for _ in range(size)]
     for c, exps in enumerate(ctx.basis):
-        poly = Poly.const(ctx.xvars, 1)
-        for j, i in enumerate(exps, start=1):
-            if i:
-                poly = poly * ctx._f_factors[j][i]
-        for e, coeff in poly.terms.items():
+        for e, coeff in _f_monomial(ctx.n, exps).terms.items():
             rows[ctx.stair_index[e]][c] = coeff
     return rows
 
@@ -209,10 +205,31 @@ class TestQuantizeContext:
                 entry = sum(a * matrix[k][j] for k, a in nonzero)
                 assert entry == (c == j), (n, c, j)
 
-    @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_prefix_shared_rows_match_per_monomial_products(self, n):
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_inverse_matches_reference_gauss_jordan(self, n):
         ctx = quantize_context(n)
-        assert ctx._coordinate_rows() == _f_monomial_matrix(ctx)
+        size = len(ctx.basis)
+        eye = [[int(i == j) for j in range(size)] for i in range(size)]
+        expected = reference_sparse_gauss_jordan(_f_monomial_matrix(ctx), eye)
+        assert [list(row) for row in ctx.inverse.rows] == expected
+
+    def test_coordinates_reconstruct_groth(self):
+        # sum_c coords_c * f-monomial_c = G_w: every w at n <= 5, a sample at n = 6
+        sample = random.Random(27).sample(list(all_permutations(6)), 3)
+        for w in [*(w for n in range(2, 6) for w in all_permutations(n)), *sample]:
+            n = w.n
+            total = {}
+            for exps, a in quantize_context(n).expand(groth_poly(w)).items():
+                for e, coeff in _f_monomial(n, exps).terms.items():
+                    total[e] = total.get(e, 0) + a * coeff
+            assert {e: c for e, c in total.items() if c} == groth_poly(w).terms, w
+
+    def test_peel_refuses_a_stall_and_a_non_unit_pivot(self):
+        assert _peel([[(0, 1), (1, 1)], [(1, 1)]]) == [(0, 0), (1, 1)]
+        with pytest.raises(ArithmeticError, match="meets {0: 2}"):
+            _peel([[(0, 2)]])
+        with pytest.raises(ArithmeticError, match="stalls"):
+            _peel([[(0, 1), (1, 1)], [(0, 1), (1, 1)]])
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_inverse_is_integral(self, n):
