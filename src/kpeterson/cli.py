@@ -13,7 +13,7 @@ from functools import partial
 from math import factorial
 
 from .grothendieck import dual_groth, klr_coeff, stable_groth_vars
-from .partitions import Partition, Permutation
+from .partitions import Partition, Permutation, _ints
 from .peterson import DSpec, d_det, phi_apply, phi_context, tau_sigma
 from .polynomials import Poly
 from .quantum import (
@@ -389,10 +389,7 @@ def _positive_counts(args):
 
 
 def _int_list(text: str, flag: str) -> tuple:
-    try:
-        return tuple(int(v) for v in text.split(","))
-    except ValueError:
-        raise ValueError(f"{flag} {text!r} is not a comma-separated list of integers") from None
+    return tuple(_ints(text.split(","), text, flag))
 
 
 def _perm(args, limit: int) -> Permutation:

@@ -1,8 +1,8 @@
 """Dense matrices over a generic commutative ring.
 
-Entries only need +, -, * (with each other and with ints).  Determinants:
-memoized cofactor expansion (one minor per subset of columns, no division)
-for every ring but the rationals.
+Entries only need +, -, * (with each other and with ints).  Minors that
+cannot divide -- determinants over every ring but the rationals, and leading
+minors no rational elimination reaches -- are read off one ``wedges``.
 
 A matrix of ``int``/``Fraction`` entries is computed in ``int``: each row
 (or column) is scaled by the lcm of its denominators, the arithmetic runs
@@ -26,7 +26,7 @@ from operator import mul
 
 from .scalars import Rational, clear_denominators, exact_quotient, is_rational
 
-__all__ = ["RingMatrix", "DecompositionError"]
+__all__ = ["RingMatrix", "DecompositionError", "wedges"]
 
 
 class DecompositionError(ValueError):
@@ -103,24 +103,31 @@ class RingMatrix:
         Rational entries take one ``_bareiss`` pass, without row exchanges,
         over the rows scaled to ``int``: pivot row i - 1 holds
         xi^{1..i-1,j}_{1..i} times the scales of rows 1..i at column j.
-        After a vanishing leading minor, and for every other ring, each
-        minor is taken by ``minor``.
+        The minors it does not reach, after a vanishing leading minor and
+        for every other ring, are read off level i of the rows' ``wedges``.
         """
         n = self.nrows
         if n != self.ncols:
             raise ValueError("leading minors of a non-square matrix")
         principal, last = [], []
-        if _is_rational(self.rows):
-            rows = [clear_denominators(row) for row in self.rows]
-            steps, _ = _bareiss([row for row, _ in rows], exchange=False)
+        rows = self.rows
+        if _is_rational(rows):
+            scaled = [clear_denominators(row) for row in rows]
+            steps, _ = _bareiss([row for row, _ in scaled], exchange=False)
             scale = 1
-            for k, (row, s) in enumerate(rows[:steps + 1]):
+            for k, (row, s) in enumerate(scaled[:steps + 1]):
                 scale *= s
                 principal.append(Rational(row[k], scale))
                 last.append(Rational(row[n - 1], scale))
-        for i in range(len(principal) + 1, n + 1):
-            principal.append(self.minor(range(1, i + 1), range(1, i + 1)))
-            last.append(self.minor(range(1, i + 1), [*range(1, i), n]))
+            if steps == n - 1:
+                return principal, last
+            rows = [[Rational(a) for a in row] for row in rows]
+        zero = rows[0][0] * 0
+        vectors = ([(j, a) for j, a in enumerate(row) if a] for row in rows)
+        for i, minors in enumerate(wedges(vectors), 1):
+            if i > len(principal):
+                principal.append(minors.get((1 << i) - 1, zero))
+                last.append(minors.get((1 << i - 1) - 1 | 1 << n - 1, zero))
         return principal, last
 
     def lu(self):
@@ -157,41 +164,15 @@ class RingMatrix:
     # -- determinants -----------------------------------------------------
 
     def det(self):
-        """Bareiss in ``int`` for rational entries (a ``Fraction``), memoized
-        cofactor expansion for every other ring."""
+        """Bareiss in ``int`` for rational entries (a ``Fraction``), the
+        exterior product of the rows for every other ring."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
         if self.nrows == 0:
             return Rational(1)
         if _is_rational(self.rows):
             return _det_rational(self.rows)
-        return self._det_cofactor()
-
-    def _det_cofactor(self):
-        n = self.nrows
-        zero = self.rows[0][0] * 0
-        cache: dict = {}
-
-        def expand(row, cols):
-            if not cols:
-                return None  # sentinel: empty product is the ring's one
-            key = cols
-            if key in cache:
-                return cache[key]
-            total = zero
-            sign = 1
-            for k, j in enumerate(cols):
-                a = self.rows[row][j]
-                if a:
-                    sub = expand(row + 1, cols[:k] + cols[k + 1:])
-                    contrib = a if sub is None else a * sub
-                    total = total + contrib if sign > 0 else total - contrib
-                sign = -sign
-            cache[key] = total
-            return total
-
-        result = expand(0, tuple(range(n)))
-        return result if result is not None else Rational(1)
+        return _det_wedge(self.rows)
 
     # -- field operations (rational entries) -------------------------------
 
@@ -260,6 +241,37 @@ def _det_rational(rows):
     steps, sign = _bareiss(m)
     d = sign * m[-1][-1] if steps == len(m) - 1 else 0
     return Rational(d, prod(s for _, s in rows))
+
+
+def _det_wedge(rows):
+    """det of n >= 1 rows over any ring: the last level of the ``wedges`` of
+    the matrix turned by 180 degrees (same det), rows last first.  So the
+    largest minors are multiplied by the first row's entries, single h's in
+    ``dual_groth``; rows first to last took 20 times longer there."""
+    n = len(rows)
+    *_, minors = wedges([(n - 1 - j, a) for j, a in enumerate(row) if a] for row in rows[::-1])
+    return minors.get((1 << n) - 1, rows[0][0] * 0)
+
+
+def wedges(vectors):
+    """Yield, after each sparse vector [(index, entry), ...], the exterior
+    product so far as {bitmask S: minor of the vectors as columns over the
+    rows S}, without zero minors and without division.  Adding index k to S
+    flips the sign once for each index of S above k."""
+    wedge = {0: 1}
+    for vector in vectors:
+        grown: dict = {}
+        for mask, minor in wedge.items():
+            for k, entry in vector:
+                key = mask | 1 << k
+                if key == mask:
+                    continue
+                term = minor * entry if mask else entry  # the empty product is 1
+                if (mask >> k).bit_count() % 2:
+                    term = -term
+                grown[key] = grown[key] + term if key in grown else term
+        wedge = {mask: minor for mask, minor in grown.items() if minor}
+        yield wedge
 
 
 def _bareiss(m, exchange=True):

@@ -48,10 +48,7 @@ class Partition:
 
     @classmethod
     def from_text(cls, text: str) -> "Partition":
-        body = text.strip()
-        if not body:
-            return cls()
-        return cls(int(p) for p in body.split(","))
+        return cls(_ints(text.split(",") if text.strip() else [], text, "partition"))
 
     @classmethod
     def rectangle(cls, rows: int, cols: int) -> "Partition":
@@ -188,9 +185,7 @@ class Permutation:
     @classmethod
     def from_text(cls, text: str) -> "Permutation":
         body = text.strip()
-        if "," in body:
-            return cls(int(v) for v in body.split(","))
-        return cls(int(ch) for ch in body)
+        return cls(_ints(body.split(",") if "," in body else body, text, "permutation"))
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -283,3 +278,11 @@ class Permutation:
 def all_permutations(n: int):
     for images in _itertools_permutations(range(1, n + 1)):
         yield Permutation(images)
+
+
+def _ints(pieces, text: str, name: str) -> list:
+    """The pieces of text as ints; a ValueError names the text if one is not."""
+    try:
+        return [int(p) for p in pieces]
+    except ValueError:
+        raise ValueError(f"{name} {text!r} is not a comma-separated list of integers") from None

@@ -17,12 +17,12 @@ z/Q first, so there is one evaluation path.  Every image is a LocFrac: a
 numerator polynomial in h_1..h_{n-1} over a denominator kept in factored
 form as a monomial in {tau_i, sigma_i}.  LocFrac arithmetic never divides;
 PhiContext.reduce, the only place that tries exact division, brings each
-finished image to lowest terms once.  The D-determinant family
-(truncated-series minors, by Cauchy-Binet over cached Jacobi-Trudi minors,
-in int), its recursions, the kappa_d involution (one
-substitution of the images kappa_d(h_i), each a closed-form int combination
-of h_0..h_i), and the skew-operator identities complete the toolkit; none of
-them goes through the p-basis.
+finished image to lowest terms once.  The D-determinant family (Cauchy-Binet
+over the ``wedges`` of the truncated-series columns and cached Jacobi-Trudi
+minors, in int), its recursions, the kappa_d involution (one substitution of
+the images kappa_d(h_i), each a closed-form int combination of h_0..h_i),
+and the skew-operator identities complete the toolkit; none of them goes
+through the p-basis.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from itertools import combinations
 from math import comb
 
 from .grothendieck import dual_groth
-from .matrices import RingMatrix
+from .matrices import RingMatrix, wedges
 from .partitions import Partition
 from .polynomials import Poly, grouped_product, power_table, zq_vars
 from .scalars import Rational
@@ -125,28 +125,15 @@ class DSpec:
 
 @lru_cache(maxsize=None)
 def _d_det_cached(theta: tuple, a: tuple, n: int) -> SymFunc:
-    d = len(theta)
-    # Cauchy-Binet over the wedge of the K-minors (see d_det), keyed by row
-    # bitmask S: adding row k to S flips the sign once per row of S larger than k.
-    wedge = {0: (-1) ** (d * (d - 1) // 2)}
-    for theta_j, a_j in zip(theta, a):
-        series = _geom_series_coeffs(theta_j, n)
-        column = [(k, series[k - a_j]) for k in range(a_j, n) if series[k - a_j]]
-        grown: dict = {}
-        for rows, minor in wedge.items():
-            for k, entry in column:
-                bit = 1 << k
-                if rows & bit:
-                    continue
-                value = -minor * entry if (rows >> k).bit_count() % 2 else minor * entry
-                key = rows | bit
-                grown[key] = grown.get(key, 0) + value
-        wedge = {rows: v for rows, v in grown.items() if v}
-        if not wedge:
-            return SymFunc.zero()
+    if any(a_j >= n for a_j in a):  # an empty column of K
+        return SymFunc.zero()
+    series = [_geom_series_coeffs(theta_j, n) for theta_j in theta]
+    columns = [[(k, s[k - a_j]) for k in range(a_j, n) if s[k - a_j]] for s, a_j in zip(series, a)]
+    # reversed, the columns give the sign (-1)^{d(d-1)/2}; {0: 1} is d = 0
+    *_, minors = {0: 1}, *wedges(columns[::-1])
     acc: dict = {}
-    for rows, minor in wedge.items():
-        for e, v in _jacobi_trudi_minor(n - d, rows).items():
+    for rows, minor in minors.items():
+        for e, v in _jacobi_trudi_minor(n - len(theta), rows).items():
             acc[e] = acc.get(e, 0) + minor * v
     return SymFunc({e: v for e, v in acc.items() if v})
 
@@ -160,8 +147,8 @@ def d_det(spec: DSpec) -> SymFunc:
     Jacobi-Trudi block H[r][k] = h_{n-d+r-k} and the n x d integer matrix
     K[k][j] = series_j[k - a_j] of the truncated series, so by Cauchy-Binet
     D = (-1)^{d(d-1)/2} sum_{|S| = d} det K[S, :] det H[:, S].  The integer
-    minors det K[S, :] are built column by column as a wedge product (a
-    column with a_j >= n is empty, and D is then zero at once); each
+    minors det K[S, :] are the last level of ``matrices.wedges`` over K's
+    columns (a column with a_j >= n is empty, and D is then zero); each
     Jacobi-Trudi minor det H[:, S] depends only on (n - d, S) and is
     computed once and cached.  All arithmetic is in int.
 

@@ -226,9 +226,9 @@ def quantize(p: Poly, n: int) -> Poly:
 
 @lru_cache(maxsize=None)
 def quantum_groth(w) -> Poly:
-    """The quantum Grothendieck polynomial: quantized G_w.  Specializing
-    every Q_i to 0 recovers G_w."""
-    return quantize(groth_poly(w), w.n)
+    """The quantum Grothendieck polynomial: quantized G_w, and 1 for the
+    empty permutation.  Specializing every Q_i to 0 recovers G_w."""
+    return quantize(groth_poly(w), w.n) if w.n else groth_poly(w)
 
 
 def s_q_poly(lam: Partition, d: int, n: int) -> Poly:

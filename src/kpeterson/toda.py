@@ -459,9 +459,9 @@ def minor_formulas(phi: TruncSeriesPhi, params: SpectralParams) -> bool:
 # -- sampling ------------------------------------------------------------------------
 
 
-def _random_rational(rng, allow_zero=False):
+def _random_rational(rng):
     num = rng.randint(-9, 9)
-    while not allow_zero and num == 0:
+    while num == 0:
         num = rng.randint(-9, 9)
     return Rational(num, rng.randint(1, 9))
 

@@ -271,7 +271,7 @@ def reference_perp(f: SymFunc, g: SymFunc) -> SymFunc:
 
 
 def reference_schur(lam) -> SymFunc:
-    """det(h_{lambda_i + j - i}) by RingMatrix's cofactor expansion."""
+    """det(h_{lambda_i + j - i}) by RingMatrix.det, the wedge of the rows."""
     parts = tuple(lam)
     rows = [[SymFunc.h(parts[i] + j - i) for j in range(len(parts))] for i in range(len(parts))]
     return RingMatrix(rows).det() if parts else SymFunc.one()
@@ -279,7 +279,8 @@ def reference_schur(lam) -> SymFunc:
 
 def reference_d_det(theta, a, n) -> SymFunc:
     """D[theta; a] as the d x d determinant of SymFunc entries
-    sum_i h_i * series_j[m - a_j - i], by RingMatrix's cofactor expansion."""
+    sum_i h_i * series_j[m - a_j - i], by RingMatrix.det, the wedge of the
+    rows."""
     d = len(theta)
     if d == 0:
         return SymFunc.one()
@@ -518,7 +519,7 @@ def reference_evaluate(poly: Poly, point: dict):
 def reference_det_bareiss(m: RingMatrix):
     """Fraction-free Bareiss with row exchanges over any ring whose ``/``
     divides exactly (ints become Fractions): the division-based reference
-    for the cofactor expansion and for the ``int`` elimination."""
+    for the wedge determinant and for the ``int`` elimination."""
     rows = [[rat(x) for x in row] for row in m.rows]
     n, sign, prev = len(rows), 1, None
     if not n:

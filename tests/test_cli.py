@@ -359,11 +359,20 @@ class TestAbsurdInput:
             (("kconj", "1", "--k", "0"), "--k 0 is not positive"),
             (("ddet", "--n", "3", "--theta", "", "--a", ""), "--theta '' is not a comma-separated"),
             (("ddet", "--n", "3", "--theta", "1", "--a", "0,x"), "--a '0,x' is not a comma-separated"),
+            (("gdual", "1,,2"), "partition '1,,2' is not a comma-separated list of integers"),
+            (("klr", "1", "x", "2"), "partition 'x' is not a comma-separated list of integers"),
+            (("kconj", "1,,2", "--k", "2"), "partition '1,,2' is not a comma-separated"),
+            (("gstable", "1,,2", "2"), "partition '1,,2' is not a comma-separated"),
+            (("groth", "1,,2"), "permutation '1,,2' is not a comma-separated list of integers"),
+            (("lambda-map", "1,,2"), "permutation '1,,2' is not a comma-separated"),
+            (("qgroth", "1x3"), "permutation '1x3' is not a comma-separated"),
         ],
         ids=[
             "groth-n-0", "qgroth-n-0", "gtilde-n-0", "lambda-map-n-negative", "gstable-d-negative",
             "kconj-empty-k-negative", "kconj-empty-k-0", "kconj-k-0", "ddet-theta-empty",
-            "ddet-a-not-integer",
+            "ddet-a-not-integer", "gdual-empty-part", "klr-not-integer", "kconj-empty-part",
+            "gstable-empty-part", "groth-empty-image", "lambda-map-empty-image",
+            "qgroth-not-digit",
         ],
     )
     def test_refused_value(self, capsys, argv, message):
@@ -529,6 +538,9 @@ class TestVerify:
         assert Poly.from_json(json.loads(out)).to_str() == "x1"
         code, out, _ = run_cli(capsys, "qgroth", "21", "--text")
         assert code == 0 and out.strip() == "-x1*Q1 + x1 + Q1"
+        for command in ("groth", "qgroth"):
+            code, out, err = run_cli(capsys, command, "", "--text")
+            assert code == 0 and err == "" and out.strip() == "1"
         code, out, _ = run_cli(capsys, "gtilde", "12543", "--text")
         assert code == 0 and "h" in out
 

@@ -1,13 +1,15 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_det_bareiss, reference_matmul, reference_sparse_gauss_jordan
-from kpeterson.matrices import DecompositionError, RingMatrix
+from kpeterson.matrices import DecompositionError, RingMatrix, _det_wedge, wedges
 from kpeterson.polynomials import Poly
 from kpeterson.scalars import Rational
+from kpeterson.symfunc import SymFunc
 
 
 def identity(n):
@@ -170,9 +172,12 @@ def _per_minor(rows):
 ))
 @example([[0, 1, 2], [1, 0, 3], [Rational(1, 2), 4, 5]])  # zero leading minor
 @example([[1, 2, 3], [2, 4, Rational(7, 3)], [5, 1, 0]])  # zero second leading minor
+@example([[0, Rational(1, 2)], [3, 0]])  # zero first leading minor, non-zero E_1
+@example([[1, 0, 0, 2], [0, 1, 0, 3], [1, 1, 0, 1], [0, 0, 1, 1]])  # zero minor of order n - 1
+@example([[0]])  # the 1 x 1 zero matrix
 def test_leading_minors_match_minors(rows):
     # One Bareiss pass reads every xi^{1..i}_{1..i} and xi^{1..i-1,n}_{1..i};
-    # a vanishing leading minor hands the rest to minor().
+    # a vanishing leading minor hands the rest to the wedges of the rows.
     got = RingMatrix(rows).leading_minors()
     assert got == _per_minor(rows)
     assert all(type(x) is Rational for part in got for x in part)
@@ -183,8 +188,35 @@ def test_leading_minors_over_polynomials():
     a, b, c = (Poly.variable(variables, v) for v in variables)
     rows = [[a, b, 1], [c, a * b, b], [1, c, a]]
     assert RingMatrix(rows).leading_minors() == _per_minor(rows)
+    h = SymFunc.h
+    rows = [[h(2), h(3), 0, h(1)], [1, h(1) * 2, h(2), 0], [0, 1, h(1), h(3)], [h(1), 0, 1, h(2)]]
+    assert RingMatrix(rows).leading_minors() == _per_minor(rows)
     with pytest.raises(ValueError):
         RingMatrix([[1, 2]]).leading_minors()
+
+
+@settings(max_examples=200)
+@given(st.lists(
+    st.dictionaries(st.integers(0, 5), entries, max_size=6).map(lambda v: list(v.items())),
+    max_size=6,
+))
+@example([])  # no vectors: no levels
+@example([[(0, 1), (2, 3)], [], [(1, 2)]])  # an empty vector: every level from it on is empty
+@example([[(0, 0), (3, 2)], [(3, 0), (0, 1), (5, 0)]])  # zero entries
+def test_wedges_match_reference_minors(vectors):
+    # Level i at the index set S is the minor of the first i vectors as
+    # columns over the rows S, with zero minors dropped.
+    levels = list(wedges(vectors))
+    assert len(levels) == len(vectors)
+    for i, level in enumerate(levels, 1):
+        columns = [dict(v) for v in vectors[:i]]
+        expected = {}
+        for rows in combinations(range(6), i):
+            block = RingMatrix([[c.get(r, 0) for c in columns] for r in rows])
+            minor = reference_det_bareiss(block)
+            if minor:
+                expected[sum(1 << r for r in rows)] = minor
+        assert level == expected
 
 
 @settings(max_examples=300)
@@ -245,12 +277,13 @@ def test_bareiss_matches_cofactor():
             for _ in range(size)
         ]
         m = RingMatrix(rows)
-        assert reference_det_bareiss(m) == m._det_cofactor()
+        assert reference_det_bareiss(m) == _det_wedge(m.rows)
 
 
 def test_symfunc_cofactor_matches_bareiss_7x7():
-    # det() expands every non-rational matrix by cofactors, whatever its
-    # size; Bareiss divides exactly and is the independent reference.
+    # det() takes every non-rational matrix as the wedge of its rows,
+    # whatever its size; Bareiss divides exactly and is the independent
+    # reference.
     from kpeterson.symfunc import SymFunc
 
     rng = random.Random(7)
@@ -268,7 +301,7 @@ def test_symfunc_cofactor_matches_bareiss_7x7():
             for _ in range(7)
         ]
         m = RingMatrix(rows)
-        assert m.det() == m._det_cofactor() == reference_det_bareiss(m)
+        assert m.det() == _det_wedge(m.rows) == reference_det_bareiss(m)
         assert not m.det().is_zero()
 
 
@@ -278,17 +311,17 @@ def test_symfunc_cofactor_matches_bareiss_7x7():
 ))
 def test_rational_det_matches_cofactor(rows):
     # det() clears denominators row by row and runs Bareiss in int; the
-    # cofactor expansion never divides.  Many draws are singular or have a
+    # wedge of the rows never divides.  Many draws are singular or have a
     # zero leading pivot.
     got = RingMatrix(rows).det()
     assert type(got) is Rational
-    assert got == (RingMatrix(rows)._det_cofactor() if rows else 1)
+    assert got == (_det_wedge(rows) if rows else 1)
 
 
 def test_rational_det_row_swap_and_singular():
     half = Rational(1, 2)
     swap = RingMatrix([[0, half, 2], [Rational(3, 4), 1, 0], [1, 0, Rational(-5, 3)]])
-    assert swap.det() == swap._det_cofactor() == Rational(-11, 8)
+    assert swap.det() == _det_wedge(swap.rows) == Rational(-11, 8)
     singular = RingMatrix([[0, 1, half], [0, 3, Rational(3, 2)], [2, 0, 7]])
     assert singular.det() == 0 and type(singular.det()) is Rational
     assert type(RingMatrix([[1, 2], [3, 4]]).det()) is Rational
