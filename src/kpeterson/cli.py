@@ -361,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("toda-roundtrip", help="randomized exact round-trip check")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int, default=0)
 
     p = add("verify", help="run a named verification suite")

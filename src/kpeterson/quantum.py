@@ -25,7 +25,7 @@ from itertools import product
 from math import comb, prod
 
 from .matrices import RingMatrix
-from .partitions import Partition, conjugate
+from .partitions import Partition, Permutation, conjugate
 from .peterson import LocFrac, d_plain, phi_context
 from .polynomials import Poly, grouped_product, xq_vars
 from .scalars import normalize
@@ -180,6 +180,8 @@ class QuantizeContext:
 
 @lru_cache(maxsize=None)
 def quantize_context(n: int) -> QuantizeContext:
+    if n < 1:
+        raise ValueError(f"quantization needs n >= 1, got n = {n}")
     return QuantizeContext(n)
 
 
@@ -215,7 +217,8 @@ def quantize(p: Poly, n: int) -> Poly:
     each basis monomial prod_j e_{i_j}(1 - x_1, ..., 1 - x_j) by the
     F-monomial prod_j F^(j)_{i_j}, summed by ``grouped_product``.
 
-    Raises NotInSpanError when p is not in the staircase span L_n.
+    Raises NotInSpanError when p is not in the staircase span L_n, and
+    ValueError when n < 1.
     """
     return grouped_product(
         quantize_context(n).expand(p),
@@ -263,8 +266,6 @@ def _quantized_schur_det(lam: Partition, d: int, n: int, entry, one):
 def grassmannian_perm(lam: Partition, d: int, n: int):
     """w_{lambda,d}: w(a) = lambda_{d+1-a} + a on 1..d, the complementary
     values in increasing order afterwards; descent set within {d}."""
-    from .partitions import Permutation
-
     if not lam.fits_in(d, n - d):
         raise ValueError("lambda must fit in the d x (n-d) rectangle")
     head = [lam.part(d + 1 - a) + a for a in range(1, d + 1)]
@@ -288,9 +289,9 @@ def lambda_map(w) -> KBoundedPartition:
     """Factor the w(1)=1 coset representative as c_1^{m_1}...c_{n-2}^{m_{n-2}}
     (composition right to left) and read off the partition
     (1^{m_1} 2^{m_2} ...)."""
-    from .partitions import Permutation
-
     n = w.n
+    if n < 1:
+        raise ValueError(f"the lambda-map needs a permutation of length >= 1, got {w.to_text()!r}")
     k = n - 1
     c0 = Permutation.cycle(n, 0)
     t = (1 - w(1)) % n
@@ -317,7 +318,7 @@ def bounded_to_core(mu: Partition, k: int) -> Partition:
     each shifted right just enough that its rightmost mu_i cells have hooks
     at most k and the cells left of them have hooks at least k+2."""
     if mu.parts and mu.parts[0] > k:
-        raise ValueError("not k-bounded")
+        raise ValueError(f"partition {mu.to_text()!r} is not {k}-bounded")
     rows: list = []  # lengths, bottom row first
     heights: list = []  # heights[j - 1]: the placed rows that reach column j
 
@@ -411,6 +412,8 @@ def g_tilde(w) -> SymFunc:
     Raises NonPolynomialImageError if the image times prod_{i in Des(w)}
     tau_i is not a polynomial in Lambda_(n), i.e. a factor is left over.
     """
+    if w.n < 2:
+        raise ValueError(f"g_tilde needs a permutation of length >= 2, got {w.to_text()!r}")
     ctx = phi_context(w.n)
     image = phi_groth_image(w)
     num, den = image.num, list(image.den)

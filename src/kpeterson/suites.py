@@ -1,7 +1,9 @@
 """Named verification suites with machine-readable reports.
 
 Each suite is a list of cases; a case runs one exact identity and records
-pass/fail with printable left/right values.  Conjecture-tier cases are
+pass/fail with printable left/right values.  A suite's builder of the
+cases at one n, the n it runs by default, the n it accepts and its trial
+count live in its one record in SUITES.  Conjecture-tier cases are
 "reported": their agreement is recorded in the payload but they never fail
 the process.  The report header names the scalar backend, the Python
 version and the core count.  Reports are deterministic for fixed inputs,
@@ -16,6 +18,7 @@ import platform
 import random
 import time
 from collections import Counter
+from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass
 from functools import partial
 from importlib import resources
@@ -146,17 +149,12 @@ def _run_case(case):
     return SuiteCase(case_id, status, lhs, rhs, elapsed)
 
 
-def _ns(n, default):
-    return list(default) if n is None else [n]
-
-
-def _rectangles(ns, max_d=None):
-    """(n, d, lambda, "n{n}-d{d}-[lambda]") for each n in ns, 1 <= d < n (and
-    d <= max_d), and each lambda inside the d x (n-d) rectangle."""
-    for n in ns:
-        for d in range(1, n if max_d is None else min(n, max_d + 1)):
-            for lam in partitions_in_rectangle(d, n - d):
-                yield n, d, lam, f"n{n}-d{d}-[{lam.to_text()}]"
+def _rectangles(n, max_d=None):
+    """(d, lambda, "n{n}-d{d}-[lambda]") for 1 <= d < n (and d <= max_d) and
+    each lambda inside the d x (n-d) rectangle."""
+    for d in range(1, n if max_d is None else min(n, max_d + 1)):
+        for lam in partitions_in_rectangle(d, n - d):
+            yield d, lam, f"n{n}-d{d}-[{lam.to_text()}]"
 
 
 # -- checks: each returns (ok, lhs, rhs) --------------------------------------------
@@ -230,7 +228,7 @@ def _recursions_check(specs):
 
 
 def _base_schur_check(n):
-    for _, d, lam, _ in _rectangles((n,)):
+    for d, lam, _ in _rectangles(n):
         if not d_base_check(lam, d, n):
             return False, f"base case at n={n}, {lam}", "Schur value"
     return True, "all rectangle-bounded shapes", "Schur values"
@@ -365,11 +363,11 @@ def _buch_check(n, d, lam):
     return gp == sg, f"G_({lam.to_text()})(x1..x{d})", f"groth({w.to_text()})"
 
 
-# -- suite builders -----------------------------------------------------------------
+# -- suite builders: each returns the cases at one n -------------------------------
 
 
 def _suite_example_1_2(n, trials, rng):
-    data, table = load_tables()["example_1_2"], tau_sigma(3)
+    data, table = load_tables()["example_1_2"], tau_sigma(n)
     return [
         _case(name, partial(_symfunc_check, value, SymFunc.from_json(data[name])))
         for name, value in zip(
@@ -379,11 +377,7 @@ def _suite_example_1_2(n, trials, rng):
 
 
 def _suite_remarkable(n, trials, rng):
-    return [
-        _case(f"n{nn}-F{i}", partial(_remarkable_check, nn, i))
-        for nn in _ns(n, (2, 3, 4, 5))
-        for i in range(1, nn + 1)
-    ]
+    return [_case(f"n{n}-F{i}", partial(_remarkable_check, n, i)) for i in range(1, n + 1)]
 
 
 def _suite_f_images(n, trials, rng):
@@ -396,18 +390,14 @@ def _suite_f_images(n, trials, rng):
     substitution.  The one-column -image cases of prop-6-chain compare the
     D-ratio with itself, since phi_s_q_image reads phi_f_image."""
     return [
-        _case(f"n{nn}-m{m}-i{i}", partial(_f_image_check, nn, m, i))
-        for nn in _ns(n, (3, 4, 5))
-        for m in range(1, nn)
+        _case(f"n{n}-m{m}-i{i}", partial(_f_image_check, n, m, i))
+        for m in range(1, n)
         for i in range(m + 1)
     ]
 
 
-def _suite_theorem_1_5(n, trials, rng):
-    return [
-        _case(tag, partial(_theorem_1_5_check, nn, d, lam))
-        for nn, d, lam, tag in _rectangles(_ns(n, (3, 4, 5)))
-    ]
+def _per_rectangle(check, n, trials, rng, max_d=None):
+    return [_case(tag, partial(check, n, d, lam)) for d, lam, tag in _rectangles(n, max_d)]
 
 
 def _suite_example_7_3(n, trials, rng):
@@ -420,52 +410,42 @@ def _suite_example_7_3(n, trials, rng):
                 [Partition.from_text(t) for t in row["factors"]],
             ),
         )
-        for row in load_tables()["gtilde_factored_n5"]
+        for row in load_tables()[f"gtilde_factored_n{n}"]
     ]
 
 
 def _suite_lambda_tables(n, trials, rng):
-    tables = load_tables()["lambda_tables"]
     return [
-        _case(f"n{nn}-w{row['w']}", partial(_lambda_table_check, nn, row))
-        for nn in _ns(n, (4, 5))
-        for row in tables[str(nn)]
-    ]
-
-
-def _suite_prop_5_1(n, trials, rng):
-    return [
-        _case(tag, partial(_prop_5_1_check, nn, d, lam))
-        for nn, d, lam, tag in _rectangles(_ns(n, (2, 3, 4, 5, 6)), max_d=3)
+        _case(f"n{n}-w{row['w']}", partial(_lambda_table_check, n, row))
+        for row in load_tables()["lambda_tables"][str(n)]
     ]
 
 
 def _suite_d_recursions(n, trials, rng):
-    count = 200 if trials is None else trials
-    cases = []
-    for nn in _ns(n, (3, 4, 5)):
-        specs = [_random_dspec(nn, rng) for _ in range(count)]
-        cases += [
-            _case(f"n{nn}-recursions", partial(_recursions_check, specs)),
-            _case(f"n{nn}-base-schur", partial(_base_schur_check, nn)),
-            _case(f"n{nn}-perp-shifts", partial(_perp_shifts_check, specs)),
-        ]
-    return cases
+    specs = [_random_dspec(n, rng) for _ in range(trials)]
+    return [
+        _case(f"n{n}-recursions", partial(_recursions_check, specs)),
+        _case(f"n{n}-base-schur", partial(_base_schur_check, n)),
+        _case(f"n{n}-perp-shifts", partial(_perp_shifts_check, specs)),
+    ]
+
+
+# The d that lattice-identity checks at each n it accepts.
+_LATTICE_DS = {3: (1,), 4: (2,), 5: (2, 3)}
 
 
 def _suite_lattice_identity(n, trials, rng):
     return [
-        _case(f"n{nn}-d{d}-{name}", partial(check, nn, d))
-        for nn, d in ((3, 1), (4, 2), (5, 2), (5, 3))
-        if n in (None, nn)
+        _case(f"n{n}-d{d}-{name}", partial(check, n, d))
+        for d in _LATTICE_DS[n]
         for name, check in (("column-sum", _column_sum_check), ("kernel-dets", _kernel_det_check))
     ]
 
 
 def _suite_prop_6_chain(n, trials, rng):
     return [
-        _case(f"{tag}-{side}", partial(check, nn, d, lam))
-        for nn, d, lam, tag in _rectangles(_ns(n, (3, 4, 5)))
+        _case(f"{tag}-{side}", partial(check, n, d, lam))
+        for d, lam, tag in _rectangles(n)
         for side, check in (
             ("quantize", _quantize_check),
             ("image", _s_q_image_check),
@@ -475,22 +455,19 @@ def _suite_prop_6_chain(n, trials, rng):
 
 
 def _suite_toda_roundtrip(n, trials, rng):
-    count = 100 if trials is None else trials
     return [
-        _case(f"n{nn}-t{t}", partial(_seeded_toda_trial, nn, rng.getrandbits(48)))
-        for nn in _ns(n, (2, 3, 4, 5))
-        for t in range(count)
+        _case(f"n{n}-t{t}", partial(_seeded_toda_trial, n, rng.getrandbits(48)))
+        for t in range(trials)
     ]
 
 
 def _suite_conjecture2(n, trials, rng):
-    nn = 5 if n is None else n
-    order = sorted(all_permutations(nn), key=lambda w: w.images)
+    order = sorted(all_permutations(n), key=lambda w: w.images)
     fibers: dict = {}
     for w in order:
         fibers.setdefault(lambda_map(w).partition, []).append(w)
     return [
-        _case(f"divisibility-w{w.to_text()}", partial(_divisibility_check, nn, w), "report")
+        _case(f"divisibility-w{w.to_text()}", partial(_divisibility_check, n, w), "report")
         for w in order
     ] + [
         _case(f"fiber-[{lam.to_text() or 'empty'}]", partial(_fiber_check, fibers[lam]), "report")
@@ -501,23 +478,28 @@ def _suite_conjecture2(n, trials, rng):
 def _suite_conjecture_7_4(n, trials, rng):
     return [
         _case(
-            f"n{nn}-longest",
+            f"n{n}-longest",
             partial(
                 _g_tilde_product_check,
-                Permutation.longest(nn),
-                [Partition([nn - 1 - i] * i) for i in range(1, nn - 1)],
+                Permutation.longest(n),
+                [Partition([n - 1 - i] * i) for i in range(1, n - 1)],
             ),
-            "assert" if nn <= 4 else "report",
+            "assert" if n <= 4 else "report",
         )
-        for nn in _ns(n, (3, 4, 5))
     ]
 
 
-def _suite_buch_cor_5_7(n, trials, rng):
-    return [
-        _case(tag, partial(_buch_check, nn, d, lam))
-        for nn, d, lam, tag in _rectangles(_ns(n, (2, 3, 4, 5)))
-    ]
+@dataclass(frozen=True)
+class Suite:
+    """One suite: its builder of the cases at one n, called as
+    build(n, trials, rng); the n it runs without --n, in order; the n that
+    --n accepts (none: it takes no --n and runs at its one default n); and
+    its default --trials (None: it takes no --trials)."""
+
+    build: Callable
+    ns: Sequence
+    accepted: Sequence = ()
+    trials: int | None = None
 
 
 # Each suite with the values of --n it accepts: every one builds at least one
@@ -525,44 +507,46 @@ def _suite_buch_cor_5_7(n, trials, rng):
 # the slowest, at about 41 s wall; f-images at n = 6 takes about 36 s and
 # theorem-1-5 at n = 6 about 5 s; Python 3.11.7, fractions.Fraction).  An
 # empty tuple: the suite takes no --n.
-_BUILDERS = {
-    "example-1-2": (_suite_example_1_2, ()),
-    "remarkable-identity": (_suite_remarkable, range(2, 7)),
-    "theorem-1-5": (_suite_theorem_1_5, range(2, 7)),
-    "f-images": (_suite_f_images, range(2, 7)),
-    "example-7-3": (_suite_example_7_3, ()),
-    "lambda-tables": (_suite_lambda_tables, (4, 5)),
-    "prop-5-1": (_suite_prop_5_1, range(2, 8)),
-    "d-recursions": (_suite_d_recursions, range(2, 8)),
-    "lattice-identity": (_suite_lattice_identity, (3, 4, 5)),
-    "prop-6-chain": (_suite_prop_6_chain, range(2, 6)),
-    "toda-roundtrip": (_suite_toda_roundtrip, range(2, 9)),
-    "conjecture2": (_suite_conjecture2, range(2, 6)),
-    "conjecture7-4": (_suite_conjecture_7_4, range(2, 6)),
-    "buch-cor-5-7": (_suite_buch_cor_5_7, range(2, 8)),
+SUITES = {
+    "example-1-2": Suite(_suite_example_1_2, (3,)),
+    "remarkable-identity": Suite(_suite_remarkable, range(2, 6), range(2, 7)),
+    "theorem-1-5": Suite(partial(_per_rectangle, _theorem_1_5_check), range(3, 6), range(2, 7)),
+    "f-images": Suite(_suite_f_images, range(3, 6), range(2, 7)),
+    "example-7-3": Suite(_suite_example_7_3, (5,)),
+    "lambda-tables": Suite(_suite_lambda_tables, (4, 5), (4, 5)),
+    "prop-5-1": Suite(
+        partial(_per_rectangle, _prop_5_1_check, max_d=3), range(2, 7), range(2, 8)
+    ),
+    "d-recursions": Suite(_suite_d_recursions, range(3, 6), range(2, 8), trials=200),
+    "lattice-identity": Suite(_suite_lattice_identity, tuple(_LATTICE_DS), tuple(_LATTICE_DS)),
+    "prop-6-chain": Suite(_suite_prop_6_chain, range(3, 6), range(2, 6)),
+    "toda-roundtrip": Suite(_suite_toda_roundtrip, range(2, 6), range(2, 9), trials=100),
+    "conjecture2": Suite(_suite_conjecture2, (5,), range(2, 6)),
+    "conjecture7-4": Suite(_suite_conjecture_7_4, range(3, 6), range(2, 6)),
+    "buch-cor-5-7": Suite(partial(_per_rectangle, _buch_check), range(2, 6), range(2, 8)),
 }
-SUITE_NAMES = tuple(_BUILDERS)
-# The suites whose case count --trials sets.
-_TRIAL_SUITES = ("d-recursions", "toda-roundtrip")
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(name: str, n=None, trials=None, seed=None) -> SuiteReport:
-    """Execute a named suite; the report's case order is the build order.
+    """Execute a named suite over its default n, or at n alone; the report's
+    case order is the build order.
 
     Raises ValueError for an unknown suite, an n the suite does not
     accept, or trials for a suite that reads none."""
-    if name not in _BUILDERS:
+    if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    build, accepted = _BUILDERS[name]
-    if trials is not None and name not in _TRIAL_SUITES:
+    suite = SUITES[name]
+    if trials is not None and suite.trials is None:
         raise ValueError(f"suite {name} takes no --trials")
-    if n is not None and n not in accepted:
-        if not accepted:
+    if n is not None and n not in suite.accepted:
+        if not suite.accepted:
             raise ValueError(f"suite {name} takes no --n")
         raise ValueError(
-            f"--n {n} is outside suite {name}'s range {accepted[0]}..{accepted[-1]}"
+            f"--n {n} is outside suite {name}'s range {suite.accepted[0]}..{suite.accepted[-1]}"
         )
     seed = DEFAULT_SEED if seed is None else seed
     rng = random.Random(seed)
-    cases = build(n, trials, rng)
+    trials = suite.trials if trials is None else trials
+    cases = [c for nn in (suite.ns if n is None else (n,)) for c in suite.build(nn, trials, rng)]
     return SuiteReport(name, [_run_case(c) for c in cases], seed)

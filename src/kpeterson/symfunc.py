@@ -291,21 +291,16 @@ def _substitute(terms, image) -> dict:
     return {_trim(e): c for e, c in poly.substitute(images, poly.vars).terms.items()}
 
 
-_H_EXPANSIONS: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _h_expansion(i: int, num_vars: int) -> Poly:
-    key = (i, num_vars)
-    if key not in _H_EXPANSIONS:
-        variables = tuple(f"x{j}" for j in range(1, num_vars + 1))
-        terms = {}
-        for combo in combinations_with_replacement(range(num_vars), i):
-            exps = [0] * num_vars
-            for j in combo:
-                exps[j] += 1
-            terms[tuple(exps)] = 1
-        _H_EXPANSIONS[key] = Poly(variables, terms)
-    return _H_EXPANSIONS[key]
+    variables = tuple(f"x{j}" for j in range(1, num_vars + 1))
+    terms = {}
+    for combo in combinations_with_replacement(range(num_vars), i):
+        exps = [0] * num_vars
+        for j in combo:
+            exps[j] += 1
+        terms[tuple(exps)] = 1
+    return Poly(variables, terms)
 
 
 # -- Schur functions -----------------------------------------------------------

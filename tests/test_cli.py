@@ -1,4 +1,5 @@
 import json
+import random
 import time
 
 import pytest
@@ -27,6 +28,7 @@ from kpeterson.partitions import Partition
 from kpeterson.peterson import phi_apply
 from kpeterson.polynomials import Poly
 from kpeterson.scalars import Rational
+from kpeterson.suites import SUITE_NAMES, SUITES, run_suite
 from kpeterson.symfunc import SymFunc
 
 
@@ -527,8 +529,6 @@ class TestVerify:
         assert sample["gtilde"]
 
     def test_run_suite_rejects_unknown_name(self):
-        from kpeterson.suites import run_suite
-
         with pytest.raises(ValueError):
             run_suite("no-such-suite")
 
@@ -544,6 +544,21 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "gtilde", "12543", "--text")
         assert code == 0 and "h" in out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("lambda-map", ""), "permutation of length >= 1, got ''"),
+            (("gtilde", ""), "permutation of length >= 2, got ''"),
+            (("gtilde", "1"), "permutation of length >= 2, got '1'"),
+            (("kconj", "3", "--k", "2"), "partition '3' is not 2-bounded"),
+        ],
+        ids=["lambda-map-empty", "gtilde-empty", "gtilde-length-1", "kconj-not-k-bounded"],
+    )
+    def test_refusal_names_the_input(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and message in err
+
     @pytest.mark.parametrize("command", ["qgroth", "gtilde"])
     def test_quantized_permutation_above_limit_is_usage_error(self, capsys, command):
         code, out, err = run_cli(capsys, command, "2134567")
@@ -555,3 +570,28 @@ class TestVerify:
         code, out, err = run_cli(capsys, "groth", "21", "--n", "3")
         assert code == 2 and out == ""
         assert err.startswith("error: --n 3 does not match")
+
+
+class TestSuiteRecords:
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    def test_every_default_and_accepted_n_builds_a_case(self, name):
+        suite = SUITES[name]
+        for n in {*suite.ns, *suite.accepted}:
+            assert suite.build(n, suite.trials, random.Random(0)), n
+
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    def test_every_default_n_is_accepted(self, name):
+        suite = SUITES[name]
+        if suite.accepted:
+            assert suite.ns and set(suite.ns) <= set(suite.accepted)
+        else:  # a suite that takes no --n runs at its one n
+            assert len(suite.ns) == 1
+
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    def test_trials_refused_exactly_without_a_trial_count(self, name):
+        if SUITES[name].trials is None:
+            with pytest.raises(ValueError, match="takes no --trials"):
+                run_suite(name, trials=1)
+        else:
+            report = run_suite(name, trials=1)
+            assert report.cases and not report.failures

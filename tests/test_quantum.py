@@ -224,6 +224,13 @@ class TestQuantizeContext:
                     total[e] = total.get(e, 0) + a * coeff
             assert {e: c for e, c in total.items() if c} == groth_poly(w).terms, w
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_refuses_non_positive_n(self, n):
+        with pytest.raises(ValueError, match=f"got n = {n}$"):
+            quantize_context(n)
+        with pytest.raises(ValueError, match=f"got n = {n}$"):
+            quantize(Poly.const((), 1), n)
+
     def test_peel_refuses_a_stall_and_a_non_unit_pivot(self):
         assert _peel([[(0, 1), (1, 1)], [(1, 1)]]) == [(0, 0), (1, 1)]
         with pytest.raises(ArithmeticError, match="meets {0: 2}"):
