@@ -451,11 +451,12 @@ class PhiContext:
         tau_1, sigma_1 (factor_product uses the same order); the stored
         factor order of den is unchanged.  The order decides how large the
         group sums grow that Horner's rule multiplies by each factor.  The
-        unreduced Phi_5(F_1..F_5) take 0.60 s in the stored order, 0.42 s
-        reversed, 0.35-0.37 s with sigma-first pairs and 0.36-0.37 s in
-        this order, and Phi_6(F_1) takes 10.3 s in the stored order against
-        5.9 s in this one (CPU time, one process each, Python 3.11, Intel
-        Xeon).
+        unreduced Phi_5(F_1..F_5) take 0.17-0.23 s in the stored order,
+        0.14-0.16 s reversed, 0.12-0.13 s with sigma-first pairs and
+        0.12-0.14 s in this order, and Phi_6(F_1) takes 3.7-4.5 s in the
+        stored order against 2.1-2.2 s in this one (CPU time, least and
+        median of 9 processes at n = 5 and 3 at n = 6, powers of the
+        factors included, Python 3.11.7, Intel Xeon).
         """
         k = len(self.factors)
         contrib = self._zq_contrib

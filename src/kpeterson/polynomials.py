@@ -6,11 +6,16 @@ maps with non-zero coefficients.  A coefficient is an ``int`` whenever it is
 integral and a ``Fraction`` only when it is not (``scalars.normalize``).
 ``Poly``, ``SymFunc`` and the power-sum dicts of the symmetric-function layer
 all call it, with two tuple layouts: the fixed-width tuples of a Poly and the
-trailing-zero-trimmed tuples of the h- and p-bases.  ``terms_mul`` packs the
-exponent tuples into ints for the length of one multiply, and
-``terms_exact_div`` for the length of one division (with a total-degree
-field on top, so that int order is graded-lex order); the maps always hold
-tuples.  ``grouped_product`` is the one routine for sums of the shape
+trailing-zero-trimmed tuples of the h- and p-bases.  Inside a call the
+exponent tuples are packed into ints, one bit field per variable, so that
+adding two keys multiplies two monomials; the maps the kernel returns always
+hold tuples.  ``_mul_add`` is the one multiply-add loop over packed maps:
+``terms_mul`` packs both operands, runs it once and unpacks the product,
+and ``grouped_product`` packs each part and table entry once and runs every
+step of its sum through it, unpacking only the final sum.
+``terms_exact_div`` packs for the length of one division, with a
+total-degree field on top, so that int order is graded-lex order.
+``grouped_product`` is the one routine for sums of the shape
 sum c * prod_j T_j[e_j], grouped slot by slot: substitution of a Poly, the
 Phi_n image of a z/Q polynomial, the quantization map and the Phi_n image
 of a quantized Grothendieck polynomial all evaluate through it.
@@ -68,38 +73,42 @@ def terms_scale(t, c):
     return {e: normalize(v * c) for e, v in t.items()} if c else {}
 
 
-def terms_mul(t1, t2):
-    """Product of two term maps, in either exponent-tuple layout.
+def _pack(terms, shifts):
+    """A term map keyed by packed ints: slot i of each exponent tuple at bit
+    shifts[i]."""
+    return {sum(map(lshift, e, shifts)): c for e, c in terms.items()}
 
-    For the length of the call each exponent tuple is packed into one int,
-    slot i at bit i * bits, with bits wide enough for the call's largest
-    per-slot exponent sum: adding two packed keys then multiplies the two
-    monomials with no carry between slots.  The packed products are read
-    back into tuples padded to the shortest operand tuple, which keeps both
-    the fixed width of a Poly and the trailing-zero-trimmed tuples of
-    SymFunc and the p-dicts (a product of trimmed monomials never ends in a
-    zero slot).  Exponents must not be negative.
-    """
-    if not t1 or not t2:
-        return {}
+
+_ONE = {0: 1}  # the packed constant 1
+
+
+def _mul_add(acc, t1, t2):
+    """acc += t1 * t2 over packed term maps: adding two packed keys
+    multiplies the two monomials.  The one multiply-add loop of the kernel;
+    a sum that cancels stays in acc as a zero."""
     if len(t1) > len(t2):
         t1, t2 = t2, t1
-    top1 = map(max, zip_longest(*t1, fillvalue=0))
-    top2 = map(max, zip_longest(*t2, fillvalue=0))
-    slot_sums = [a + b for a, b in zip_longest(top1, top2, fillvalue=0)]
-    bits = max(max(slot_sums, default=0).bit_length(), 1)
-    width = len(slot_sums)
-    shifts = range(0, bits * width, bits)
-    packed2 = [(sum(map(lshift, e, shifts)), c) for e, c in t2.items()]
-    acc = {}
     get = acc.get
-    for e1, c1 in t1.items():
-        k1 = sum(map(lshift, e1, shifts))
-        for k2, c2 in packed2:
+    pairs = t2.items()
+    for k1, c1 in t1.items():
+        for k2, c2 in pairs:
             k = k1 + k2
             acc[k] = get(k, 0) + c1 * c2
+
+
+def _add(acc, t):
+    """acc += t over packed term maps."""
+    get = acc.get
+    for k, c in t.items():
+        acc[k] = get(k, 0) + c
+
+
+def _unpack(acc, bits, width, pad):
+    """The non-zero terms of a packed map with normalized coefficients,
+    keyed by tuples of `width` fields of `bits` bits, each cut back to the
+    shortest length of at least pad that holds every non-zero field."""
     mask = (1 << bits) - 1
-    pad = min(map(len, chain(t1, t2)))
+    shifts = range(0, bits * width, bits)
     fields = [shifts[:i] for i in range(width + 1)]
     out = {}
     for k, c in acc.items():
@@ -107,6 +116,30 @@ def terms_mul(t1, t2):
             slots = fields[max(pad, -(-k.bit_length() // bits))]
             out[tuple([(k >> s) & mask for s in slots])] = normalize(c)
     return out
+
+
+def terms_mul(t1, t2):
+    """Product of two term maps, in either exponent-tuple layout.
+
+    Both maps are packed, slot i at bit i * bits, with bits wide enough for
+    the call's largest per-slot exponent sum, so that no packed sum carries
+    between slots; they are multiplied by ``_mul_add`` and read back into
+    tuples padded to the shortest operand tuple, which keeps both the fixed
+    width of a Poly and the trailing-zero-trimmed tuples of SymFunc and the
+    p-dicts (a product of trimmed monomials never ends in a zero slot).
+    Exponents must not be negative.
+    """
+    if not t1 or not t2:
+        return {}
+    top1 = map(max, zip_longest(*t1, fillvalue=0))
+    top2 = map(max, zip_longest(*t2, fillvalue=0))
+    slot_sums = [a + b for a, b in zip_longest(top1, top2, fillvalue=0)]
+    bits = max(max(slot_sums, default=0).bit_length(), 1)
+    width = len(slot_sums)
+    shifts = range(0, bits * width, bits)
+    acc = {}
+    _mul_add(acc, _pack(t1, shifts), _pack(t2, shifts))
+    return _unpack(acc, bits, width, min(map(len, chain(t1, t2))))
 
 
 def terms_exact_div(t, divisor):
@@ -182,40 +215,94 @@ def grouped_product(parts: dict, tables, zero):
     indexed slot: each S_e is multiplied by its own entry and the products
     are added.  That covers a list lookup or a cached function, whose
     entries need not be powers, and a ``power_table`` of a number (a
-    variable substituted by a number), where Horner's rule was not faster.  An entry
-    equal to one is not multiplied.  Parts and entries are Polys or numbers,
-    and every key has one slot per table.  The result has the type of `zero`
-    (a Poly in its ring, or a number), and is `zero` for no parts.
-    """
-    width = len(tables)
+    variable substituted by a number), where Horner's rule was not faster.
+    An entry equal to one is not multiplied.  Parts and entries are numbers
+    or Polys in the ring of `zero`, and every key has one slot per table.
 
-    def times(entry, part):
-        return part if entry == 1 else entry * part
+    The whole sum runs in one packed key space (``_pack``, a number c being
+    the constant {0: c}): every variable gets a field as wide as the
+    largest exponent any term can reach, the largest over the parts plus,
+    per slot, e_max * (exponent in T) for a power slot or the largest
+    exponent over the entries used for an indexed slot, so that no partial
+    sum carries between fields.  Each part and each entry is packed once
+    per call, every level multiplies and adds packed maps (``_mul_add``,
+    ``_add``), and only the final sum is normalized and unpacked.  The
+    result has the type of `zero` (a Poly in its ring, or a number), and is
+    `zero` for no parts.
+    """
+    if not parts:
+        return zero
+    width = len(tables)
+    variables = zero.vars if isinstance(zero, Poly) else ()
+    power_slots = [isinstance(t, power_table) and isinstance(t.powers[1], Poly) for t in tables]
+    used = [set(column) for column in zip(*parts)]
+    indexed = [{} if h else {e: t(e) for e in es} for t, h, es in zip(tables, power_slots, used)]
+
+    def tops(values):
+        columns = zip(*chain.from_iterable(v.terms for v in values if isinstance(v, Poly)))
+        return [max(column) for column in columns]
+
+    bound = tops(parts.values())
+    for table, power_slot, exps, entries in zip(tables, power_slots, used, indexed):
+        if power_slot:
+            slot_tops = [max(exps) * top for top in tops([table.powers[1]])]
+        else:
+            slot_tops = tops(entries.values())
+        bound = [a + b for a, b in zip_longest(bound, slot_tops, fillvalue=0)]
+    bits = max(max(bound, default=0).bit_length(), 1)
+    shifts = range(0, bits * len(variables), bits)
+
+    def pack(value):
+        if isinstance(value, Poly):
+            if value.vars != variables:
+                raise ValueError(f"variable mismatch: {value.vars} vs {variables}")
+            return _pack(value.terms, shifts)
+        return {0: value} if value else {}
+
+    packed = [{e: pack(v) for e, v in entries.items()} for entries in indexed]
+
+    def entry(j, e):
+        cache = packed[j]
+        if e not in cache:
+            cache[e] = pack(tables[j](e))
+        return cache[e]
+
+    def times(factor, t):
+        if factor == _ONE:
+            return t
+        acc = {}
+        _mul_add(acc, factor, t)
+        return acc
 
     def level(group, j):
         if j == width:
             (leaf,) = group.values()
-            return leaf
+            return pack(leaf)
         slots: dict = {}
         for key, part in group.items():
             slots.setdefault(key[j], {})[key] = part
-        table = tables[j]
-        if isinstance(table, power_table) and isinstance(table.powers[1], Poly):
+        if power_slots[j]:
             exps = sorted(slots, reverse=True)
             total = level(slots[exps[0]], j + 1)
             for above, e in zip(exps, exps[1:]):
-                total = times(table(above - e), total) + level(slots[e], j + 1)
-            return times(table(exps[-1]), total)
-        total = None
+                acc = dict(level(slots[e], j + 1))
+                _mul_add(acc, total, entry(j, above - e))
+                total = {k: c for k, c in acc.items() if c}
+            return times(entry(j, exps[-1]), total)
+        acc = {}
         for e in sorted(slots):
-            part = times(table(e), level(slots[e], j + 1))
-            total = part if total is None else total + part
-        return total
+            factor, group_sum = entry(j, e), level(slots[e], j + 1)
+            if factor == _ONE:
+                _add(acc, group_sum)
+            else:
+                _mul_add(acc, factor, group_sum)
+        return {k: c for k, c in acc.items() if c}
 
-    if not parts:
-        return zero
     total = level(parts, 0)
-    return total if type(total) is type(zero) else zero + total
+    if not isinstance(zero, Poly):
+        value = normalize(total.get(0, 0))
+        return value if type(value) is type(zero) else zero + value
+    return Poly(variables, _unpack(total, bits, len(variables), len(variables)))
 
 
 class power_table:

@@ -28,7 +28,7 @@ from kpeterson.partitions import Partition
 from kpeterson.peterson import phi_apply
 from kpeterson.polynomials import Poly
 from kpeterson.scalars import Rational
-from kpeterson.suites import SUITE_NAMES, SUITES, run_suite
+from kpeterson.suites import DEFAULT_SEED, SUITE_NAMES, SUITES, run_suite
 from kpeterson.symfunc import SymFunc
 
 
@@ -411,6 +411,20 @@ class TestVerify:
         assert code == 0
         data = json.loads(out)
         assert data == {"trials": 5, "failures": 0, "seed": 7}
+
+    def test_toda_roundtrip_seed_defaults_like_verify(self, capsys):
+        # both commands run the suite from suites.DEFAULT_SEED
+        argv = ("--n", "3", "--trials", "5")
+        code, out, _ = run_cli(capsys, "toda-roundtrip", *argv)
+        assert code == 0
+        short = json.loads(out)
+        code, out, _ = run_cli(capsys, "verify", "toda-roundtrip", *argv)
+        assert code == 0
+        full = json.loads(out)
+        assert short["seed"] == full["seed"] == DEFAULT_SEED
+        failed = [c for c in full["cases"] if c["status"] != "pass"]
+        assert short["failures"] == len(failed) == 0
+        assert short["trials"] == len(full["cases"]) == 5
 
     @pytest.mark.parametrize(
         "argv",

@@ -7,7 +7,9 @@ multiply is checked against a plain tuple loop kept here as the reference,
 on both exponent layouts, and the packed exact division against the
 tuple-heap division it replaced, kept here as ``reference_exact_div``.
 ``grouped_product``, with power slots (Horner's rule) and indexed slots, is
-checked against ``helpers.reference_grouped_product``, a term-by-term sum.
+checked against ``helpers.reference_grouped_product``, a term-by-term sum,
+also where a Horner power or an indexed entry needs a wider packed field
+than the parts alone.
 The ring maps of the symmetric-function layer
 (to_p_dict, from_p_dict, kappa, expand_in_vars), which run as one
 Poly.substitute each, are checked against term-by-term product loops.
@@ -301,6 +303,41 @@ def test_grouped_product_matches_sum_of_products(case):
     got = grouped_product(parts, [as_table(slot) for slot in slots], zero)
     assert isinstance(got, Poly) and got.vars == VARS
     assert got == reference_grouped_product(parts, slots, zero)
+
+
+X1_255 = Poly.monomial(VARS, (255, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "parts, slots",
+    [
+        # the parts reach x1^255 (8 bits); Horner's x1 * x1 * part reaches x1^257
+        ({(0,): X1_255, (1,): X1_255 + X2, (2,): X1_255 * 2}, [Powers(X1)]),
+        ({(2,): X1_255 - 1}, [Powers(X1)]),
+        # an indexed entry alone reaches x1^256
+        ({(0, 1): X2, (1, 0): 3, (1, 1): X1}, [[1, X1_255 * X1], [X2, X1 - X2]]),
+        # Fraction parts whose sum is integral
+        (
+            {(0,): Poly.monomial(VARS, (1, 0, 0), Fraction(1, 2)), (1,): Fraction(1, 2)},
+            [Powers(X1 + Fraction(2, 3))],
+        ),
+    ],
+)
+def test_grouped_product_field_width_holds_every_partial_sum(parts, slots):
+    zero = Poly.zero(VARS)
+    got = grouped_product(parts, [as_table(slot) for slot in slots], zero)
+    assert got == reference_grouped_product(parts, slots, zero)
+    assert_normalized(got.terms)
+
+
+@pytest.mark.parametrize(
+    "parts, base",
+    [({(2,): 3, (0,): Fraction(1, 2)}, Fraction(1, 3)), ({(1,): 3}, Fraction(1, 3))],
+)
+def test_grouped_product_number_zero_returns_a_number(parts, base):
+    got = grouped_product(parts, [power_table(base)], Rational(0))
+    assert got == reference_grouped_product(parts, [Powers(base)], Rational(0))
+    assert type(got) is Rational
 
 
 @given(polys(3), st.integers(0, 6))
