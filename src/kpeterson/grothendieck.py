@@ -90,10 +90,6 @@ class SetValuedTableau:
     def __setattr__(self, name, value):
         raise AttributeError("SetValuedTableau is immutable")
 
-    def size(self) -> int:
-        """Total number of letters |T|."""
-        return sum(len(s) for s in self.cells.values())
-
     def __repr__(self):
         rows = []
         for r in range(1, len(self.shape) + 1):

@@ -369,6 +369,18 @@ class PhiContext:
         multiplying it out."""
         return num * self.factor_product(exps) if any(exps) else num
 
+    def times_taus(self, frac: LocFrac, taus) -> LocFrac:
+        """frac * prod_{d in taus} tau_d, by exponent bookkeeping: each
+        tau_d cancels one from the denominator when it is there, and only
+        otherwise multiplies the numerator."""
+        num, den = frac.num, list(frac.den)
+        for d in taus:
+            if den[d - 1] > 0:
+                den[d - 1] -= 1
+            else:
+                num = num * self.factors[d - 1]
+        return LocFrac(self, num, tuple(den))
+
     def exponent_range(self, p: Poly):
         """(lo, hi): the least and the largest exponent of each tau/sigma
         factor over the images of the monomials of a z/x/Q polynomial p, read

@@ -374,8 +374,9 @@ def _f_numerator(n: int, m: int, i: int) -> Poly:
 @lru_cache(maxsize=None)
 def phi_f_image(n: int, m: int, i: int) -> LocFrac:
     """phi(F^(m)_i), reduced: the D-ratio D(theta)/tau_m of lambda = (1^i),
-    theta_a = m - (lambda_{m+1-a} + a), tau_n = 1; zero for i > m.  The
-    suite f-images certifies it against the substitution."""
+    theta_a = m - (lambda_{m+1-a} + a), tau_n = 1; zero for i > m.
+    ``reduce`` makes one trial division of D(theta) by tau_m.  The suite
+    f-images compares the unreduced substitution image with this value."""
     if not (1 <= m <= n and i >= 0):
         raise ValueError("need 1 <= m <= n and i >= 0")
     ctx = phi_context(n)
@@ -402,31 +403,22 @@ def phi_groth_image(w) -> LocFrac:
 
 @lru_cache(maxsize=None)
 def g_tilde(w) -> SymFunc:
-    """The numerator of phi(G^Q_w) after clearing the descent-indexed tau
-    denominators, by exponent bookkeeping on the reduced image: for each i
-    in Des(w) a tau_i of the denominator cancels, or else the numerator is
-    multiplied by tau_i.  The image is in lowest terms and the tau/sigma
-    factors are irreducible and pairwise non-associate (n <= 8), so nothing
-    is left to divide.
+    """phi(G^Q_w) * prod_{i in Des(w)} tau_i, read as a symmetric function:
+    PhiContext.times_taus on the reduced image.  The image is in lowest
+    terms and the tau/sigma factors are irreducible and pairwise
+    non-associate (n <= 8), so nothing is left to divide.
 
-    Raises NonPolynomialImageError if the image times prod_{i in Des(w)}
-    tau_i is not a polynomial in Lambda_(n), i.e. a factor is left over.
+    Raises NonPolynomialImageError if the product is not a polynomial in
+    Lambda_(n), i.e. a factor of the denominator is left over.
     """
     if w.n < 2:
         raise ValueError(f"g_tilde needs a permutation of length >= 2, got {w.to_text()!r}")
-    ctx = phi_context(w.n)
-    image = phi_groth_image(w)
-    num, den = image.num, list(image.den)
-    for i in w.descents:
-        if den[i - 1] > 0:
-            den[i - 1] -= 1
-        else:
-            num = num * ctx.factors[i - 1]
-    if any(den):
+    product = phi_context(w.n).times_taus(phi_groth_image(w), w.descents)
+    if not product.is_polynomial():
         raise NonPolynomialImageError(
             f"phi(G^Q_{w.to_text()}) * tau(Des) has residual denominator"
         )
-    return SymFunc.from_poly(num)
+    return product.symfunc()
 
 
 def phi_s_q_image(lam: Partition, d: int, n: int) -> LocFrac:

@@ -37,7 +37,6 @@ from .partitions import (
 )
 from .peterson import (
     DSpec,
-    LocFrac,
     d_base_check,
     d_plain,
     d_recursion_check,
@@ -51,12 +50,12 @@ from .peterson import (
 )
 from .polynomials import Poly
 from .quantum import (
-    _f_numerator,
     g_tilde,
     grassmannian_perm,
     groth_poly,
     k_conjugate,
     lambda_map,
+    phi_f_image,
     phi_groth_image,
     phi_s_q_image,
     quantize,
@@ -170,17 +169,15 @@ def _remarkable_check(n, i):
 
 
 def _f_image_check(n, m, i):
-    ctx = phi_context(n)
-    image = ctx.apply_frac(fq_poly_z(n, m, i), reduce_result=False)
-    lhs = image * ctx.from_symfunc(tau_sigma(n).tau[m])
-    rhs = LocFrac(ctx, _f_numerator(n, m, i), ctx.one.den)
-    return lhs == rhs, f"phi(F^({m})_{i})*tau{m}", f"D(theta) of (1^{i}), d={m}"
+    image = phi_context(n).apply_frac(fq_poly_z(n, m, i), reduce_result=False)
+    ok = image == phi_f_image(n, m, i)
+    return ok, f"phi(F^({m})_{i})*tau{m}", f"D(theta) of (1^{i}), d={m}"
 
 
 def _theorem_1_5_check(n, d, lam):
     ctx = phi_context(n)
     w = grassmannian_perm(lam, d, n)
-    lhs = phi_groth_image(w) * ctx.from_symfunc(tau_sigma(n).tau[d])
+    lhs = ctx.times_taus(phi_groth_image(w), (d,))
     rhs = ctx.from_symfunc(dual_groth(complement(lam, d, n)))
     return lhs == rhs, f"phi(GQ_{w.to_text()})*tau{d}", f"g_({complement(lam, d, n).to_text()})"
 
@@ -381,10 +378,10 @@ def _suite_remarkable(n, trials, rng):
 
 
 def _suite_f_images(n, trials, rng):
-    """phi(F^(m)_i) = D(theta)/tau_m against the substitution Phi_n: the
-    unreduced image of F^(m)_i times tau_m equals the numerator D(theta)
-    that phi_f_image and phi_groth_image read, by cross-multiplication with
-    no division, for m < n and 0 <= i <= m.
+    """phi(F^(m)_i) = D(theta)/tau_m against the substitution Phi_n, for
+    m < n and 0 <= i <= m: the unreduced image of F^(m)_i equals
+    phi_f_image, whose reduce makes one trial division of D(theta) by
+    tau_m; phi_groth_image reads the same numerators D(theta).
 
     This suite is the only link between those numerators and the
     substitution.  The one-column -image cases of prop-6-chain compare the
@@ -504,9 +501,9 @@ class Suite:
 
 # Each suite with the values of --n it accepts: every one builds at least one
 # case, and the largest runs within a minute (remarkable-identity at n = 6 is
-# the slowest, at about 41 s wall; f-images at n = 6 takes about 36 s and
-# theorem-1-5 at n = 6 about 5 s; Python 3.11.7, fractions.Fraction).  An
-# empty tuple: the suite takes no --n.
+# the slowest, at 17-25 s wall; f-images at n = 6 takes 13-17 s and
+# theorem-1-5 at n = 6 about 2 s; Python 3.11.7, fractions.Fraction, 2-core
+# Intel Xeon).  An empty tuple: the suite takes no --n.
 SUITES = {
     "example-1-2": Suite(_suite_example_1_2, (3,)),
     "remarkable-identity": Suite(_suite_remarkable, range(2, 6), range(2, 7)),

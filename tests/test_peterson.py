@@ -532,6 +532,59 @@ class TestReduction:
         assert set(seen) == uncommon
 
 
+class TestTimesTaus:
+    def test_cancels_a_tau_of_the_denominator(self):
+        ctx = phi_context(4)
+        num = Poly.variable(ctx.hvars, "h1") + 2
+        for d in (1, 2, 3):
+            den = tuple(int(k == d - 1) for k in range(6))
+            out = ctx.times_taus(LocFrac(ctx, num, den), (d,))
+            assert out.num == num and out.den == ctx.one.den, d
+
+    def test_multiplies_when_the_tau_is_missing(self):
+        ctx = phi_context(4)
+        num = Poly.variable(ctx.hvars, "h2") - 1
+        sigma1 = (0, 0, 0, 1, 0, 0)
+        for d in (1, 2, 3):
+            out = ctx.times_taus(LocFrac(ctx, num, sigma1), (d,))
+            assert out.num == num * ctx.factors[d - 1] and out.den == sigma1, d
+
+    def test_repeated_tau(self):
+        ctx = phi_context(4)
+        num = Poly.variable(ctx.hvars, "h3")
+        tau2 = ctx.factors[1]
+        # one tau_2 in the denominator: the first cancels, the second multiplies
+        once = ctx.times_taus(LocFrac(ctx, num, (0, 1, 0, 0, 0, 0)), (2, 2))
+        assert once.num == num * tau2 and once.den == ctx.one.den
+        twice = ctx.times_taus(LocFrac(ctx, num, (0, 2, 0, 0, 0, 0)), (2, 2))
+        assert twice.num == num and twice.den == ctx.one.den
+        none = ctx.times_taus(LocFrac(ctx, num, ctx.one.den), (2, 2, 2))
+        assert none.num == num * tau2 * tau2 * tau2 and none.den == ctx.one.den
+
+    def test_zero_numerator(self):
+        ctx = phi_context(4)
+        out = ctx.times_taus(ctx.zero, (1, 2, 3, 3))
+        assert out.num.is_zero() and out.den == ctx.one.den and out == 0
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_equals_multiplying_by_the_tau_product(self, n):
+        ctx, table = phi_context(n), tau_sigma(n)
+        names = [f"{v}{i}" for v in "zx" for i in range(1, n + 1)]
+        names += [f"Q{i}" for i in range(1, n)]
+        images = [gen_image(ctx, name) for name in names]
+        images += [ctx.reduce(image) for image in images]
+        images += [phi_f_image(n, m, i) for m in range(1, n) for i in range(m + 1)]
+        images.append(gen_image(ctx, "z1") * gen_image(ctx, "Q1") + 3)
+        all_taus = tuple(range(1, n))
+        for taus in ((), (1,), (n - 1,), (1, 1), all_taus, all_taus + all_taus):
+            product = SymFunc.one()
+            for d in taus:
+                product = product * table.tau[d]
+            for image in images:
+                expected = image * ctx.from_symfunc(product)
+                assert ctx.times_taus(image, taus) == expected, (n, taus, image)
+
+
 class TestPerpD:
     def test_vanishing_for_large_shift(self):
         spec = DSpec((0,), (3,), 4)

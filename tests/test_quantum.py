@@ -528,6 +528,17 @@ class TestGTilde:
         monkeypatch.undo()
         assert g_tilde.__wrapped__(w) == g_tilde(w)
 
+    def test_image_checks_fail_on_a_perturbed_value(self, monkeypatch):
+        import kpeterson.suites as suites
+
+        lam, d, n = Partition([1]), 1, 3
+        assert suites._f_image_check(3, 2, 1)[0]
+        assert suites._theorem_1_5_check(n, d, lam)[0]
+        monkeypatch.setattr(suites, "phi_f_image", lambda n, m, i: phi_f_image(n, m, i) + 1)
+        assert suites._f_image_check(3, 2, 1)[0] is False
+        monkeypatch.setattr(suites, "dual_groth", lambda mu: dual_groth(mu) + h(1))
+        assert suites._theorem_1_5_check(n, d, lam)[0] is False
+
     def test_quantized_stable_pushforward_routes_agree(self):
         # Route A: quantize the stable polynomial and push through phi.
         # Route B: the skew operator G_lambda-perp applied to g_{R_d}.
